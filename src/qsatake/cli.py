@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -138,13 +137,6 @@ def cmd_homdim(args) -> int:
     return 0
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("QSATAKE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _suite_relations(max_n: int) -> list[dict]:
     items = []
     for n in range(max_n + 1):
@@ -163,10 +155,9 @@ def _suite_relations(max_n: int) -> list[dict]:
 
 def _suite_zigzag(max_n: int) -> list[dict]:
     items = []
-    workers = _workers()
     for n in range(max_n + 1):
         try:
-            hq = equivalence.hom_quiver(n, workers=workers)
+            hq = equivalence.hom_quiver(n)
         except VerificationError as exc:
             items.append(
                 {

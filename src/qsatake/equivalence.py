@@ -13,7 +13,6 @@ wrong Hom dimension pattern is a hard verification error.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import modtools, qsl2, zigzag
@@ -61,25 +60,14 @@ def _expected_dim(a: int, b: int) -> int:
     return 0
 
 
-def hom_quiver(n: int, workers: int = 1) -> HomQuiver:
-    """Solve all (N+1)^2 intertwiner systems and assemble compositions.
-
-    The pairwise solves are independent and may run on several threads; the
-    assembly order is fixed, so the result does not depend on ``workers``.
-    """
+def hom_quiver(n: int) -> HomQuiver:
+    """Solve all (N+1)^2 intertwiner systems and assemble compositions."""
     if n < 0:
         raise DomainError(f"hom_quiver requires N >= 0, got {n}")
     modules = tuple(modtools.projective(2 * a) for a in range(n + 1))
-    pairs = [(a, b) for a in range(n + 1) for b in range(n + 1)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda ab: modtools.hom(modules[ab[0]], modules[ab[1]]), pairs)
-            )
-    else:
-        results = [modtools.hom(modules[a], modules[b]) for a, b in pairs]
     homs = tuple(
-        tuple(results[a * (n + 1) + b] for b in range(n + 1)) for a in range(n + 1)
+        tuple(modtools.hom(modules[a], modules[b]) for b in range(n + 1))
+        for a in range(n + 1)
     )
     for a in range(n + 1):
         for b in range(n + 1):
@@ -110,11 +98,10 @@ def hom_quiver(n: int, workers: int = 1) -> HomQuiver:
 
 def _proportionality(s: QMatrix, t: QMatrix):
     """The scalar lam with s = lam * t, or None if s, t are not proportional."""
-    lead = next((v for v in t.entries if v), None)
+    i, j, lead = next(t.nonzero_entries(), (None, None, None))
     if lead is None:
         return None
-    idx = next(k for k, v in enumerate(t.entries) if v)
-    lam = s.entries[idx] * lead.inverse()
+    lam = s[i, j] * lead.inverse()
     return lam if t.scale(lam) == s else None
 
 

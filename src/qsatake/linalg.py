@@ -1,4 +1,7 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact sparse linear algebra over Q(i).
+
+Matrices keep only their nonzero entries, and every operation walks those
+alone; module operators shift weight, so almost all of their entries are 0.
 
 Everything is deterministic: pivoting always takes the first nonzero entry,
 so reduced row echelon form (and therefore every reported basis) is canonical.
@@ -8,33 +11,62 @@ Equality of row spaces can be tested as equality of ``rref`` outputs, and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NoSolutionError
 from .scalars import GaussianRational, ONE, ZERO
 
 
 class QMatrix:
-    """A dense rows x cols matrix of GaussianRationals (row-major tuple)."""
+    """A rows x cols matrix of GaussianRationals that stores only its nonzeros.
 
-    __slots__ = ("rows", "cols", "entries")
+    The entries live in ``{row: {col: value}}`` form, the row format that
+    ``reduce_rows`` consumes; a stored value is never zero and a stored row is
+    never empty, so equal matrices have equal storage.  Instances are
+    immutable, and the row dictionaries are never mutated once wrapped, which
+    lets operations share untouched rows between their operands and result.
+    """
+
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
+        """Build from a dense row-major sequence of rows * cols values."""
         if len(entries) != rows * cols:
             raise ValueError("entry count must equal rows * cols")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(
-            self, "entries", tuple(GaussianRational.coerce(e) for e in entries)
-        )
+        data: dict[int, dict] = {}
+        for k, e in enumerate(entries):
+            v = GaussianRational.coerce(e)
+            if v:
+                i, j = divmod(k, cols)
+                data.setdefault(i, {})[j] = v
+        _init(self, rows, cols, data)
 
     @classmethod
-    def _raw(cls, rows: int, cols: int, entries: tuple) -> "QMatrix":
+    def _wrap(cls, rows: int, cols: int, data: dict) -> "QMatrix":
+        """Adopt ``data`` as storage: no zero values, no empty rows, in range."""
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _init(self, rows, cols, data)
         return self
+
+    @classmethod
+    def from_row_dicts(cls, rows: int, cols: int, data: Mapping) -> "QMatrix":
+        """Build from ``{row: {col: value}}``; zero values may be present and
+        are dropped, indices must lie inside the shape."""
+        out: dict[int, dict] = {}
+        for i, row in data.items():
+            if not 0 <= i < rows:
+                raise ValueError(f"row index {i} outside 0..{rows - 1}")
+            kept = {}
+            for j, e in row.items():
+                if not 0 <= j < cols:
+                    raise ValueError(f"column index {j} outside 0..{cols - 1}")
+                v = GaussianRational.coerce(e)
+                if v:
+                    kept[j] = v
+            if kept:
+                out[i] = kept
+        return cls._wrap(rows, cols, out)
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -52,22 +84,16 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls._raw(rows, cols, (ZERO,) * (rows * cols))
+        return cls._wrap(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        e = [ZERO] * (n * n)
-        for k in range(n):
-            e[k * n + k] = ONE
-        return cls._raw(n, n, tuple(e))
+        return cls._wrap(n, n, {k: {k: ONE} for k in range(n)})
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "QMatrix":
         n = len(values)
-        e = [ZERO] * (n * n)
-        for k, v in enumerate(values):
-            e[k * n + k] = GaussianRational.coerce(v)
-        return cls._raw(n, n, tuple(e))
+        return cls.from_row_dicts(n, n, {k: {k: v} for k, v in enumerate(values)})
 
     @classmethod
     def column(cls, values: Sequence) -> "QMatrix":
@@ -79,27 +105,54 @@ class QMatrix:
         if not cols:
             return cls.zeros(0, 0)
         nrows = cols[0].rows
-        flat = []
-        for i in range(nrows):
-            for c in cols:
-                if c.rows != nrows:
-                    raise ValueError("hstack: mismatched row counts")
-                for j in range(c.cols):
-                    flat.append(c.entries[i * c.cols + j])
-        total = sum(c.cols for c in cols)
-        return cls._raw(nrows, total, tuple(flat))
+        data: dict[int, dict] = {}
+        offset = 0
+        for c in cols:
+            if c.rows != nrows:
+                raise ValueError("hstack: mismatched row counts")
+            for i, row in c._data.items():
+                out = data.setdefault(i, {})
+                for j, v in row.items():
+                    out[offset + j] = v
+            offset += c.cols
+        return cls._wrap(nrows, offset, data)
+
+    @property
+    def entries(self) -> tuple:
+        """Dense row-major view, built on each access."""
+        flat = [ZERO] * (self.rows * self.cols)
+        for i, row in self._data.items():
+            for j, v in row.items():
+                flat[i * self.cols + j] = v
+        return tuple(flat)
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {ij} outside shape ({self.rows}, {self.cols})")
+        row = self._data.get(i)
+        return row.get(j, ZERO) if row else ZERO
 
-    def row_list(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+    def row(self, i: int) -> Mapping[int, GaussianRational]:
+        """The nonzero entries of row i as a read-only {col: value} mapping."""
+        return MappingProxyType(self._data.get(i, _EMPTY_ROW))
 
     def col(self, j: int) -> "QMatrix":
-        return QMatrix._raw(
-            self.rows, 1, tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return QMatrix._wrap(
+            self.rows, 1, {i: {0: row[j]} for i, row in self._data.items() if j in row}
         )
+
+    def reshape(self, rows: int, cols: int) -> "QMatrix":
+        """The same row-major sequence of entries in a rows x cols shape."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("reshape must keep the entry count")
+        data: dict[int, dict] = {}
+        for i, row in self._data.items():
+            base = i * self.cols
+            for j, v in row.items():
+                r, c = divmod(base + j, cols)
+                data.setdefault(r, {})[c] = v
+        return QMatrix._wrap(rows, cols, data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -107,79 +160,79 @@ class QMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(self.nonzero_entries())))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in +")
-        return QMatrix._raw(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        return _combine(self, other, False)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in -")
-        return QMatrix._raw(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
+        return _combine(self, other, True)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix._raw(self.rows, self.cols, tuple(-a for a in self.entries))
+        return QMatrix._wrap(
+            self.rows,
+            self.cols,
+            {i: {j: -v for j, v in row.items()} for i, row in self._data.items()},
+        )
 
     def scale(self, c) -> "QMatrix":
         c = GaussianRational.coerce(c)
-        return QMatrix._raw(self.rows, self.cols, tuple(c * a for a in self.entries))
+        if not c:
+            return QMatrix.zeros(self.rows, self.cols)
+        return QMatrix._wrap(
+            self.rows,
+            self.cols,
+            {i: {j: c * v for j, v in row.items()} for i, row in self._data.items()},
+        )
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
-        m, n, p = self.rows, self.cols, other.cols
-        out = [ZERO] * (m * p)
-        se, oe = self.entries, other.entries
-        for i in range(m):
-            base = i * n
-            obase = i * p
-            for k in range(n):
-                a = se[base + k]
-                if not a:
+        rhs = other._data
+        data: dict[int, dict] = {}
+        for i, row in self._data.items():
+            acc: dict = {}
+            for k, a in row.items():
+                brow = rhs.get(k)
+                if brow is None:
                     continue
-                kb = k * p
-                for j in range(p):
-                    b = oe[kb + j]
-                    if b:
-                        out[obase + j] = out[obase + j] + a * b
-        return QMatrix._raw(m, p, tuple(out))
+                for j, b in brow.items():
+                    cur = acc.get(j)
+                    acc[j] = a * b if cur is None else cur + a * b
+            acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                data[i] = acc
+        return QMatrix._wrap(self.rows, other.cols, data)
 
     def transpose(self) -> "QMatrix":
-        e = self.entries
-        c = self.cols
-        return QMatrix._raw(
-            c,
-            self.rows,
-            tuple(e[i * c + j] for j in range(c) for i in range(self.rows)),
-        )
+        data: dict[int, dict] = {}
+        for i, row in self._data.items():
+            for j, v in row.items():
+                data.setdefault(j, {})[i] = v
+        return QMatrix._wrap(self.cols, self.rows, data)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self._data
 
     def nonzero_entries(self):
         """(i, j, value) for every nonzero entry, row-major order."""
-        c = self.cols
-        for k, v in enumerate(self.entries):
-            if v:
-                yield divmod(k, c) + (v,)
+        for i in sorted(self._data):
+            row = self._data[i]
+            for j in sorted(row):
+                yield i, j, row[j]
 
     def __str__(self) -> str:
+        flat = [str(v) for v in self.entries]
         body = "; ".join(
-            " ".join(str(self[i, j]) for j in range(self.cols))
+            " ".join(flat[i * self.cols : (i + 1) * self.cols])
             for i in range(self.rows)
         )
         return f"[{body}]"
@@ -187,26 +240,59 @@ class QMatrix:
     __repr__ = __str__
 
 
+_EMPTY_ROW: dict = {}
+
+
+def _init(m: QMatrix, rows: int, cols: int, data: dict) -> None:
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "_data", data)
+
+
+def _combine(a: QMatrix, b: QMatrix, subtract: bool) -> QMatrix:
+    """a + b, or a - b when ``subtract``; rows only in a are shared."""
+    data = dict(a._data)
+    for i, brow in b._data.items():
+        row = data.get(i)
+        if row is None:
+            data[i] = {j: -v for j, v in brow.items()} if subtract else brow
+            continue
+        row = dict(row)
+        for j, v in brow.items():
+            cur = row.get(j)
+            if cur is None:
+                row[j] = -v if subtract else v
+                continue
+            s = cur - v if subtract else cur + v
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        if row:
+            data[i] = row
+        else:
+            del data[i]
+    return QMatrix._wrap(a.rows, a.cols, data)
+
+
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
-    rows = a.rows + b.rows
-    cols = a.cols + b.cols
-    out = [ZERO] * (rows * cols)
-    for i, j, v in a.nonzero_entries():
-        out[i * cols + j] = v
-    for i, j, v in b.nonzero_entries():
-        out[(a.rows + i) * cols + (a.cols + j)] = v
-    return QMatrix._raw(rows, cols, tuple(out))
+    data = dict(a._data)
+    for i, row in b._data.items():
+        data[a.rows + i] = {a.cols + j: v for j, v in row.items()}
+    return QMatrix._wrap(a.rows + b.rows, a.cols + b.cols, data)
 
 
 def kronecker(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product; index (i, j) of the product space is i * b.dim + j."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for i, k, va in a.nonzero_entries():
-        for j, l, vb in b.nonzero_entries():
-            out[(i * b.rows + j) * cols + (k * b.cols + l)] = va * vb
-    return QMatrix._raw(rows, cols, tuple(out))
+    data: dict[int, dict] = {}
+    for i, arow in a._data.items():
+        for j, brow in b._data.items():
+            data[i * b.rows + j] = {
+                k * b.cols + l: va * vb
+                for k, va in arow.items()
+                for l, vb in brow.items()
+            }
+    return QMatrix._wrap(a.rows * b.rows, a.cols * b.cols, data)
 
 
 def reduce_rows(rows: Iterable[dict]) -> dict:
@@ -254,26 +340,15 @@ def reduce_rows(rows: Iterable[dict]) -> dict:
 
 
 def _matrix_rows(m: QMatrix) -> list[dict]:
-    out = []
-    for i in range(m.rows):
-        row = {}
-        base = i * m.cols
-        for j in range(m.cols):
-            v = m.entries[base + j]
-            if v:
-                row[j] = v
-        out.append(row)
-    return out
+    """Every row of m in order, empty rows included."""
+    return [m._data.get(i, _EMPTY_ROW) for i in range(m.rows)]
 
 
 def rref(m: QMatrix) -> QMatrix:
     """Canonical reduced row echelon form, same shape as the input."""
     pivots = reduce_rows(_matrix_rows(m))
-    flat = [ZERO] * (m.rows * m.cols)
-    for i, c in enumerate(sorted(pivots)):
-        for j, v in pivots[c].items():
-            flat[i * m.cols + j] = v
-    return QMatrix._raw(m.rows, m.cols, tuple(flat))
+    data = {i: pivots[c] for i, c in enumerate(sorted(pivots))}
+    return QMatrix._wrap(m.rows, m.cols, data)
 
 
 def rank(m: QMatrix) -> int:
@@ -287,30 +362,21 @@ def kernel(m: QMatrix) -> list[QMatrix]:
     columns, pivot coordinates determined by the RREF.
     """
     pivots = reduce_rows(_matrix_rows(m))
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
-        for c, row in pivots.items():
-            w = row.get(f)
-            if w:
-                vec[c] = -w
-        basis.append(QMatrix._raw(m.cols, 1, tuple(vec)))
-    return basis
+    vectors = {f: {f: {0: ONE}} for f in range(m.cols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, w in row.items():
+            if f != c:
+                vectors[f][c] = {0: -w}
+    return [QMatrix._wrap(m.cols, 1, vectors[f]) for f in sorted(vectors)]
 
 
 def image(m: QMatrix) -> list[QMatrix]:
     """Canonical basis of the column space (reduced column echelon form)."""
     pivots = reduce_rows(_matrix_rows(m.transpose()))
-    basis = []
-    for c in sorted(pivots):
-        vec = [ZERO] * m.rows
-        for j, v in pivots[c].items():
-            vec[j] = v
-        basis.append(QMatrix._raw(m.rows, 1, tuple(vec)))
-    return basis
+    return [
+        QMatrix._wrap(m.rows, 1, {j: {0: v} for j, v in pivots[c].items()})
+        for c in sorted(pivots)
+    ]
 
 
 def solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -323,28 +389,20 @@ def solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
     n = a.cols
     rows = []
     for i in range(a.rows):
-        row = {}
-        for j in range(n):
-            v = a.entries[i * n + j]
-            if v:
-                row[j] = v
-        for j in range(b.cols):
-            v = b.entries[i * b.cols + j]
-            if v:
-                row[n + j] = v
+        row = dict(a._data.get(i, _EMPTY_ROW))
+        for j, v in b._data.get(i, _EMPTY_ROW).items():
+            row[n + j] = v
         if row:
             rows.append(row)
     pivots = reduce_rows(rows)
-    for c in pivots:
+    data = {}
+    for c, row in pivots.items():
         if c >= n:
             raise NoSolutionError("inconsistent linear system")
-    flat = [ZERO] * (n * b.cols)
-    for c, row in pivots.items():
-        for j in range(b.cols):
-            v = row.get(n + j)
-            if v:
-                flat[c * b.cols + j] = v
-    return QMatrix._raw(n, b.cols, tuple(flat))
+        sol = {j - n: v for j, v in row.items() if j >= n}
+        if sol:
+            data[c] = sol
+    return QMatrix._wrap(n, b.cols, data)
 
 
 def solve(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -2,13 +2,12 @@
 submodule closures, socles, and the small-endomorphism indecomposability test.
 
 Hom bases are cached per (source, target) object pair; all inputs are
-immutable, the cache is append-only, and population is guarded by a lock so
-concurrent callers are safe.
+immutable and the cache is append-only, so a projective's Hom spaces are
+solved once and reused by every later truncation.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ class HomBasis:
 
 
 _HOM_CACHE: dict = {}
-_HOM_LOCK = threading.Lock()
 
 
 def hom(m: QMod, n: QMod) -> HomBasis:
@@ -48,8 +46,7 @@ def hom(m: QMod, n: QMod) -> HomBasis:
     if cached is not None and cached.source is m and cached.target is n:
         return cached
     hb = HomBasis(m, n, tuple(qsl2.intertwiner_basis(m, n)))
-    with _HOM_LOCK:
-        _HOM_CACHE[key] = hb
+    _HOM_CACHE[key] = hb
     return hb
 
 
@@ -61,15 +58,13 @@ def projective(two_n: int) -> QMod:
 
 
 _PROJ_CACHE: dict[int, QMod] = {}
-_PROJ_LOCK = threading.Lock()
 
 
 def _projective_cached(two_n: int) -> QMod:
     p = _PROJ_CACHE.get(two_n)
     if p is None:
         p = qsl2.tensor(qsl2.simple(two_n + 1), qsl2.simple(1))
-        with _PROJ_LOCK:
-            p = _PROJ_CACHE.setdefault(two_n, p)
+        _PROJ_CACHE[two_n] = p
     return p
 
 
@@ -143,20 +138,22 @@ def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
             added = insert(weight, col)
             if added is not None:
                 queue.append((weight, added))
-    ops = [(shift, op) for (name, op), shift in zip(m.operators(), (2, -2, 4, -4))]
+    # Row j of an operator's transpose holds the nonzeros of its column j.
+    ops = [
+        (shift, op.transpose())
+        for (_, op), shift in zip(m.operators(), (2, -2, 4, -4))
+    ]
     while queue:
         weight, col = queue.pop()
-        for shift, op in ops:
+        for shift, op_t in ops:
             out: dict[int, GaussianRational] = {}
             for j, v in col.items():
-                for i in range(op.rows):
-                    a = op[i, j]
-                    if a:
-                        s = out.get(i, ZERO) + a * v
-                        if s:
-                            out[i] = s
-                        else:
-                            out.pop(i, None)
+                for i, a in op_t.row(j).items():
+                    s = out.get(i, ZERO) + a * v
+                    if s:
+                        out[i] = s
+                    else:
+                        out.pop(i, None)
             if out:
                 added = insert(weight + shift, out)
                 if added is not None:
@@ -166,13 +163,12 @@ def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
         for lead in bases[weight]:
             columns.append((lead, weight))
     columns.sort()
-    cols = []
-    for lead, weight in columns:
-        data = bases[weight][lead]
-        vec = [ZERO] * m.dim
-        for i, v in data.items():
-            vec[i] = v
-        cols.append(QMatrix.column(vec))
+    cols = [
+        QMatrix.from_row_dicts(
+            m.dim, 1, {i: {0: v} for i, v in bases[weight][lead].items()}
+        )
+        for lead, weight in columns
+    ]
     return qsl2.restrict_to_span(m, cols)
 
 
@@ -194,10 +190,13 @@ class EndAlgebra:
         return len(self.basis)
 
 
+def _vec(m: QMatrix) -> QMatrix:
+    """m as one column, row-major."""
+    return m.reshape(m.rows * m.cols, 1)
+
+
 def _flatten(mats: list[QMatrix]) -> QMatrix:
-    return QMatrix.hstack(
-        [QMatrix.column(list(m.entries)) for m in mats]
-    )
+    return QMatrix.hstack([_vec(m) for m in mats])
 
 
 def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
@@ -207,8 +206,7 @@ def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
             raise NoSolutionError("nonzero element of a zero-dimensional space")
         return ()
     a = _flatten(list(basis))
-    b = QMatrix.column(list(target.entries))
-    x = solve_matrix(a, b)
+    x = solve_matrix(a, _vec(target))
     return tuple(x[i, 0] for i in range(x.rows))
 
 
@@ -243,7 +241,7 @@ def is_indecomposable_local(m: QMod) -> bool:
     if b is None:
         return False
     a = _flatten([b, ident])
-    x = solve_matrix(a, QMatrix.column(list((b @ b).entries)))
+    x = solve_matrix(a, _vec(b @ b))
     alpha = x[0, 0]
     nil = b - ident.scale(alpha * Fraction(1, 2))
     return (nil @ nil).is_zero()
@@ -260,10 +258,10 @@ def radical_element(m: QMod) -> QMatrix:
     ident = QMatrix.identity(m.dim)
     b = next(c for c in basis if c != ident.scale(c[0, 0]))
     a = _flatten([b, ident])
-    x = solve_matrix(a, QMatrix.column(list((b @ b).entries)))
+    x = solve_matrix(a, _vec(b @ b))
     alpha = x[0, 0]
     nil = b - ident.scale(alpha * Fraction(1, 2))
     if not (nil @ nil).is_zero() or nil.is_zero():
         raise UnsupportedCaseError("End algebra is not local of dimension 2")
-    lead = next(v for v in nil.entries if v)
+    _, _, lead = next(nil.nonzero_entries())
     return nil.scale(lead.inverse())

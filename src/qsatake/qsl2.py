@@ -20,9 +20,9 @@ from .linalg import (
     QMatrix,
     block_diag,
     image,
+    kernel,
     kronecker,
     rank,
-    reduce_rows,
     solve_matrix,
 )
 from .scalars import GaussianRational, I, LaurentPoly, ZERO, gauss_binomial, i_power, qint
@@ -156,60 +156,51 @@ def dual_weyl(n: int) -> QMod:
 def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     """Canonical basis of weight-preserving maps commuting with all four operators.
 
-    Unknowns are the weight-matched entries of X (row-major); the equations
-    X @ op_M - op_N @ X = 0 are assembled only at positions where they are not
-    identically zero, and the kernel is read off the canonical RREF, so the
-    basis coincides with what one big dense solve over all entries would give.
+    Unknowns are the weight-matched entries X[a, b] of X: n.dim x m.dim
+    (row-major).  Each operator's equations X @ op_M - op_N @ X = 0 are
+    assembled from its nonzeros: unknown X[a, c] meets op_M[c, b], and unknown
+    X[c, b] meets op_N[a, c], both in equation (a, b).  Equations that receive
+    no term, or whose terms cancel, are never built; the rest are kept in
+    (operator, a, b) order.  The kernel is read off the canonical RREF, so the
+    basis is exactly that of one big dense solve over all n.dim * m.dim
+    entries of X with X[a, b] = 0 added wherever the weights differ.
     """
-    index: dict[tuple[int, int], int] = {}
-    positions: list[tuple[int, int]] = []
-    for a in range(n.dim):
-        wa = n.weights[a]
-        for b in range(m.dim):
-            if wa == m.weights[b]:
-                index[(a, b)] = len(positions)
-                positions.append((a, b))
+    positions = [
+        (a, b)
+        for a in range(n.dim)
+        for b in range(m.dim)
+        if n.weights[a] == m.weights[b]
+    ]
     if not positions:
         return []
     rows = []
-    ops = list(zip(m.operators(), n.operators()))
-    for ((_, op_m), (_, op_n)) in ops:
-        for a in range(n.dim):
-            for b in range(m.dim):
-                row: dict[int, GaussianRational] = {}
-                for c in range(m.dim):
-                    v = op_m[c, b]
-                    if v:
-                        k = index.get((a, c))
-                        if k is not None:
-                            row[k] = row.get(k, ZERO) + v
-                for c in range(n.dim):
-                    v = op_n[a, c]
-                    if v:
-                        k = index.get((c, b))
-                        if k is not None:
-                            row[k] = row.get(k, ZERO) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+    for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
+        op_m_rows = [op_m.row(c) for c in range(m.dim)]
+        op_n_t = op_n.transpose()
+        op_n_cols = [op_n_t.row(c) for c in range(n.dim)]
+        eqs: dict[tuple[int, int], dict] = {}
+        for k, (a, c) in enumerate(positions):
+            for b, v in op_m_rows[c].items():
+                row = eqs.setdefault((a, b), {})
+                cur = row.get(k)
+                row[k] = v if cur is None else cur + v
+        for k, (c, b) in enumerate(positions):
+            for a, v in op_n_cols[c].items():
+                row = eqs.setdefault((a, b), {})
+                cur = row.get(k)
+                row[k] = -v if cur is None else cur - v
+        for key in sorted(eqs):
+            row = {k: v for k, v in eqs[key].items() if v}
+            if row:
+                rows.append(row)
+    system = QMatrix.from_row_dicts(len(rows), len(positions), dict(enumerate(rows)))
     basis = []
-    nun = len(positions)
-    pivots = reduce_rows(rows)
-    for fcol in range(nun):
-        if fcol in pivots:
-            continue
-        vec = [ZERO] * nun
-        vec[fcol] = GaussianRational(1)
-        for c, row in pivots.items():
-            w = row.get(fcol)
-            if w:
-                vec[c] = -w
-        flat = [ZERO] * (n.dim * m.dim)
-        for k, v in enumerate(vec):
-            if v:
-                a, b = positions[k]
-                flat[a * m.dim + b] = v
-        basis.append(QMatrix(n.dim, m.dim, flat))
+    for vec in kernel(system):
+        x: dict[int, dict] = {}
+        for k, _, v in vec.nonzero_entries():
+            a, b = positions[k]
+            x.setdefault(a, {})[b] = v
+        basis.append(QMatrix.from_row_dicts(n.dim, m.dim, x))
     return basis
 
 

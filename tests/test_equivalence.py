@@ -61,14 +61,6 @@ class TestHomQuiver:
                                 for h in hq.hom(c, d).basis:
                                     assert (h @ g) @ f == h @ (g @ f)
 
-    def test_workers_do_not_change_result(self):
-        serial = hom_quiver(1, workers=1)
-        threaded = hom_quiver(1, workers=4)
-        assert serial.dim_matrix() == threaded.dim_matrix()
-        for a in range(2):
-            for b in range(2):
-                assert serial.hom(a, b).basis == threaded.hom(a, b).basis
-
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hom_quiver(-1)
@@ -145,6 +137,16 @@ class TestCompareZigzag:
         scrambled = HomQuiver(3, hq.modules, homs, hq.composition)
         items = compare_zigzag(scrambled)
         assert all(it["pass"] for it in items)
+
+
+    def test_corrupted_gauge_scalar_fails_only_its_relations(self):
+        hq = hom_quiver(2)
+        gauge = gauge_fix(hq)
+        gauge[("y", 2)] = gauge[("y", 2)].scale(2)
+        failures = [it for it in compare_zigzag(hq, gauge) if not it["pass"]]
+        assert failures
+        for it in failures:
+            assert "y2" in it["relation"].split("*"), it["relation"]
 
 
 class TestFrobeniusAction:

@@ -31,14 +31,35 @@ small_entries = st.builds(
 )
 
 
+# Half zeros, so that sums and products cancel often enough to matter.
+sparse_entries = st.one_of(st.just(ZERO), small_entries)
+
+
 @st.composite
-def small_matrices(draw, max_dim=4):
-    r = draw(st.integers(min_value=1, max_value=max_dim))
-    c = draw(st.integers(min_value=1, max_value=max_dim))
-    entries = draw(
-        st.lists(small_entries, min_size=r * c, max_size=r * c)
-    )
-    return QMatrix(r, c, entries)
+def small_matrices(draw, max_dim=4, rows=None, cols=None, entries=small_entries):
+    r = rows if rows is not None else draw(st.integers(min_value=1, max_value=max_dim))
+    c = cols if cols is not None else draw(st.integers(min_value=1, max_value=max_dim))
+    values = draw(st.lists(entries, min_size=r * c, max_size=r * c))
+    return QMatrix(r, c, values)
+
+
+def dense(m):
+    """Row lists of m, read from the dense ``entries`` view."""
+    e = m.entries
+    return [list(e[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
+def assert_stores_no_zero(m):
+    for i, row in m._data.items():
+        assert 0 <= i < m.rows and row
+        for j, v in row.items():
+            assert 0 <= j < m.cols and v
+
+
+def assert_matches(m, rows):
+    assert_stores_no_zero(m)
+    assert dense(m) == rows
+    assert m == mat(rows)
 
 
 class TestQMatrix:
@@ -66,6 +87,80 @@ class TestQMatrix:
         assert c.rows == 3 and c.cols == 3
         assert c[0, 0] == ONE and c[1, 1] == GaussianRational(2)
         assert c[0, 1] == ZERO and c[2, 0] == ZERO
+
+
+class TestSparseStorage:
+    @given(small_matrices(entries=sparse_entries), st.data(), sparse_entries)
+    @settings(max_examples=80)
+    def test_operations_match_dense_reference(self, a, data, c):
+        b = data.draw(small_matrices(rows=a.rows, cols=a.cols, entries=sparse_entries))
+        p = data.draw(small_matrices(rows=a.cols, entries=sparse_entries))
+        da, db, dp = dense(a), dense(b), dense(p)
+        r, k, q = a.rows, a.cols, p.cols
+        assert_matches(
+            a + b, [[da[i][j] + db[i][j] for j in range(k)] for i in range(r)]
+        )
+        assert_matches(
+            a - b, [[da[i][j] - db[i][j] for j in range(k)] for i in range(r)]
+        )
+        assert_matches(-a, [[-x for x in row] for row in da])
+        assert_matches(a.scale(c), [[c * x for x in row] for row in da])
+        assert_matches(
+            a @ p,
+            [
+                [sum((da[i][t] * dp[t][j] for t in range(k)), ZERO) for j in range(q)]
+                for i in range(r)
+            ],
+        )
+        assert_matches(a.transpose(), [[da[i][j] for i in range(r)] for j in range(k)])
+        assert_matches(
+            kronecker(a, p),
+            [
+                [
+                    da[i // p.rows][j // q] * dp[i % p.rows][j % q]
+                    for j in range(k * q)
+                ]
+                for i in range(r * p.rows)
+            ],
+        )
+        assert_matches(
+            block_diag(a, p),
+            [row + [ZERO] * q for row in da] + [[ZERO] * k + row for row in dp],
+        )
+        assert_matches(QMatrix.hstack([a, b]), [da[i] + db[i] for i in range(r)])
+
+    @given(small_matrices(entries=sparse_entries))
+    @settings(max_examples=40)
+    def test_cancellation_leaves_the_zero_matrix(self, a):
+        zero = QMatrix.zeros(a.rows, a.cols)
+        assert a - a == zero
+        assert hash(a - a) == hash(zero)
+        assert_stores_no_zero(a - a)
+        assert (a - a).is_zero()
+
+    @given(small_matrices(entries=sparse_entries), st.data())
+    @settings(max_examples=40)
+    def test_hash_agrees_with_equality(self, a, data):
+        b = data.draw(small_matrices(rows=a.rows, cols=a.cols, entries=sparse_entries))
+        assert a + b == b + a
+        assert hash(a + b) == hash(b + a)
+        assert (a + b) - b == a
+        assert hash((a + b) - b) == hash(a)
+
+    def test_dense_zeros_equal_zeros(self):
+        for r, c in ((1, 1), (2, 3), (4, 2)):
+            z = QMatrix(r, c, [0] * (r * c))
+            assert z == QMatrix.zeros(r, c)
+            assert hash(z) == hash(QMatrix.zeros(r, c))
+            assert_stores_no_zero(z)
+        assert QMatrix.zeros(2, 3) != QMatrix.zeros(3, 2)
+
+    def test_out_of_range_index(self):
+        a = mat([[1, 0], [0, 2]])
+        with pytest.raises(IndexError):
+            a[2, 0]
+        with pytest.raises(ValueError):
+            QMatrix.from_row_dicts(2, 2, {0: {2: ONE}})
 
 
 class TestKernel:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from qsatake.errors import DomainError
-from qsatake.linalg import QMatrix, rank
+from qsatake.linalg import QMatrix, kernel, rank
+from qsatake.modtools import projective
 from qsatake.qsl2 import (
     QMod,
     canonical_map,
@@ -19,6 +20,7 @@ from qsatake.qsl2 import (
     weyl,
 )
 from qsatake.scalars import (
+    ZERO,
     LaurentPoly,
     gauss_binomial_poly,
     qint_poly,
@@ -362,3 +364,94 @@ class TestJsonDump:
         t = tensor(simple(1), simple(1)).to_json_dict()
         flat = [x for row in t["E"] for x in row]
         assert "0+1*i" in flat  # K(x)E contributes a coefficient i
+
+
+class TestIntegrityMutations:
+    E_IDENTITIES = {
+        "E@E != 0",
+        "E@F - F@E != diag([w])",
+        "E@E2 != E2@E",
+        "E@F2 - F2@E != F@diag([w-1])",
+    }
+
+    @staticmethod
+    def with_e(m: QMod, e: QMatrix) -> QMod:
+        return QMod(m.weights, e, m.f, m.e2, m.f2)
+
+    def test_changed_e_entry_names_the_broken_identities(self):
+        p = projective(2)
+        assert integrity_violations(p) == []
+        entries = list(p.e.nonzero_entries())
+        assert entries
+        for i, j, v in entries:
+            rows = {a: dict(p.e.row(a)) for a in range(p.dim)}
+            rows[i][j] = v * 2
+            bad = self.with_e(p, QMatrix.from_row_dicts(p.dim, p.dim, rows))
+            # F@F = 0 and F@F2 = F2@F do not involve E and must still hold.
+            assert set(integrity_violations(bad)) == self.E_IDENTITIES, (i, j)
+
+    def test_misplaced_e_entry_names_the_weight_shift(self):
+        p = projective(2)
+        i, j, v = next(p.e.nonzero_entries())
+        rows = {a: dict(p.e.row(a)) for a in range(p.dim)}
+        rows[i].pop(j)
+        rows.setdefault(j, {})[j] = v
+        found = integrity_violations(
+            self.with_e(p, QMatrix.from_row_dicts(p.dim, p.dim, rows))
+        )
+        w = p.weights[j]
+        assert f"E[{j},{j}] maps weight {w} to {w}, expected shift 2" in found
+
+
+def dense_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
+    """Reference solve: every entry of X is an unknown (index a * m.dim + b),
+    the four systems X @ op_M - op_N @ X = 0 are stacked, and X[a, b] = 0 is
+    added wherever the weights differ."""
+    size = n.dim * m.dim
+    rows = []
+    for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
+        for a in range(n.dim):
+            for b in range(m.dim):
+                row = [ZERO] * size
+                for c in range(m.dim):
+                    row[a * m.dim + c] += op_m[c, b]
+                for c in range(n.dim):
+                    row[c * m.dim + b] -= op_n[a, c]
+                rows.append(row)
+    for a in range(n.dim):
+        for b in range(m.dim):
+            if n.weights[a] != m.weights[b]:
+                row = [ZERO] * size
+                row[a * m.dim + b] = 1
+                rows.append(row)
+    return [
+        QMatrix(n.dim, m.dim, list(v.entries)) for v in kernel(QMatrix.from_rows(rows))
+    ]
+
+
+class TestIntertwinerBasis:
+    def assert_matches_dense(self, m: QMod, n: QMod) -> int:
+        got = intertwiner_basis(m, n)
+        assert got == dense_intertwiner_basis(m, n)
+        return len(got)
+
+    def test_weyl_to_dual_weyl_and_simple_to_weyl(self):
+        for k in range(7):
+            assert self.assert_matches_dense(weyl(k), dual_weyl(k)) == 1
+            # An even simple with k > 0 is the head of weyl(k), not a submodule.
+            want = 1 if k % 2 or k == 0 else 0
+            assert self.assert_matches_dense(simple(k), weyl(k)) == want
+
+    def test_projectives(self):
+        dims = [
+            [
+                self.assert_matches_dense(projective(2 * a), projective(2 * b))
+                for b in range(3)
+            ]
+            for a in range(3)
+        ]
+        assert dims == [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+
+    def test_frobenius_to_even_simple(self):
+        for k in range(4):
+            assert self.assert_matches_dense(frobenius_simple(k), simple(2 * k)) == 1
