@@ -159,14 +159,7 @@ def _suite_zigzag(max_n: int) -> list[dict]:
         try:
             hq = equivalence.hom_quiver(n)
         except VerificationError as exc:
-            items.append(
-                {
-                    "relation": f"N={n}: hom dimension pattern",
-                    "lhs": str(exc),
-                    "rhs": "2/1/0 pattern",
-                    "pass": False,
-                }
-            )
+            items.append(_failed(f"N={n}: hom dimension pattern", exc, "2/1/0 pattern"))
             continue
         items.append(
             {
@@ -176,9 +169,18 @@ def _suite_zigzag(max_n: int) -> list[dict]:
                 "pass": True,
             }
         )
-        for item in equivalence.compare_zigzag(hq):
+        try:
+            compared = equivalence.compare_zigzag(hq)
+        except VerificationError as exc:
+            items.append(_failed(f"N={n}: gauge fixing", exc, "zigzag generators"))
+            continue
+        for item in compared:
             items.append({**item, "relation": f"N={n}: {item['relation']}"})
     return items
+
+
+def _failed(relation: str, exc: VerificationError, rhs: str) -> dict:
+    return {"relation": relation, "lhs": str(exc), "rhs": rhs, "pass": False}
 
 
 def _suite_clebsch(max_n: int) -> list[dict]:

@@ -295,7 +295,41 @@ def kronecker(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix._wrap(a.rows * b.rows, a.cols * b.cols, data)
 
 
-def reduce_rows(rows: Iterable[dict]) -> dict:
+def _subtract_multiple(row: dict, f, piv: dict, c: int) -> None:
+    """row -= f * piv in place, outside the pivot column c; zeros are dropped."""
+    for cc, vv in piv.items():
+        if cc == c:
+            continue
+        cur = row.get(cc)
+        nv = cur - f * vv if cur is not None else -(f * vv)
+        if nv:
+            row[cc] = nv
+        else:
+            row.pop(cc, None)
+
+
+def insert_row(pivots: dict, row: Mapping) -> dict | None:
+    """One forward elimination step against echelon rows {pivot column: row}.
+
+    While the leading column of (a copy of) ``row`` has a pivot row, that
+    row's multiple is subtracted.  A leftover is scaled to 1 at its lead,
+    stored in ``pivots`` and returned; None means the row was dependent.
+    Stored rows are not back-substituted.
+    """
+    row = dict(row)
+    while row:
+        c = min(row)
+        piv = pivots.get(c)
+        if piv is None:
+            inv = row[c].inverse()
+            row = {cc: inv * vv for cc, vv in row.items()}
+            pivots[c] = row
+            return row
+        _subtract_multiple(row, row.pop(c), piv, c)
+    return None
+
+
+def reduce_rows(rows: Iterable[Mapping]) -> dict:
     """Reduced row echelon form of sparse rows ({column: coefficient}).
 
     Returns {pivot column: reduced row}; each reduced row has coefficient 1 at
@@ -304,38 +338,12 @@ def reduce_rows(rows: Iterable[dict]) -> dict:
     """
     pivots: dict[int, dict] = {}
     for r in rows:
-        row = dict(r)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = row[c].inverse()
-                pivots[c] = {cc: inv * vv for cc, vv in row.items()}
-                break
-            f = row.pop(c)
-            for cc, vv in piv.items():
-                if cc == c:
-                    continue
-                cur = row.get(cc)
-                nv = cur - f * vv if cur is not None else -(f * vv)
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
+        insert_row(pivots, r)
     # Back-substitute; descending order makes one pass sufficient.
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for cc in sorted(k for k in row if k != c and k in pivots):
-            f = row.pop(cc)
-            for c2, v2 in pivots[cc].items():
-                if c2 == cc:
-                    continue
-                cur = row.get(c2)
-                nv = cur - f * v2 if cur is not None else -(f * v2)
-                if nv:
-                    row[c2] = nv
-                else:
-                    row.pop(c2, None)
+            _subtract_multiple(row, row.pop(cc), pivots[cc], cc)
     return pivots
 
 

@@ -18,7 +18,7 @@ from .errors import (
     NotACharacterError,
     UnsupportedCaseError,
 )
-from .linalg import QMatrix, solve_matrix
+from .linalg import QMatrix, insert_row, solve_matrix
 from .qsl2 import QMod
 from .scalars import Fraction, GaussianRational, ZERO
 
@@ -104,40 +104,21 @@ def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
     """Smallest operator-stable graded subspace containing the vectors.
 
     Seeds are split into weight components, then the four operators are
-    iterated to a fixed point.  Per-weight bases are kept in reduced column
-    echelon form, so the result is deterministic.
+    iterated to a fixed point.  Per-weight bases are kept in column echelon
+    form with lead 1 (``linalg.insert_row``, not back-substituted), so the
+    result is deterministic.
     """
     bases: dict[int, dict[int, dict]] = {}
-
-    def insert(weight: int, col: dict) -> dict | None:
-        rows = bases.setdefault(weight, {})
-        col = dict(col)
-        while col:
-            lead = min(col)
-            piv = rows.get(lead)
-            if piv is None:
-                inv = col[lead].inverse()
-                col = {i: inv * v for i, v in col.items()}
-                rows[lead] = col
-                return col
-            f = col.pop(lead)
-            for i, v in piv.items():
-                if i == lead:
-                    continue
-                cur = col.get(i)
-                nv = cur - f * v if cur is not None else -(f * v)
-                if nv:
-                    col[i] = nv
-                else:
-                    col.pop(i, None)
-        return None
-
     queue: list[tuple[int, dict]] = []
+
+    def add(weight: int, col: dict) -> None:
+        added = insert_row(bases.setdefault(weight, {}), col)
+        if added is not None:
+            queue.append((weight, added))
+
     for vec in vectors:
         for weight, col in _split_by_weight(m, vec):
-            added = insert(weight, col)
-            if added is not None:
-                queue.append((weight, added))
+            add(weight, col)
     # Row j of an operator's transpose holds the nonzeros of its column j.
     ops = [
         (shift, op.transpose())
@@ -155,9 +136,7 @@ def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
                     else:
                         out.pop(i, None)
             if out:
-                added = insert(weight + shift, out)
-                if added is not None:
-                    queue.append((weight + shift, added))
+                add(weight + shift, out)
     columns = []
     for weight in bases:
         for lead in bases[weight]:

@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from qsatake import cli
+from qsatake import cli, equivalence
 
 
 def run(capsys, *argv):
@@ -164,6 +164,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "blocks")
         assert code == 1
         assert "FAIL blocks: forced" in out
+
+    def test_gauge_failure_is_reported(self, capsys, monkeypatch, with_doubled_arrow):
+        # Only N = 2 has a vertex where the doubled entry breaks gauge fixing.
+        real = equivalence.hom_quiver
+        monkeypatch.setattr(
+            equivalence,
+            "hom_quiver",
+            lambda n: with_doubled_arrow(real(n)) if n == 2 else real(n),
+        )
+        code, out, _ = run(capsys, "verify", "zigzag", "--max", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "zigzag: 44 checks, 1 failures"
+        assert (
+            "FAIL zigzag: N=2: gauge fixing: lhs=x0*y1 and y2*x1 are not "
+            "proportional at vertex 1 rhs=zigzag generators"
+        ) in lines
 
     def test_unknown_suite_exits_2(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2

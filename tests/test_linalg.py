@@ -8,6 +8,7 @@ from qsatake.linalg import (
     QMatrix,
     block_diag,
     image,
+    insert_row,
     kernel,
     kronecker,
     rank,
@@ -209,6 +210,17 @@ class TestRankRref:
         r = rref(a)
         assert (r.rows, r.cols) == (3, 2)
         assert r == mat([[1, 2], [0, 0], [0, 0]])
+
+    def test_insert_row_keeps_echelon_rows_without_back_substitution(self):
+        pivots = {}
+        first = {0: GaussianRational(2), 1: GaussianRational(4)}
+        assert insert_row(pivots, first) == {0: ONE, 1: GaussianRational(2)}
+        assert first == {0: GaussianRational(2), 1: GaussianRational(4)}
+        assert insert_row(pivots, {0: ONE, 1: GaussianRational(3)}) == {1: ONE}
+        # The first row keeps its entry in the later pivot column 1.
+        assert pivots == {0: {0: ONE, 1: GaussianRational(2)}, 1: {1: ONE}}
+        assert insert_row(pivots, {0: I, 1: I}) is None
+        assert insert_row(pivots, {}) is None
 
 
 class TestSolveImage:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -172,6 +174,29 @@ class TestSubmoduleClosure:
         from qsatake.qsl2 import integrity_violations
 
         assert integrity_violations(sub) == []
+
+
+    def test_closure_bases_are_pinned(self):
+        # sha256 of every unit-seed closure, recorded before the closure's
+        # elimination step moved into linalg.insert_row.
+        corpus = [
+            projective(0),
+            projective(2),
+            projective(4),
+            dual_weyl(6),
+            weyl(5),
+            tensor(simple(3), simple(2)),
+        ]
+        dumps = [
+            submodule_closure(m, [unit_vector(m.dim, i)]).to_json_dict()
+            for m in corpus
+            for i in range(m.dim)
+        ]
+        text = json.dumps(dumps, sort_keys=True, separators=(",", ":"))
+        assert len(dumps) == 45
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "9da711b9b885c95812fe71947a8645c4645450b77672374edf85be2de5c61174"
+        )
 
 
 class TestSocle:
