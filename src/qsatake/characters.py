@@ -5,14 +5,15 @@ coefficients: ``plus`` counts copies of the trivial one-dimensional
 representation k+ in each weight, ``minus`` counts copies of the sign
 representation k-.  The convolution product is the graded tensor product of
 Z/2-representations.  Closed-form characters of simples and standards, the
-Jordan-Holder decomposition in the simple basis, and the derivation of the
-standard character from an orbit-intersection cell table live here.
+one greedy Jordan-Holder decomposition (of signed and of weight characters),
+and the standard character from an orbit-intersection cell table live here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DomainError, NotACharacterError
 from .scalars import LaurentPoly
@@ -170,6 +171,18 @@ def classical_char(n: int) -> WeightCharacter:
     return WeightCharacter({n - 2 * j: 1 for j in range(n + 1)})
 
 
+def simple_weight_poly(n: int) -> LaurentPoly:
+    """Weight character of the quantum simple(n) at q = i, in closed form.
+
+    Odd n: the full string n, n-2, ..., -n.  Even n: n, n-4, ..., -n.
+    Cross-checked against the constructed modules in the test suite.
+    """
+    if n < 0:
+        raise DomainError(f"simple_weight_poly requires n >= 0, got {n}")
+    step = 2 if n % 2 == 1 else 4
+    return LaurentPoly({w: 1 for w in range(n, -n - 1, -step)})
+
+
 def conv(a: SignedCharacter, b: SignedCharacter) -> SignedCharacter:
     """Graded tensor product: k- tensor k- is k+, weights add."""
     return SignedCharacter(
@@ -183,26 +196,27 @@ def sign_twist(c: SignedCharacter) -> SignedCharacter:
     return SignedCharacter(c.minus, c.plus)
 
 
-def simple_char(n: int, sign: str) -> SignedCharacter:
-    """Character of the simple object with leading weight n.
+def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
+    """The (weight, sign) pairs of simple_char(n, sign), each of multiplicity 1.
 
     Even n = 2m: k^sign in weights 2m, 2m-4, ..., -2m.  Odd n: one copy in
     every weight n, n-2, ..., -n with the sign alternating from the top.
     """
+    if n % 2 == 0:
+        return [(w, sign) for w in range(n, -n - 1, -4)]
+    other = _OPPOSITE[sign]
+    return [(w, other if k % 2 else sign) for k, w in enumerate(range(n, -n - 1, -2))]
+
+
+def simple_char(n: int, sign: str) -> SignedCharacter:
+    """Character of the simple object with leading weight n (see _simple_keys)."""
     _check_sign(sign)
     if n < 0:
         raise DomainError(f"simple_char requires n >= 0, got {n}")
-    plus: dict = {}
-    minus: dict = {}
-    if n % 2 == 0:
-        target = plus if sign == PLUS else minus
-        for w in range(n, -n - 1, -4):
-            target[w] = 1
-    else:
-        for k, w in enumerate(range(n, -n - 1, -2)):
-            s = sign if k % 2 == 0 else _OPPOSITE[sign]
-            (plus if s == PLUS else minus)[w] = 1
-    return SignedCharacter(plus, minus)
+    parts: dict = {PLUS: {}, MINUS: {}}
+    for w, s in _simple_keys(n, sign):
+        parts[s][w] = 1
+    return SignedCharacter(parts[PLUS], parts[MINUS])
 
 
 def standard_char(n: int, sign: str) -> SignedCharacter:
@@ -229,40 +243,45 @@ def standard_char(n: int, sign: str) -> SignedCharacter:
     return result if sign == PLUS else sign_twist(result)
 
 
+def _greedy_jh(work: dict, piece, weight) -> Counter:
+    """Greedy leading-key elimination, the one Jordan-Holder routine.
+
+    ``work`` maps keys to multiplicities and is consumed.  The largest key
+    must have ``weight(key) >= 0`` and a positive multiplicity, and mult is
+    subtracted at every key ``piece(key)`` lists: the simple character led
+    by key, which is multiplicity-free.  The simple characters are
+    triangular in their leading key, so the result is unique.
+    """
+    out: Counter = Counter()
+    while work:
+        key = max(work)
+        mult = work[key]
+        if weight(key) < 0 or mult < 0:
+            raise NotACharacterError(f"multiplicity {mult} at {key}: not a character")
+        for k in piece(key):
+            v = work.get(k, 0) - mult
+            if v:
+                work[k] = v
+            else:
+                del work[k]
+        out[key] += mult
+    return out
+
+
 def jh_decompose(c: SignedCharacter) -> Counter:
     """Multiplicities of simple characters in c, as a Counter of (n, sign).
 
-    Greedy leading-weight elimination; at equal weight the plus part is
-    processed before the minus part.  The decomposition is unique because the
-    simple characters are triangular with respect to leading weight.
+    The two signs at one weight do not interact: a simple character's top
+    weight lies in one part only.
     """
-    work = {PLUS: dict(c.plus.terms()), MINUS: dict(c.minus.terms())}
-    out: Counter = Counter()
-    while work[PLUS] or work[MINUS]:
-        w = max(list(work[PLUS]) + list(work[MINUS]))
-        if w < 0:
-            raise NotACharacterError(
-                f"remainder has leading weight {w} < 0; not a sum of simple characters"
-            )
-        for sign in SIGNS:
-            mult = work[sign].get(w, 0)
-            if mult < 0:
-                raise NotACharacterError(
-                    f"negative multiplicity {mult} at weight {w} ({sign} part)"
-                )
-            if mult == 0:
-                continue
-            piece = simple_char(w, sign)
-            for s in SIGNS:
-                bucket = work[s]
-                for e, coeff in piece.part(s).terms():
-                    v = bucket.get(e, 0) - mult * coeff
-                    if v:
-                        bucket[e] = v
-                    else:
-                        bucket.pop(e, None)
-            out[(w, sign)] += mult
-    return out
+    work = {(e, s): m for s in SIGNS for e, m in c.part(s).terms()}
+    return _greedy_jh(work, lambda key: _simple_keys(*key), itemgetter(0))
+
+
+def jh_weight_character(wc: WeightCharacter) -> Counter:
+    """Multiplicities in wc of the quantum simple characters, by highest weight."""
+    work = dict(wc.poly.terms())
+    return _greedy_jh(work, lambda n: simple_weight_poly(n).exponents(), lambda n: n)
 
 
 def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:

@@ -20,6 +20,7 @@ from .characters import (
     classical_char,
     conv,
     jh_decompose,
+    jh_weight_character,
     psi_double,
     simple_char,
 )
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     InternalInconsistencyError,
     NoSolutionError,
+    NotACharacterError,
     VerificationError,
 )
 from .linalg import QMatrix
@@ -103,14 +105,15 @@ def gauge_fix(hq: HomQuiver) -> dict[Label, QMatrix]:
     Hom(P(2a), P(2a+2)).  y_1 keeps its solver normalization and defines
     z_0 = y_1 x_0; each later y_{a+1} is rescaled so that y_{a+1} x_a equals
     x_{a-1} y_a, which then defines z_a.  At the top vertex z_N = x_{N-1} y_N;
-    at N = 0 the loop z_0 is taken intrinsically from End P(0).
+    at N = 0 the loop z_0 is the radical of End P(0), read from the quiver's
+    Hom basis; a radical of another dimension is a VerificationError.
     """
     n = hq.n
     gauge: dict[Label, QMatrix] = {}
     for a in range(n + 1):
         gauge[("e", a)] = QMatrix.identity(hq.modules[a].dim)
     if n == 0:
-        gauge[("z", 0)] = modtools.radical_element(hq.modules[0])
+        gauge[("z", 0)] = modtools.radical_element(hq.hom(0, 0).basis)
         return gauge
     for a in range(n):
         gauge[("x", a)] = hq.hom(a, a + 1).basis[0]
@@ -211,14 +214,21 @@ def expected_clebsch_gordan(n: int, m: int) -> Counter:
     return Counter(range(2 * (n + m), 2 * abs(n - m) - 1, -4))
 
 
+def _labels_str(c: Counter) -> str:
+    return "{" + ", ".join(f"{k}:{c[k]}" for k in sorted(c, reverse=True)) + "}"
+
+
 def frobenius_action_check(n: int, m: int) -> list[dict]:
-    """Match the two module actions combinatorially.
+    """Match the two module actions at the level of characters.
 
     Character side: decompose the convolution of the weight-doubled classical
     character of V(n) with the odd simple character of 2m+1, then relabel
     2k+1 -> 2k.  Quantum side: Jordan-Holder labels of
-    frobenius_simple(n) tensor simple(2m).  Both must equal the two-line
-    decomposition 2(n+m), 2(n+m)-4, ..., 2|n-m|.
+    char(frobenius_simple(n)) * char(simple(2m)), the character of their
+    tensor product since weights add.  No tensor module is built: this is a
+    statement about characters, not a proof that the tensor product is
+    semisimple.  Both must equal the two-line decomposition 2(n+m),
+    2(n+m)-4, ..., 2|n-m|; a quantum side that is not a character fails.
     """
     if n < 0 or m < 0:
         raise DomainError("frobenius_action_check requires n, m >= 0")
@@ -232,20 +242,20 @@ def frobenius_action_check(n: int, m: int) -> list[dict]:
                 f"unexpected factor ({label}, {sign}) on the character side"
             )
         char_side[label - 1] += mult
-    quantum_side = modtools.jh(
-        qsl2.tensor(qsl2.frobenius_simple(n), qsl2.simple(2 * m))
-    )
+    try:
+        quantum_side = jh_weight_character(
+            qsl2.char(qsl2.frobenius_simple(n)) * qsl2.char(qsl2.simple(2 * m))
+        )
+        rhs = _labels_str(quantum_side)
+    except NotACharacterError as exc:
+        quantum_side, rhs = None, f"<{exc}>"
     want = expected_clebsch_gordan(n, m)
     ok = char_side == quantum_side == want
-
-    def fmt(c: Counter) -> str:
-        return "{" + ", ".join(f"{k}:{c[k]}" for k in sorted(c, reverse=True)) + "}"
-
     return [
         {
-            "relation": f"frobenius({n},{m}) == {fmt(want)}",
-            "lhs": fmt(char_side),
-            "rhs": fmt(quantum_side),
+            "relation": f"frobenius({n},{m}) == {_labels_str(want)}",
+            "lhs": _labels_str(char_side),
+            "rhs": rhs,
             "pass": bool(ok),
         }
     ]

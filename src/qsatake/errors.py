@@ -19,7 +19,3 @@ class VerificationError(RuntimeError):
 
 class InternalInconsistencyError(RuntimeError):
     """A computation contradicts an invariant the implementation guarantees."""
-
-
-class UnsupportedCaseError(RuntimeError):
-    """The input is outside the desk-scale regime this package supports."""

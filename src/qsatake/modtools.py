@@ -1,5 +1,6 @@
 """Module-theoretic analysis: Hom spaces, projectives, Jordan-Holder data,
-submodule closures, socles, and the small-endomorphism indecomposability test.
+submodule closures, socles, and the radical of an End algebra from its trace
+form, which decides whether End is local.
 
 Hom bases are cached per (source, target) object pair; all inputs are
 immutable and the cache is append-only, so a projective's Hom spaces are
@@ -12,15 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import qsl2
-from .errors import (
-    DomainError,
-    NoSolutionError,
-    NotACharacterError,
-    UnsupportedCaseError,
-)
-from .linalg import QMatrix, insert_row, solve_matrix
+from .characters import jh_weight_character
+from .errors import DomainError, NoSolutionError, VerificationError
+from .linalg import QMatrix, insert_row, kernel, solve_matrix
 from .qsl2 import QMod
-from .scalars import Fraction, GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO
 
 
 @dataclass(frozen=True)
@@ -69,28 +66,8 @@ def _projective_cached(two_n: int) -> QMod:
 
 
 def jh(m: QMod) -> Counter:
-    """Jordan-Holder multiset of highest-weight labels, from the character.
-
-    Simple characters are triangular in leading weight, so greedy elimination
-    determines the multiplicities without building composition series.
-    """
-    work = {e: c for e, c in qsl2.char(m).poly.terms()}
-    out: Counter = Counter()
-    while work:
-        w = max(work)
-        mult = work[w]
-        if w < 0 or mult < 0:
-            raise NotACharacterError(
-                f"weight multiset is not a sum of simple characters (weight {w})"
-            )
-        for e, c in qsl2.simple_weight_poly(w).terms():
-            v = work.get(e, 0) - mult * c
-            if v:
-                work[e] = v
-            else:
-                work.pop(e, None)
-        out[w] += mult
-    return out
+    """Jordan-Holder multiset of highest-weight labels, from the character."""
+    return jh_weight_character(qsl2.char(m))
 
 
 def _split_by_weight(m: QMod, vec: QMatrix) -> list[tuple[int, dict]]:
@@ -189,58 +166,52 @@ def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
     return tuple(x[i, 0] for i in range(x.rows))
 
 
-def end_algebra(m: QMod) -> EndAlgebra:
-    basis = hom(m, m).basis
-    table = tuple(
+def _mult_table(basis) -> tuple:
+    """table[i][j] = coordinates of basis[i] @ basis[j] in basis."""
+    return tuple(
         tuple(coords_in_basis(list(basis), bi @ bj) for bj in basis) for bi in basis
     )
-    return EndAlgebra(m, basis, table)
+
+
+def end_algebra(m: QMod) -> EndAlgebra:
+    basis = hom(m, m).basis
+    return EndAlgebra(m, basis, _mult_table(basis))
+
+
+def radical(basis) -> list[QMatrix]:
+    """Basis of the radical of the unital algebra spanned by ``basis``.
+
+    In characteristic 0 the radical is the kernel of the trace form
+    (x, y) -> Tr(L_xy) (Dickson): with structure constants c[i][j][k] and
+    t_k = Tr(L_k) = sum_j c[k][j][j], its Gram matrix is
+    T_ij = sum_k c[i][j][k] t_k.  Each vector is scaled to lead 1.
+    """
+    d = len(basis)
+    c = _mult_table(basis)
+    t = [sum(c[k][j][j] for j in range(d)) for k in range(d)]
+    gram = QMatrix.from_rows(
+        [[sum(c[i][j][k] * t[k] for k in range(d)) for j in range(d)] for i in range(d)]
+    )
+    out = []
+    for v in kernel(gram):
+        x = (_flatten(list(basis)) @ v).reshape(basis[0].rows, basis[0].cols)
+        _, _, lead = next(x.nonzero_entries())
+        out.append(x.scale(lead.inverse()))
+    return out
 
 
 def is_indecomposable_local(m: QMod) -> bool:
-    """Local-endomorphism test for the small End algebras arising here.
-
-    dim End = 1 is scalars; dim End = 2 is local iff the non-scalar basis
-    element B, with B@B = alpha*B + beta*I, satisfies (B - alpha/2)^2 = 0.
-    Dimensions 3 and 4 only arise from decomposables in this corpus; anything
-    larger is outside the supported regime.
-    """
+    """End(m) is local, i.e. End/rad is one-dimensional (all simples here
+    are split)."""
     basis = hom(m, m).basis
-    d = len(basis)
-    if d > 4:
-        raise UnsupportedCaseError(
-            f"End algebra has dimension {d} > 4; desk-scale assumption violated"
-        )
-    if d == 1:
-        return True
-    if d != 2:
-        return False
-    ident = QMatrix.identity(m.dim)
-    b = next((c for c in basis if c != ident.scale(c[0, 0])), None)
-    if b is None:
-        return False
-    a = _flatten([b, ident])
-    x = solve_matrix(a, _vec(b @ b))
-    alpha = x[0, 0]
-    nil = b - ident.scale(alpha * Fraction(1, 2))
-    return (nil @ nil).is_zero()
+    return len(basis) - len(radical(basis)) == 1
 
 
-def radical_element(m: QMod) -> QMatrix:
-    """The nilpotent part of a two-dimensional local End algebra, scaled so its
-    first nonzero entry is 1."""
-    basis = hom(m, m).basis
-    if len(basis) != 2:
-        raise UnsupportedCaseError(
-            f"radical_element expects dim End = 2, got {len(basis)}"
+def radical_element(basis) -> QMatrix:
+    """The one radical vector of the algebra spanned by ``basis``, lead 1."""
+    rad = radical(basis)
+    if len(rad) != 1:
+        raise VerificationError(
+            f"End algebra has a {len(rad)}-dimensional radical, expected 1"
         )
-    ident = QMatrix.identity(m.dim)
-    b = next(c for c in basis if c != ident.scale(c[0, 0]))
-    a = _flatten([b, ident])
-    x = solve_matrix(a, _vec(b @ b))
-    alpha = x[0, 0]
-    nil = b - ident.scale(alpha * Fraction(1, 2))
-    if not (nil @ nil).is_zero() or nil.is_zero():
-        raise UnsupportedCaseError("End algebra is not local of dimension 2")
-    _, _, lead = next(nil.nonzero_entries())
-    return nil.scale(lead.inverse())
+    return rad[0]

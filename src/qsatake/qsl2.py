@@ -328,15 +328,3 @@ def direct_sum(m: QMod, n: QMod) -> QMod:
 def char(m: QMod) -> WeightCharacter:
     """Weight multiset of m as a Laurent polynomial."""
     return WeightCharacter(LaurentPoly(Counter(m.weights)))
-
-
-def simple_weight_poly(n: int) -> LaurentPoly:
-    """Weight character of simple(n) in closed form.
-
-    Odd n: the full string n, n-2, ..., -n.  Even n: n, n-4, ..., -n.
-    Cross-checked against the constructed modules in the test suite.
-    """
-    if n < 0:
-        raise DomainError(f"simple_weight_poly requires n >= 0, got {n}")
-    step = 2 if n % 2 == 1 else 4
-    return LaurentPoly({w: 1 for w in range(n, -n - 1, -step)})

@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from qsatake import cli, equivalence
+from qsatake.modtools import hom
+from qsatake.qsl2 import direct_sum, simple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -182,6 +188,22 @@ class TestVerify:
             "proportional at vertex 1 rhs=zigzag generators"
         ) in lines
 
+    def test_non_local_end_at_vertex_0_is_reported(self, capsys, monkeypatch):
+        # End(S0 + S2) has dimension 2, like End P(0), but no radical.
+        s = direct_sum(simple(0), simple(2))
+        monkeypatch.setattr(
+            equivalence,
+            "hom_quiver",
+            lambda n: equivalence.HomQuiver(0, (s,), ((hom(s, s),),)),
+        )
+        code, out, _ = run(capsys, "verify", "zigzag", "--max", "0")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL zigzag: N=0: gauge fixing: lhs=End algebra has a 0-dimensional "
+            "radical, expected 1 rhs=zigzag generators"
+        ]
+
     def test_unknown_suite_exits_2(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
 
@@ -226,3 +248,18 @@ class TestProcessLevel:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"zigzag: 42 checks, 0 failures\n")
+
+    def test_benchmark_traced_run_resolves_every_layer(self, tmp_path):
+        # perfbench/traced.py exits 3 if a function it wraps is renamed or moved.
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        cmd = [
+            sys.executable,
+            str(REPO_ROOT / "perfbench" / "traced.py"),
+            str(tmp_path / "spans.json"),
+            "homdim",
+            "0",
+            "0",
+        ]
+        done = subprocess.run(cmd, capture_output=True, env=env, cwd=REPO_ROOT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"2\n"

@@ -6,6 +6,7 @@ from collections import Counter
 import jsonschema
 import pytest
 
+from qsatake import qsl2
 from qsatake.equivalence import (
     HomQuiver,
     compare_zigzag,
@@ -15,7 +16,7 @@ from qsatake.equivalence import (
     hom_quiver,
 )
 from qsatake.errors import DomainError, VerificationError
-from qsatake.modtools import HomBasis
+from qsatake.modtools import HomBasis, jh
 from qsatake.scalars import GaussianRational
 
 
@@ -154,6 +155,28 @@ class TestFrobeniusAction:
         for n in range(4):
             for m in range(4):
                 assert frobenius_action_check(n, m)[0]["pass"]
+
+    def test_quantum_side_matches_tensor(self):
+        # The check reads characters only; the tensor module stays the reference.
+        for n in range(4):
+            for m in range(4):
+                want = jh(qsl2.tensor(qsl2.frobenius_simple(n), qsl2.simple(2 * m)))
+                labels = ", ".join(f"{k}:{want[k]}" for k in sorted(want, reverse=True))
+                assert frobenius_action_check(n, m)[0]["rhs"] == "{" + labels + "}"
+
+    def test_shifted_weight_fails(self, monkeypatch):
+        real = qsl2.frobenius_simple
+
+        def shifted(n):
+            fs = real(n)
+            weights = (fs.weights[0] + 2,) + fs.weights[1:]
+            return qsl2.QMod(weights, fs.e, fs.f, fs.e2, fs.f2)
+
+        monkeypatch.setattr(qsl2, "frobenius_simple", shifted)
+        for n in range(3):
+            for m in range(3):
+                item = frobenius_action_check(n, m)[0]
+                assert not item["pass"], item
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

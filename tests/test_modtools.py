@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qsatake.errors import DomainError, NotACharacterError, UnsupportedCaseError
+from qsatake.errors import DomainError, NotACharacterError
 from qsatake.linalg import QMatrix
 from qsatake.modtools import (
     coords_in_basis,
@@ -15,6 +15,7 @@ from qsatake.modtools import (
     is_indecomposable_local,
     jh,
     projective,
+    radical,
     radical_element,
     socle_dims,
     submodule_closure,
@@ -260,14 +261,23 @@ class TestIndecomposable:
     def test_direct_sum_of_distinct_simples(self):
         assert not is_indecomposable_local(direct_sum(simple(0), simple(2)))
 
-    def test_unsupported_case(self):
+    def test_two_projectives_are_not_local(self):
+        # End has dimension 8 and a 4-dimensional radical.
         big = direct_sum(projective(0), projective(0))
-        with pytest.raises(UnsupportedCaseError):
-            is_indecomposable_local(big)
+        assert len(radical(hom(big, big).basis)) == 4
+        assert not is_indecomposable_local(big)
+
+    def test_radical_dimensions(self):
+        for n in range(4):
+            p = projective(2 * n)
+            assert len(radical(hom(p, p).basis)) == 1
+        s = direct_sum(simple(0), simple(2))
+        assert radical(hom(s, s).basis) == []
 
     def test_radical_element_squares_to_zero(self):
         for n in range(4):
-            z = radical_element(projective(2 * n))
+            p = projective(2 * n)
+            z = radical_element(hom(p, p).basis)
             assert not z.is_zero()
             assert (z @ z).is_zero()
             lead = next(v for v in z.entries if v)

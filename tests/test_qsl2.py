@@ -15,10 +15,10 @@ from qsatake.qsl2 import (
     integrity_violations,
     intertwiner_basis,
     simple,
-    simple_weight_poly,
     tensor,
     weyl,
 )
+from qsatake.characters import simple_weight_poly
 from qsatake.scalars import (
     ZERO,
     LaurentPoly,
