@@ -208,15 +208,21 @@ def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
     return [(w, other if k % 2 else sign) for k, w in enumerate(range(n, -n - 1, -2))]
 
 
+def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
+    """Sum of simple characters of a (n, sign) multiset; inverse of jh_decompose."""
+    parts: dict = {PLUS: Counter(), MINUS: Counter()}
+    for (n, sign), mult in multiset.items():
+        _check_sign(sign)
+        if n < 0:
+            raise DomainError(f"simple_char requires n >= 0, got {n}")
+        for w, s in _simple_keys(n, sign):
+            parts[s][w] += mult
+    return SignedCharacter(parts[PLUS], parts[MINUS])
+
+
 def simple_char(n: int, sign: str) -> SignedCharacter:
     """Character of the simple object with leading weight n (see _simple_keys)."""
-    _check_sign(sign)
-    if n < 0:
-        raise DomainError(f"simple_char requires n >= 0, got {n}")
-    parts: dict = {PLUS: {}, MINUS: {}}
-    for w, s in _simple_keys(n, sign):
-        parts[s][w] = 1
-    return SignedCharacter(parts[PLUS], parts[MINUS])
+    return simple_char_sum({(n, sign): 1})
 
 
 def standard_char(n: int, sign: str) -> SignedCharacter:
@@ -282,16 +288,6 @@ def jh_weight_character(wc: WeightCharacter) -> Counter:
     """Multiplicities in wc of the quantum simple characters, by highest weight."""
     work = dict(wc.poly.terms())
     return _greedy_jh(work, lambda n: simple_weight_poly(n).exponents(), lambda n: n)
-
-
-def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
-    """Sum of simple characters of a (n, sign) multiset; inverse of jh_decompose."""
-    total = SignedCharacter.zero()
-    for (n, sign), mult in sorted(multiset.items()):
-        piece = simple_char(n, sign)
-        for _ in range(mult):
-            total = total + piece
-    return total
 
 
 def psi_double(wc: WeightCharacter) -> SignedCharacter:

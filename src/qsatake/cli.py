@@ -282,7 +282,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

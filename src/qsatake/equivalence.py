@@ -89,15 +89,6 @@ def hom_quiver(n: int) -> HomQuiver:
     return HomQuiver(n, modules, homs)
 
 
-def _proportionality(s: QMatrix, t: QMatrix):
-    """The scalar lam with s = lam * t, or None if s, t are not proportional."""
-    i, j, lead = next(t.nonzero_entries(), (None, None, None))
-    if lead is None:
-        return None
-    lam = s[i, j] * lead.inverse()
-    return lam if t.scale(lam) == s else None
-
-
 def gauge_fix(hq: HomQuiver) -> dict[Label, QMatrix]:
     """Choose based generators matching the zigzag presentation.
 
@@ -130,8 +121,9 @@ def gauge_fix(hq: HomQuiver) -> dict[Label, QMatrix]:
             raise VerificationError(
                 f"a loop composite at vertex {a} vanishes; cannot gauge y{a + 1}"
             )
-        lam = _proportionality(fixed, unscaled)
-        if lam is None or not lam:
+        try:
+            (lam,) = coords_in_basis([unscaled], fixed)
+        except NoSolutionError:
             raise VerificationError(
                 f"x{a - 1}*y{a} and y{a + 1}*x{a} are not proportional at vertex {a}"
             )

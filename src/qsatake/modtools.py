@@ -2,15 +2,17 @@
 submodule closures, socles, and the radical of an End algebra from its trace
 form, which decides whether End is local.
 
-Hom bases are cached per (source, target) object pair; all inputs are
-immutable and the cache is append-only, so a projective's Hom spaces are
-solved once and reused by every later truncation.
+Modules are immutable values, so ``hom`` and ``projective`` are memoized
+with ``functools.lru_cache`` keyed by the modules and labels themselves: a
+projective's Hom spaces are solved once and reused by every later truncation,
+and equal modules built separately share one entry.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import qsl2
 from .characters import jh_weight_character
@@ -22,10 +24,8 @@ from .scalars import GaussianRational, ZERO
 
 @dataclass(frozen=True)
 class HomBasis:
-    """Canonical basis of the intertwiner space source -> target."""
+    """Canonical basis of an intertwiner space."""
 
-    source: QMod
-    target: QMod
     basis: tuple[QMatrix, ...]
 
     @property
@@ -33,36 +33,21 @@ class HomBasis:
         return len(self.basis)
 
 
-_HOM_CACHE: dict = {}
-
-
+# hom_quiver(N) asks for all (N+1)^2 pairs row-major, N = 0, 1, ...; an LRU
+# smaller than one cycle evicts each pair before its reuse at N+1, and
+# --max 24 --force needs (24+1)^2 = 625.
+@lru_cache(maxsize=1024)
 def hom(m: QMod, n: QMod) -> HomBasis:
     """Solve for all weight-preserving maps commuting with E, F, E2, F2."""
-    key = (id(m), id(n))
-    cached = _HOM_CACHE.get(key)
-    if cached is not None and cached.source is m and cached.target is n:
-        return cached
-    hb = HomBasis(m, n, tuple(qsl2.intertwiner_basis(m, n)))
-    _HOM_CACHE[key] = hb
-    return hb
+    return HomBasis(tuple(qsl2.intertwiner_basis(m, n)))
 
 
+@lru_cache(maxsize=None)
 def projective(two_n: int) -> QMod:
     """Indecomposable projective of the even block: simple(2n+1) tensor simple(1)."""
     if two_n < 0 or two_n % 2 != 0:
         raise DomainError(f"projective requires an even label >= 0, got {two_n}")
-    return _projective_cached(two_n)
-
-
-_PROJ_CACHE: dict[int, QMod] = {}
-
-
-def _projective_cached(two_n: int) -> QMod:
-    p = _PROJ_CACHE.get(two_n)
-    if p is None:
-        p = qsl2.tensor(qsl2.simple(two_n + 1), qsl2.simple(1))
-        _PROJ_CACHE[two_n] = p
-    return p
+    return qsl2.tensor(qsl2.simple(two_n + 1), qsl2.simple(1))
 
 
 def jh(m: QMod) -> Counter:
@@ -97,10 +82,7 @@ def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
         for weight, col in _split_by_weight(m, vec):
             add(weight, col)
     # Row j of an operator's transpose holds the nonzeros of its column j.
-    ops = [
-        (shift, op.transpose())
-        for (_, op), shift in zip(m.operators(), (2, -2, 4, -4))
-    ]
+    ops = [(qsl2.OP_WEIGHT_SHIFT[name], op.transpose()) for name, op in m.operators()]
     while queue:
         weight, col = queue.pop()
         for shift, op_t in ops:

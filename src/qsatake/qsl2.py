@@ -68,7 +68,7 @@ class QMod:
         }
 
 
-_OP_WEIGHT_SHIFT = {"E": 2, "F": -2, "E2": 4, "F2": -4}
+OP_WEIGHT_SHIFT = {"E": 2, "F": -2, "E2": 4, "F2": -4}
 
 
 def integrity_violations(m: QMod) -> list[str]:
@@ -82,7 +82,7 @@ def integrity_violations(m: QMod) -> list[str]:
     """
     out = []
     for name, op in m.operators():
-        shift = _OP_WEIGHT_SHIFT[name]
+        shift = OP_WEIGHT_SHIFT[name]
         for i, j, _ in op.nonzero_entries():
             if m.weights[i] != m.weights[j] + shift:
                 out.append(
@@ -204,7 +204,6 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     return basis
 
 
-@lru_cache(maxsize=None)
 def canonical_map(n: int) -> QMatrix:
     """The intertwiner weyl(n) -> dual_weyl(n), highest weight vector to
     highest weight vector with coefficient 1.

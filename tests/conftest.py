@@ -26,12 +26,11 @@ def with_doubled_arrow():
     entry-th nonzero entry (row-major) doubled."""
 
     def corrupt(hq: HomQuiver, entry: int = 0) -> HomQuiver:
-        hb = hq.hom(0, 1)
-        arrow = hb.basis[0]
+        arrow = hq.hom(0, 1).basis[0]
         i, j, v = list(arrow.nonzero_entries())[entry]
         bumped = arrow + QMatrix.from_row_dicts(arrow.rows, arrow.cols, {i: {j: v}})
         homs = [list(row) for row in hq.homs]
-        homs[0][1] = HomBasis(hb.source, hb.target, (bumped,))
+        homs[0][1] = HomBasis((bumped,))
         return HomQuiver(hq.n, hq.modules, tuple(tuple(row) for row in homs))
 
     return corrupt

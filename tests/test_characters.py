@@ -198,6 +198,38 @@ class TestJhDecompose:
         assert jh_decompose(simple_char_sum(counter)) == counter
 
 
+def per_copy_sum(multiset) -> SignedCharacter:
+    """The former simple_char_sum: one simple character added per copy."""
+    total = SignedCharacter.zero()
+    for (n, sign), mult in sorted(multiset.items()):
+        piece = simple_char(n, sign)
+        for _ in range(mult):
+            total = total + piece
+    return total
+
+
+class TestSimpleCharSum:
+    def test_single_labels_match_per_copy_sum(self):
+        for n in range(13):
+            for sign in "+-":
+                for mult in range(4):
+                    ms = {(n, sign): mult}
+                    assert simple_char_sum(ms) == per_copy_sum(ms)
+
+    @given(
+        st.dictionaries(
+            st.tuples(
+                st.integers(min_value=0, max_value=12), st.sampled_from("+-")
+            ),
+            st.integers(min_value=0, max_value=3),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=80)
+    def test_multisets_match_per_copy_sum(self, multiset):
+        assert simple_char_sum(Counter(multiset)) == per_copy_sum(multiset)
+
+
 class TestPsiDouble:
     def test_examples(self):
         assert psi_double(WeightCharacter({0: 1})) == K(0, "+")

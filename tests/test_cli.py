@@ -148,6 +148,16 @@ class TestVerify:
         items = json.loads(path.read_text(encoding="utf-8"))
         assert all(it["pass"] for it in items)
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.txt"
+        code, out, err = run(
+            capsys, "verify", "relations", "--max", "1", "--output", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not path.exists()
+
     def test_max_guard(self, capsys):
         code, _, err = run(capsys, "verify", "blocks", "--max", "13")
         assert code == 2

@@ -118,7 +118,7 @@ class TestCompareZigzag:
             for b in hb.basis:
                 c = GaussianRational(rng.randint(1, 5), rng.randint(-4, 4))
                 scaled.append(b.scale(c))
-            return HomBasis(hb.source, hb.target, tuple(scaled))
+            return HomBasis(tuple(scaled))
 
         homs = tuple(
             tuple(scramble(hq.hom(a, b)) for b in range(4)) for a in range(4)

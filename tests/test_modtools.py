@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from qsatake import qsl2
 from qsatake.errors import DomainError, NotACharacterError
 from qsatake.linalg import QMatrix
 from qsatake.modtools import (
@@ -58,6 +59,22 @@ class TestHom:
     def test_cache_returns_same_object(self):
         a, b = weyl(2), weyl(3)
         assert hom(a, b) is hom(a, b)
+
+    def test_equal_modules_share_one_solve(self, monkeypatch):
+        p2 = projective(2)
+        first = hom(p2, p2)
+        rebuilt = tensor(simple(3), simple(1))
+        assert rebuilt is not p2 and rebuilt == p2
+        solves = []
+        real = qsl2.intertwiner_basis
+        monkeypatch.setattr(
+            qsl2, "intertwiner_basis", lambda m, n: solves.append(1) or real(m, n)
+        )
+        assert hom(rebuilt, p2) is first
+        assert solves == []
+
+    def test_cache_is_bounded(self):
+        assert hom.cache_info().maxsize is not None
 
     def test_zigzag_dimension_pattern(self):
         for a in range(7):
