@@ -25,10 +25,11 @@ class QMatrix:
     ``reduce_rows`` consumes; a stored value is never zero and a stored row is
     never empty, so equal matrices have equal storage.  Instances are
     immutable, and the row dictionaries are never mutated once wrapped, which
-    lets operations share untouched rows between their operands and result.
+    lets operations share untouched rows between their operands and result
+    and lets the hash be computed once and kept in ``_hash``.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         """Build from a dense row-major sequence of rows * cols values."""
@@ -164,7 +165,11 @@ class QMatrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.nonzero_entries())))
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, frozenset(self.nonzero_entries())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -247,6 +252,7 @@ def _init(m: QMatrix, rows: int, cols: int, data: dict) -> None:
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "_data", data)
+    object.__setattr__(m, "_hash", None)
 
 
 def _combine(a: QMatrix, b: QMatrix, subtract: bool) -> QMatrix:

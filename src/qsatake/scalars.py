@@ -1,8 +1,10 @@
 """Exact scalars: Gaussian rationals, Laurent polynomials, quantum integers.
 
-Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  ``GaussianRational`` is a pair of them representing
-``re + im*i`` and is the coefficient field for all linear algebra here.
+``GaussianRational`` is the coefficient field Q(i) of all linear algebra
+here.  It stores three plain ints ``a``, ``b``, ``d`` for the value
+``(a + b*i)/d`` in lowest terms, so arithmetic is integer arithmetic plus one
+gcd, and none at all while every denominator is 1 (the intertwiner systems
+start integral).  Rationals elsewhere are stdlib ``fractions.Fraction``.
 Quantum integers and Gaussian binomials are evaluated at the fourth root of
 unity ``i``; the binomials are computed symbolically in ``q`` first, because
 the quotient of quantum factorials degenerates to 0/0 at a root of unity.
@@ -10,99 +12,111 @@ the quotient of quantum factorials degenerates to 0/0 at a root of unity.
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError
 
-Rational = Fraction
-
-_GAUSS_RE = _re.compile(
-    r"^(?P<re>-?\d+(?:/\d+)?)(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)\*i$"
-)
-
 
 class GaussianRational:
-    """An element re + im*i of Q(i)."""
+    """An element (a + b*i)/d of Q(i).
 
-    __slots__ = ("re", "im")
+    The storage is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal
+    values have equal ``(a, b, d)`` and zero is ``(0, 0, 1)``.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("a", "b", "d")
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+    def __new__(cls, re=0, im=0):
+        re, im = Fraction(re), Fraction(im)
+        return _make(
+            re.numerator * im.denominator,
+            im.numerator * re.denominator,
+            re.denominator * im.denominator,
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self):
+        """The real part: an ``int``, or a ``Fraction`` when ``d != 1``."""
+        return self.a if self.d == 1 else Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        """The imaginary part: an ``int``, or a ``Fraction`` when ``d != 1``."""
+        return self.b if self.d == 1 else Fraction(self.b, self.d)
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational._raw(Fraction(value), Fraction(0))
+            return _make(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational._raw(self.re + other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re + other.re, self.im + other.im)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        d1, d2 = self.d, other.d
+        return _make(
+            self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational._raw(self.re - other, self.im)
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re - other.re, self.im - other.im)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        d1, d2 = self.d, other.d
+        return _make(
+            self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
+        )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational._raw(self.re * other, self.im * other)
-        if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return GaussianRational._raw(a * c - b * d, a * d + b * c)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational._raw(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -114,39 +128,36 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) * self.inverse()
 
-    def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
-
     def __str__(self) -> str:
-        if not self.im:
+        if not self.b:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
 
     __repr__ = __str__
 
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        """Inverse of ``str``: accepts "a/b", "a", or "a/b+c/d*i"."""
-        m = _GAUSS_RE.match(text)
-        if m is None:
-            return GaussianRational(Fraction(text))
-        im = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im = -im
-        return GaussianRational(Fraction(m.group("re")), im)
+
+_new = object.__new__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for ints with d != 0, stored in lowest terms."""
+    if d != 1:
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    self = _new(GaussianRational)
+    _set_a(self, a)
+    _set_b(self, b)
+    _set_d(self, d)
+    return self
 
 
 ZERO = GaussianRational(0)
@@ -279,9 +290,8 @@ class LaurentPoly:
         return p
 
     def evaluate(self, x):
-        """Evaluate at x (int, Fraction, or GaussianRational)."""
-        if not isinstance(x, GaussianRational):
-            x = Fraction(x)
+        """Evaluate at a rational x (int or Fraction); q = i is ``evaluate_at_i``."""
+        x = Fraction(x)
         total = None
         for e, c in self._coeffs.items():
             term = c * x**e
@@ -289,8 +299,7 @@ class LaurentPoly:
         return total if total is not None else 0
 
     def evaluate_at_i(self) -> GaussianRational:
-        re = Fraction(0)
-        im = Fraction(0)
+        re = im = 0
         for e, c in self._coeffs.items():
             k = e % 4
             if k == 0:
@@ -301,7 +310,7 @@ class LaurentPoly:
                 re -= c
             else:
                 im -= c
-        return GaussianRational._raw(re, im)
+        return GaussianRational(re, im)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -88,6 +88,22 @@ class TestHom:
                 got = hom(projective(2 * n), simple(2 * m)).dim
                 assert got == (1 if n == m else 0)
 
+    @pytest.mark.parametrize(
+        "a, b, digest",
+        [
+            (2, 4, "4942820382a51df570778c3965153083c9e880e18eeba15d7e1d3e6ab5ef452d"),
+            (4, 6, "82b0602b287dff7c960c4ff140540206f1c737941a50ef44cab4d6f2e408e9f3"),
+            (22, 24, "4f06066af6a0fa008bd43effd29fe10df4c0f9c4e8372507325458d5dc8f0efe"),
+        ],
+    )
+    def test_basis_bytes_are_pinned(self, a, b, digest):
+        # These bases have non-integral entries, so their text goes through
+        # the scalars' reduced-denominator path.  Digests were recorded while
+        # GaussianRational still stored a pair of Fractions.
+        text = "\n".join(str(x) for x in hom(projective(a), projective(b)).basis)
+        assert "/" in text
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
 
 class TestProjective:
     def test_dimensions(self):
