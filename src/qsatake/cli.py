@@ -17,7 +17,7 @@ from collections import Counter
 from . import equivalence, modtools, satake, zigzag
 from .errors import DomainError, VerificationError
 
-MAX_GUARD = 12
+MAX_GUARD = 24
 SUITES = (
     "zigzag",
     "clebsch-gordan",

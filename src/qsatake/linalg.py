@@ -402,7 +402,7 @@ def solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
         raise ValueError("shape mismatch in solve")
     n = a.cols
     rows = []
-    for i in range(a.rows):
+    for i in sorted(a._data.keys() | b._data.keys()):
         row = dict(a._data.get(i, _EMPTY_ROW))
         for j, v in b._data.get(i, _EMPTY_ROW).items():
             row[n + j] = v

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from qsatake import zigzag
 from qsatake.errors import DomainError
 from qsatake.zigzag import (
     ZigzagAlgebra,
@@ -33,13 +36,24 @@ class TestMake:
 
     def test_loop_factorizations(self):
         a = make(1)
-        assert a.product(("y", 1), ("x", 0)) == {("z", 0): 1}
-        assert a.product(("x", 0), ("y", 1)) == {("z", 1): 1}
+        assert a.mult[(("y", 1), ("x", 0))] == {("z", 0): 1}
+        assert a.mult[(("x", 0), ("y", 1))] == {("z", 1): 1}
 
     def test_loop_annihilation(self):
         a = make(1)
-        assert a.product(("x", 0), ("z", 0)) == {}
-        assert a.product(("y", 1), ("z", 1)) == {}
+        assert a.mult[(("x", 0), ("z", 0))] == {}
+        assert a.mult[(("y", 1), ("z", 1))] == {}
+
+    def test_table_golden_entries(self):
+        mult = make(1).mult
+        assert mult[(("z", 0), ("z", 0))] == {}
+        assert mult[(("e", 0), ("e", 0))] == {("e", 0): 1}
+        assert len(mult) == 36
+
+    def test_table_stable_across_rebuilds(self):
+        first, second = make(3), make(3)
+        assert first.basis == second.basis
+        assert list(first.mult.items()) == list(second.mult.items())
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -125,14 +139,87 @@ class TestVerifyAlgebra:
         assert any(r.startswith("assoc") and "z0" in r for r in relations)
 
 
-class TestTableJson:
-    def test_golden_entries(self):
-        table = make(1).table_json()
-        assert table["y1*x0"] == {"z0": 1}
-        assert table["x0*y1"] == {"z1": 1}
-        assert table["z0*z0"] == {}
-        assert table["e0*e0"] == {"e0": 1}
-        assert len(table) == 36
+def reference_associativity(algebra, violations):
+    """Associativity by four ``multiply`` calls per basis triple: the plain
+    loop that ``zigzag._check_associativity`` must agree with exactly."""
+    checks = 0
+    for u in algebra.basis:
+        for v in algebra.basis:
+            for w in algebra.basis:
+                lhs = multiply(algebra, multiply(algebra, u, v), w)
+                rhs = multiply(algebra, u, multiply(algebra, v, w))
+                checks += 1
+                if lhs != rhs:
+                    violations.append(
+                        {
+                            "relation": f"assoc ({label_str(u)}*{label_str(v)})"
+                            f"*{label_str(w)}",
+                            "lhs": element_str(lhs),
+                            "rhs": element_str(rhs),
+                            "pass": False,
+                        }
+                    )
+    return checks
 
-    def test_stable_across_rebuilds(self):
-        assert make(3).table_json() == make(3).table_json()
+
+def reference_report(algebra):
+    with mock.patch.object(zigzag, "_check_associativity", reference_associativity):
+        return verify_algebra(algebra)
+
+
+def corrupted(algebra, key, entry):
+    return ZigzagAlgebra(algebra.n, algebra.basis, {**algebra.mult, key: entry})
+
+
+def single_entry_corruptions(algebra, graded_only):
+    """Every table entry set to {}, each coefficient doubled, each coefficient
+    stored as 0, and each label swapped for another basis label.  An empty
+    entry u*v gets each basis label with coefficient 1; with ``graded_only``,
+    only labels with the endpoints of the path v then u."""
+    for (u, v), entry in algebra.mult.items():
+        if entry:
+            yield (u, v), {}
+        for w, c in entry.items():
+            yield (u, v), {**entry, w: 2 * c}
+            yield (u, v), {**entry, w: 0}
+            for other in algebra.basis:
+                if other not in entry:
+                    swapped = {other if x == w else x: d for x, d in entry.items()}
+                    yield (u, v), swapped
+        if not entry:
+            for other in algebra.basis:
+                if not graded_only or (
+                    source(other) == source(v) and target(other) == target(u)
+                ):
+                    yield (u, v), {other: 1}
+
+
+class TestAssociativityTable:
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_reference(self, n):
+        a = make(n)
+        assert verify_algebra(a) == reference_report(a)
+
+    @pytest.mark.parametrize("n, graded_only", [(1, False), (2, True)])
+    def test_matches_reference_on_single_entry_corruptions(self, n, graded_only):
+        a = make(n)
+        failing = 0
+        for key, entry in single_entry_corruptions(a, graded_only):
+            bad = corrupted(a, key, entry)
+            got, want = [], []
+            checks = zigzag._check_associativity(bad, got)
+            assert checks == reference_associativity(bad, want), (key, entry)
+            assert got == want, (key, entry)
+            failing += bool(got)
+        assert failing > 0
+
+    def test_corruption_only_associativity_sees(self):
+        a = make(2)
+        bad = corrupted(a, (("z", 1), ("x", 0)), {("x", 0): 1})  # z1*x0 := x0
+        report = verify_algebra(bad)
+        relations = [v["relation"] for v in report["violations"]]
+        assert len(relations) == 5
+        assert all(r.startswith("assoc ") for r in relations)
+        assert relations[0] == "assoc (z1*z1)*x0"
+        assert report["checks"] == verify_algebra(a)["checks"]
+        assert report == reference_report(bad)
