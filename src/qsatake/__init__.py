@@ -16,7 +16,7 @@ from .characters import (
     standard_char,
     standard_char_from_cells,
 )
-from .linalg import QMatrix, image, kernel, rank, rref, solve
+from .linalg import QMatrix, image, kernel, rank
 from .qsl2 import QMod, canonical_map, char, dual_weyl, frobenius_simple, simple, tensor, weyl
 from .scalars import GaussianRational, LaurentPoly, gauss_binomial, qint
 
@@ -41,11 +41,9 @@ __all__ = [
     "psi_double",
     "qint",
     "rank",
-    "rref",
     "sign_twist",
     "simple",
     "simple_char",
-    "solve",
     "standard_char",
     "standard_char_from_cells",
     "tensor",

@@ -26,10 +26,6 @@ _OPPOSITE = {PLUS: MINUS, MINUS: PLUS}
 _SUP = {PLUS: "⁺", MINUS: "⁻"}
 
 
-def opposite(sign: str) -> str:
-    return _OPPOSITE[sign]
-
-
 def _check_sign(sign: str) -> str:
     if sign not in _OPPOSITE:
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
@@ -61,29 +57,11 @@ class SignedCharacter:
         raise AttributeError("SignedCharacter is immutable")
 
     @classmethod
-    def term(cls, weight: int, sign: str, mult: int = 1) -> "SignedCharacter":
-        """mult copies of k^sign in the given weight."""
-        _check_sign(sign)
-        if sign == PLUS:
-            return cls({weight: mult}, ())
-        return cls((), {weight: mult})
-
-    @classmethod
-    def unit(cls) -> "SignedCharacter":
-        return cls({0: 1}, ())
-
-    @classmethod
     def zero(cls) -> "SignedCharacter":
         return cls((), ())
 
     def part(self, sign: str) -> LaurentPoly:
         return self.plus if _check_sign(sign) == PLUS else self.minus
-
-    @property
-    def total_dim(self) -> int:
-        return sum(c for _, c in self.plus.terms()) + sum(
-            c for _, c in self.minus.terms()
-        )
 
     def __bool__(self) -> bool:
         return bool(self.plus) or bool(self.minus)
@@ -126,13 +104,6 @@ class SignedCharacter:
             "plus": {str(e): c for e, c in self.plus.terms()},
             "minus": {str(e): c for e, c in self.minus.terms()},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SignedCharacter":
-        return cls(
-            {int(k): v for k, v in data.get("plus", {}).items()},
-            {int(k): v for k, v in data.get("minus", {}).items()},
-        )
 
 
 class WeightCharacter:

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .linalg import QMatrix
 from .modtools import HomBasis, coords_in_basis
+from .satake import expected_clebsch_gordan
 from .zigzag import Label, label_str
 
 
@@ -199,11 +200,6 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
                 {"relation": relation, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
             )
     return items
-
-
-def expected_clebsch_gordan(n: int, m: int) -> Counter:
-    """Labels 2(n+m), 2(n+m)-4, ..., 2|n-m| with multiplicity one."""
-    return Counter(range(2 * (n + m), 2 * abs(n - m) - 1, -4))
 
 
 def _labels_str(c: Counter) -> str:

@@ -5,8 +5,8 @@ alone; module operators shift weight, so almost all of their entries are 0.
 
 Everything is deterministic: pivoting always takes the first nonzero entry,
 so reduced row echelon form (and therefore every reported basis) is canonical.
-Equality of row spaces can be tested as equality of ``rref`` outputs, and
-``kernel``/``image`` bases are reproducible across runs.
+Equality of row spaces can be tested as equality of ``reduce_rows`` outputs,
+and ``kernel``/``image`` bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -97,10 +97,6 @@ class QMatrix:
         return cls.from_row_dicts(n, n, {k: {k: v} for k, v in enumerate(values)})
 
     @classmethod
-    def column(cls, values: Sequence) -> "QMatrix":
-        return cls(len(values), 1, list(values))
-
-    @classmethod
     def hstack(cls, columns: Iterable["QMatrix"]) -> "QMatrix":
         cols = list(columns)
         if not cols:
@@ -137,11 +133,6 @@ class QMatrix:
     def row(self, i: int) -> Mapping[int, GaussianRational]:
         """The nonzero entries of row i as a read-only {col: value} mapping."""
         return MappingProxyType(self._data.get(i, _EMPTY_ROW))
-
-    def col(self, j: int) -> "QMatrix":
-        return QMatrix._wrap(
-            self.rows, 1, {i: {0: row[j]} for i, row in self._data.items() if j in row}
-        )
 
     def reshape(self, rows: int, cols: int) -> "QMatrix":
         """The same row-major sequence of entries in a rows x cols shape."""
@@ -358,13 +349,6 @@ def _matrix_rows(m: QMatrix) -> list[dict]:
     return [m._data.get(i, _EMPTY_ROW) for i in range(m.rows)]
 
 
-def rref(m: QMatrix) -> QMatrix:
-    """Canonical reduced row echelon form, same shape as the input."""
-    pivots = reduce_rows(_matrix_rows(m))
-    data = {i: pivots[c] for i, c in enumerate(sorted(pivots))}
-    return QMatrix._wrap(m.rows, m.cols, data)
-
-
 def rank(m: QMatrix) -> int:
     return len(reduce_rows(_matrix_rows(m)))
 
@@ -417,10 +401,3 @@ def solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
         if sol:
             data[c] = sol
     return QMatrix._wrap(n, b.cols, data)
-
-
-def solve(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Solve a @ x = b for a single column vector b."""
-    if b.cols != 1:
-        raise ValueError("solve expects a column vector; use solve_matrix")
-    return solve_matrix(a, b)

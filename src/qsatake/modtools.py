@@ -115,19 +115,6 @@ def socle_dims(m: QMod, upto: int) -> dict[int, int]:
     return {n: hom(qsl2.simple(n), m).dim for n in range(upto + 1)}
 
 
-@dataclass(frozen=True)
-class EndAlgebra:
-    """Endomorphism algebra with basis and structure constants over Q(i)."""
-
-    module: QMod
-    basis: tuple[QMatrix, ...]
-    mult_table: tuple  # mult_table[i][j] = coords of basis[i] @ basis[j]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def _vec(m: QMatrix) -> QMatrix:
     """m as one column, row-major."""
     return m.reshape(m.rows * m.cols, 1)
@@ -148,18 +135,6 @@ def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
     return tuple(x[i, 0] for i in range(x.rows))
 
 
-def _mult_table(basis) -> tuple:
-    """table[i][j] = coordinates of basis[i] @ basis[j] in basis."""
-    return tuple(
-        tuple(coords_in_basis(list(basis), bi @ bj) for bj in basis) for bi in basis
-    )
-
-
-def end_algebra(m: QMod) -> EndAlgebra:
-    basis = hom(m, m).basis
-    return EndAlgebra(m, basis, _mult_table(basis))
-
-
 def radical(basis) -> list[QMatrix]:
     """Basis of the radical of the unital algebra spanned by ``basis``.
 
@@ -169,7 +144,7 @@ def radical(basis) -> list[QMatrix]:
     T_ij = sum_k c[i][j][k] t_k.  Each vector is scaled to lead 1.
     """
     d = len(basis)
-    c = _mult_table(basis)
+    c = [[coords_in_basis(list(basis), bi @ bj) for bj in basis] for bi in basis]
     t = [sum(c[k][j][j] for j in range(d)) for k in range(d)]
     gram = QMatrix.from_rows(
         [[sum(c[i][j][k] * t[k] for k in range(d)) for j in range(d)] for i in range(d)]

@@ -76,28 +76,6 @@ class FormalPerv:
                     "its standard filtration"
                 )
 
-    def label(self) -> str:
-        return f"{self.kind}({self.n}){self.sign}"
-
-    def to_json_dict(self) -> dict:
-        """Label, character (in the shared encoding), JH and filtration arrays."""
-        keys = sorted(self.jh, key=lambda k: (-k[0], k[1]))
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "sign": self.sign,
-            "character": self.character.to_json_dict(),
-            "jh": [
-                {"n": n, "sign": sign, "mult": self.jh[(n, sign)]}
-                for n, sign in keys
-            ],
-            "standard_filtration": (
-                None
-                if self.standard_filtration is None
-                else [[m, s] for m, s in self.standard_filtration]
-            ),
-        }
-
 
 def _projective_char(n: int, sign: str) -> tuple[SignedCharacter, tuple | None]:
     if n % 2 == 1:
@@ -244,14 +222,17 @@ def verify_steinberg(n: int) -> list[dict]:
     ]
 
 
+def expected_clebsch_gordan(n: int, m: int) -> Counter:
+    """Labels 2(n+m), 2(n+m)-4, ..., 2|n-m| with multiplicity one."""
+    return Counter(range(2 * (n + m), 2 * abs(n - m) - 1, -4))
+
+
 def verify_clebsch_gordan(n: int, m: int) -> list[dict]:
     """jh(ch L(2n)+ * ch L(2m)+) == {L(2(n+m))+, L(2(n+m)-4)+, ..., L(2|n-m|)+}."""
     if n < 0 or m < 0:
         raise DomainError("verify_clebsch_gordan requires n, m >= 0")
     got = jh_decompose(conv(simple_char(2 * n, PLUS), simple_char(2 * m, PLUS)))
-    expected = Counter(
-        {(k, PLUS): 1 for k in range(2 * (n + m), 2 * abs(n - m) - 1, -4)}
-    )
+    expected = Counter({(k, PLUS): 1 for k in expected_clebsch_gordan(n, m)})
     return [
         {
             "relation": f"clebsch-gordan({n},{m})",

@@ -215,17 +215,7 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    @property
-    def degree(self):
-        return max(self._coeffs) if self._coeffs else None
-
-    @property
-    def valuation(self):
-        return min(self._coeffs) if self._coeffs else None
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int) and other == 0:
-            return not self._coeffs
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
@@ -282,21 +272,6 @@ class LaurentPoly:
         p = object.__new__(LaurentPoly)
         p._coeffs = {e + k: c for e, c in self._coeffs.items()}
         return p
-
-    def substituted(self, k: int) -> "LaurentPoly":
-        """Substitute v -> v**k (k nonzero)."""
-        p = object.__new__(LaurentPoly)
-        p._coeffs = {e * k: c for e, c in self._coeffs.items()}
-        return p
-
-    def evaluate(self, x):
-        """Evaluate at a rational x (int or Fraction); q = i is ``evaluate_at_i``."""
-        x = Fraction(x)
-        total = None
-        for e, c in self._coeffs.items():
-            term = c * x**e
-            total = term if total is None else total + term
-        return total if total is not None else 0
 
     def evaluate_at_i(self) -> GaussianRational:
         re = im = 0

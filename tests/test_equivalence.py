@@ -10,13 +10,13 @@ from qsatake import qsl2
 from qsatake.equivalence import (
     HomQuiver,
     compare_zigzag,
-    expected_clebsch_gordan,
     frobenius_action_check,
     gauge_fix,
     hom_quiver,
 )
 from qsatake.errors import DomainError, VerificationError
 from qsatake.modtools import HomBasis, jh
+from qsatake.satake import expected_clebsch_gordan
 from qsatake.scalars import GaussianRational
 
 

@@ -12,8 +12,7 @@ from qsatake.linalg import (
     kernel,
     kronecker,
     rank,
-    rref,
-    solve,
+    reduce_rows,
     solve_matrix,
 )
 from qsatake.scalars import GaussianRational, I, ONE, ZERO
@@ -23,6 +22,14 @@ MI = GaussianRational(0, -1)  # -i
 
 def mat(rows):
     return QMatrix.from_rows(rows)
+
+
+def column(values):
+    return QMatrix(len(values), 1, values)
+
+
+def rows_of(m):
+    return [dict(m.row(i)) for i in range(m.rows)]
 
 
 small_entries = st.builds(
@@ -171,15 +178,15 @@ class TestKernel:
     def test_zero_row_matrix(self):
         vecs = kernel(QMatrix.zeros(1, 2))
         assert len(vecs) == 2
-        assert vecs[0] == QMatrix.column([1, 0])
-        assert vecs[1] == QMatrix.column([0, 1])
+        assert vecs[0] == column([1, 0])
+        assert vecs[1] == column([0, 1])
 
     def test_rank_one_gaussian_matrix(self):
         # row2 = -i * row1, so the kernel is spanned by (-i, 1).
         a = mat([[1, I], [MI, 1]])
         vecs = kernel(a)
         assert len(vecs) == 1
-        assert vecs[0] == QMatrix.column([MI, 1])
+        assert vecs[0] == column([MI, 1])
         assert (a @ vecs[0]).is_zero()
 
     @given(small_matrices())
@@ -199,17 +206,16 @@ class TestRankRref:
     def test_rref_canonical_for_row_space(self):
         a = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         b = mat([[0, 1, 1], [1, 3, 4], [1, 2, 3]])  # same row space, reordered
-        assert rref(a) == rref(b)
+        assert reduce_rows(rows_of(a)) == reduce_rows(rows_of(b))
 
     def test_rref_idempotent(self):
         a = mat([[2, 4], [1, 3]])
-        assert rref(rref(a)) == rref(a)
+        r = reduce_rows(rows_of(a))
+        assert reduce_rows(r.values()) == r
 
-    def test_rref_shape_preserved(self):
+    def test_rref_drops_dependent_rows(self):
         a = mat([[1, 2], [2, 4], [3, 6]])
-        r = rref(a)
-        assert (r.rows, r.cols) == (3, 2)
-        assert r == mat([[1, 2], [0, 0], [0, 0]])
+        assert reduce_rows(rows_of(a)) == {0: {0: ONE, 1: GaussianRational(2)}}
 
     def test_insert_row_keeps_echelon_rows_without_back_substitution(self):
         pivots = {}
@@ -226,20 +232,20 @@ class TestRankRref:
 class TestSolveImage:
     def test_solve_unique(self):
         a = mat([[1, 1], [0, 1]])
-        b = QMatrix.column([3, 1])
-        x = solve(a, b)
+        b = column([3, 1])
+        x = solve_matrix(a, b)
         assert a @ x == b
-        assert x == QMatrix.column([2, 1])
+        assert x == column([2, 1])
 
     def test_solve_inconsistent(self):
         a = mat([[1, 1], [1, 1]])
         with pytest.raises(NoSolutionError):
-            solve(a, QMatrix.column([1, 2]))
+            solve_matrix(a, column([1, 2]))
 
     def test_solve_underdetermined_sets_free_to_zero(self):
         a = mat([[1, 1]])
-        x = solve(a, QMatrix.column([5]))
-        assert x == QMatrix.column([5, 0])
+        x = solve_matrix(a, column([5]))
+        assert x == column([5, 0])
 
     @given(small_matrices(), small_matrices())
     @settings(max_examples=40)
@@ -257,9 +263,9 @@ class TestSolveImage:
         stacked = QMatrix.hstack(cols)
         # the column space contains each original column
         for j in range(a.cols):
-            solve(stacked, a.col(j))
+            solve_matrix(stacked, column([a[i, j] for i in range(a.rows)]))
 
     def test_image_of_diagonal_selects_unit_columns(self):
         a = QMatrix.diagonal([1, 0, 2])
         cols = image(a)
-        assert cols == [QMatrix.column([1, 0, 0]), QMatrix.column([0, 0, 1])]
+        assert cols == [column([1, 0, 0]), column([0, 0, 1])]

@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
+from qsatake import satake
 from qsatake.characters import (
     SignedCharacter,
+    sign_twist,
     simple_char,
     simple_char_sum,
     standard_char,
@@ -27,10 +29,30 @@ def all_pass(items):
     return all(it["pass"] for it in items)
 
 
+def failed(items):
+    return [it["relation"] for it in items if not it["pass"]]
+
+
+@pytest.fixture
+def twist_at(monkeypatch):
+    """A function that makes ``satake.<name>(n, sign)`` return the sign twist
+    of the true character at one label n, for the rest of the test."""
+
+    def install(name: str, n: int) -> None:
+        true = getattr(satake, name)
+        monkeypatch.setattr(
+            satake,
+            name,
+            lambda m, sign: sign_twist(true(m, sign)) if m == n else true(m, sign),
+        )
+
+    return install
+
+
 class TestFormal:
     def test_simple_trivial(self):
         obj = formal("simple", 0, "+")
-        assert obj.character == SignedCharacter.term(0, "+")
+        assert obj.character == SignedCharacter({0: 1})
         assert obj.jh == Counter({(0, "+"): 1})
 
     def test_odd_projective_three(self):
@@ -178,17 +200,48 @@ class TestVerifiers:
         assert item["lhs"] == "L(6)⁺"
 
 
+class TestVerifierCorruptions:
+    """A wrong character makes each verifier report FAIL items, not raise."""
+
+    def test_odd_ses_with_wrong_sub(self, twist_at):
+        twist_at("simple_char", 1)
+        assert failed(verify_odd_ses(1)) == [
+            f"ch {kind}(3){s} == ch L(1){s} + ch L(3){s}"
+            for s in ("+", "-")
+            for kind in ("standard", "costandard")
+        ]
+        assert all_pass(verify_odd_ses(2))
+
+    def test_bgg_with_wrong_costandard(self, twist_at):
+        twist_at("standard_char", 3)
+        assert failed(verify_bgg(0)) == [
+            f"[P(1)+ : standard(3){s}] == [costandard(3){s} : L(1)+] == {want}"
+            for s, want in (("+", 1), ("-", 0))
+        ]
+
+    def test_block_split_with_wrong_standard(self, twist_at):
+        twist_at("standard_char", 3)
+        assert failed(verify_block_split(3)) == [
+            f"jh P({m}){s} is sign-pure" for m in (1, 3) for s in ("+", "-")
+        ]
+
+    def test_steinberg_with_wrong_even_simple(self, twist_at):
+        twist_at("simple_char", 2)
+        items = verify_steinberg(1)
+        assert failed(items) == ["jh(ch L(1)+ * ch L(2)+) == {L(3)+}"]
+        assert items[0]["lhs"] == "L(3)⁻"
+        assert all_pass(verify_steinberg(0))
+
+    def test_clebsch_gordan_with_wrong_even_simple(self, twist_at):
+        twist_at("simple_char", 2)
+        items = verify_clebsch_gordan(1, 0)
+        assert failed(items) == ["clebsch-gordan(1,0)"]
+        assert items[0]["lhs"] == "L(2)⁻"
+        assert all_pass(verify_clebsch_gordan(0, 0))
+
+
 class TestFormatting:
     def test_multiset_rendering(self):
         assert format_multiset(Counter()) == "0"
         ms = Counter({(3, "+"): 2, (5, "+"): 1, (1, "+"): 1})
         assert format_multiset(ms) == "L(5)⁺, L(3)⁺ ×2, L(1)⁺"
-
-    def test_json_dump(self):
-        obj = formal("projective", 1, "+")
-        data = obj.to_json_dict()
-        assert data["kind"] == "projective" and data["n"] == 1
-        assert data["standard_filtration"] == [[3, "+"], [1, "+"]]
-        assert data["jh"][0] == {"n": 3, "sign": "+", "mult": 1}
-        assert data["character"]["plus"]["3"] == 1
-        assert formal("costandard", 2, "-").to_json_dict()["standard_filtration"] is None

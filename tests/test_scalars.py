@@ -292,7 +292,9 @@ class TestGaussBinomial:
     def test_specializes_to_binomial_at_one(self):
         for n in range(13):
             for r in range(n + 1):
-                assert gauss_binomial_poly(n, r).evaluate(1) == math.comb(n, r)
+                # At q = 1 the polynomial is the sum of its coefficients.
+                p = gauss_binomial_poly(n, r)
+                assert sum(c for _, c in p.terms()) == math.comb(n, r)
 
     def test_q_lucas_oracle(self):
         for n in range(31):
@@ -334,16 +336,17 @@ class TestLaurentPoly:
     def test_shift_is_monomial_multiplication(self, a, k):
         assert a.shifted(k) == a * LaurentPoly.monomial(k)
 
-    def test_degree_valuation(self):
-        p = LaurentPoly({3: 1, -2: 5})
-        assert p.degree == 3 and p.valuation == -2
-        assert LaurentPoly.zero().degree is None
-
     def test_evaluate(self):
         p = LaurentPoly({2: 1, 0: 1, -2: 1})
-        assert p.evaluate(2) == Fraction(21, 4)
         assert p.evaluate_at_i() == GaussianRational(-1)
 
-    def test_substituted(self):
-        p = LaurentPoly({1: 1, -1: 1})
-        assert p.substituted(2) == LaurentPoly({2: 1, -2: 1})
+    def test_equal_values_hash_equally(self):
+        # A polynomial equals only polynomials, so the eq/hash contract holds
+        # across every pair, ints included.
+        values = [LaurentPoly(), LaurentPoly({0: 1}), LaurentPoly({0: 0}), 0, 1]
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+        assert LaurentPoly() != 0
+        assert LaurentPoly({0: 1}) != 1

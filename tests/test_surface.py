@@ -1,0 +1,111 @@
+"""The library surface stays what the verifiers reach.
+
+Every public module-level def or class of ``src/qsatake/``, and every public
+method of such a class, must be referenced somewhere in the package, in the
+acceptance suite or in the benchmark's span table; otherwise it is code that
+no verifier, criterion or benchmark layer runs.  References are found by name
+(a bare name, an attribute, an imported name or a string constant, outside the
+definition itself); a method counts as referenced by an attribute or string of
+its name only, so it shares those with every same-named attribute.
+``__init__.py`` re-exports are not references.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = REPO_ROOT / "src" / "qsatake"
+CALLERS = [
+    REPO_ROOT / "tests" / "test_acceptance.py",
+    REPO_ROOT / "perfbench" / "traced.py",
+]
+
+# Kept although nothing listed above calls them; each entry says why.
+ALLOWED = {
+    # Builds the decomposable modules the corruption tests feed to the
+    # locality check and to the gauge fixing of `verify zigzag`.
+    "qsl2.direct_sum",
+    # The symbolic reference model of the quantum relations in test_qsl2.py
+    # is written in balanced quantum integers over Z[q, q^-1].
+    "scalars.qint_poly",
+    # Same reference model: the Cartan elements K^w as monomials q^w.
+    "scalars.LaurentPoly.monomial",
+    # The planned zero-Hom certificate of the zigzag suite (ROADMAP); its
+    # output is pinned by a digest in test_modtools.py until then.
+    "modtools.submodule_closure",
+}
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    """Parsed modules of the package by name, without ``__init__``."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _public_definitions(trees: dict[str, ast.Module]):
+    """(qualified name, definition node, module, keys that reference it)."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                keys = {node.name, "." + node.name}
+                yield f"{module}.{node.name}", node, module, keys
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        # A method is reached through an attribute only.
+                        keys = {"." + sub.name}
+                        yield f"{module}.{node.name}.{sub.name}", sub, module, keys
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name that ``tree`` mentions, outside the subtree ``skip``: bare
+    and imported names as ``name``, attributes as ``.name``, and string
+    constants as both."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add("." + node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update((node.value, "." + node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _unreferenced() -> list[str]:
+    trees = _package_trees()
+    found = {module: _referenced_names(tree) for module, tree in trees.items()}
+    for path in CALLERS:
+        found[path.name] = _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    out = []
+    for qualified, node, home, keys in _public_definitions(trees):
+        if any(keys & names for where, names in found.items() if where != home):
+            continue
+        if keys & _referenced_names(trees[home], skip=node):
+            continue
+        out.append(qualified)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    orphans = [name for name in _unreferenced() if name not in ALLOWED]
+    assert orphans == [], f"public names with no caller: {orphans}"
+
+
+def test_allowlist_names_only_uncalled_definitions():
+    # An entry that is gone, or that gained a caller, no longer needs to be here.
+    assert sorted(set(_unreferenced()) & ALLOWED) == sorted(ALLOWED)
