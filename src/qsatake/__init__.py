@@ -18,12 +18,11 @@ from .characters import (
 )
 from .linalg import QMatrix, image, kernel, rank
 from .qsl2 import QMod, canonical_map, char, dual_weyl, frobenius_simple, simple, tensor, weyl
-from .scalars import GaussianRational, LaurentPoly, gauss_binomial, qint
+from .scalars import GaussianRational, gauss_binomial, qint
 
 __all__ = [
     "CellDescriptor",
     "GaussianRational",
-    "LaurentPoly",
     "QMatrix",
     "QMod",
     "SignedCharacter",

@@ -1,12 +1,13 @@
 """Signed character calculus for Z-graded Z/2-representations.
 
-A signed character is a pair of Laurent polynomials with nonnegative integer
-coefficients: ``plus`` counts copies of the trivial one-dimensional
-representation k+ in each weight, ``minus`` counts copies of the sign
-representation k-.  The convolution product is the graded tensor product of
-Z/2-representations.  Closed-form characters of simples and standards, the
-one greedy Jordan-Holder decomposition (of signed and of weight characters),
-and the standard character from an orbit-intersection cell table live here.
+A signed character is a multiset of keys ``(weight, sign)``: the key
+``(w, "+")`` counts copies of the trivial one-dimensional representation k+
+in weight w, ``(w, "-")`` copies of the sign representation k-.  A weight
+character is a multiset of weights.  The convolution product is the graded
+tensor product of Z/2-representations.  Closed-form characters of simples
+and standards, the one greedy Jordan-Holder decomposition (of signed and of
+weight characters), and the standard character from an orbit-intersection
+cell table live here.
 """
 
 from __future__ import annotations
@@ -16,104 +17,125 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import DomainError, NotACharacterError
-from .scalars import LaurentPoly
 
 PLUS = "+"
 MINUS = "-"
 SIGNS = (PLUS, MINUS)
 _OPPOSITE = {PLUS: MINUS, MINUS: PLUS}
 
-_SUP = {PLUS: "⁺", MINUS: "⁻"}
+SUPERSCRIPT = {PLUS: "⁺", MINUS: "⁻"}
 
 
-def _check_sign(sign: str) -> str:
+def display_order(keys) -> list:
+    """(n, sign) keys sorted for display: n descending, "+" before "-"."""
+    return sorted(keys, key=lambda k: (-k[0], k[1]))
+
+
+def _check_sign(sign: str) -> None:
     if sign not in _OPPOSITE:
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-    return sign
 
 
-def _check_nonneg(poly: LaurentPoly, part: str) -> LaurentPoly:
-    for e, c in poly.terms():
+def _checked(mults, what: str) -> dict:
+    """{key: mult} with the zero entries of ``mults`` (key, mult) dropped.
+
+    Raises NotACharacterError on a multiplicity that is not a nonnegative int.
+    """
+    out = {}
+    for key, c in mults:
+        if not c:
+            continue
         if not isinstance(c, int) or c < 0:
             raise NotACharacterError(
-                f"{part} part has coefficient {c} at weight {e}; "
+                f"{what} has multiplicity {c} at {key}; "
                 "characters need nonnegative integers"
             )
-    return poly
+        out[key] = c
+    return out
 
 
 class SignedCharacter:
-    """A finite-dimensional Z-graded Z/2-representation, up to isomorphism."""
+    """A finite-dimensional Z-graded Z/2-representation, up to isomorphism.
 
-    __slots__ = ("plus", "minus")
+    ``mults`` maps ``(weight, sign)`` to a positive int and is not modified.
+    """
+
+    __slots__ = ("mults",)
 
     def __init__(self, plus=(), minus=()):
-        p = plus if isinstance(plus, LaurentPoly) else LaurentPoly(plus)
-        m = minus if isinstance(minus, LaurentPoly) else LaurentPoly(minus)
-        object.__setattr__(self, "plus", _check_nonneg(p, "plus"))
-        object.__setattr__(self, "minus", _check_nonneg(m, "minus"))
+        """The character with ``plus[w]`` copies of k+ and ``minus[w]`` of k-
+        in weight w; each part is a mapping or (weight, mult) pairs."""
+        mults = [((w, PLUS), c) for w, c in dict(plus).items()]
+        mults += [((w, MINUS), c) for w, c in dict(minus).items()]
+        object.__setattr__(self, "mults", _checked(mults, "signed character"))
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedCharacter is immutable")
 
     @classmethod
     def zero(cls) -> "SignedCharacter":
-        return cls((), ())
-
-    def part(self, sign: str) -> LaurentPoly:
-        return self.plus if _check_sign(sign) == PLUS else self.minus
+        return cls()
 
     def __bool__(self) -> bool:
-        return bool(self.plus) or bool(self.minus)
+        return bool(self.mults)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedCharacter):
             return NotImplemented
-        return self.plus == other.plus and self.minus == other.minus
+        return self.mults == other.mults
 
     def __hash__(self):
-        return hash((self.plus, self.minus))
+        return hash(frozenset(self.mults.items()))
 
     def __add__(self, other: "SignedCharacter") -> "SignedCharacter":
         if not isinstance(other, SignedCharacter):
             return NotImplemented
-        return SignedCharacter(self.plus + other.plus, self.minus + other.minus)
+        out = dict(self.mults)
+        for k, c in other.mults.items():
+            out[k] = out.get(k, 0) + c
+        return _signed(out)
 
     def __mul__(self, other: "SignedCharacter") -> "SignedCharacter":
         return conv(self, other)
 
     def __str__(self) -> str:
-        weights = sorted(
-            set(self.plus.exponents()) | set(self.minus.exponents()), reverse=True
-        )
         parts = []
-        for w in weights:
-            for sign, poly in ((PLUS, self.plus), (MINUS, self.minus)):
-                c = poly.coeff(w)
-                if c == 1:
-                    parts.append(f"k{_SUP[sign]}({w})")
-                elif c:
-                    parts.append(f"{c}·k{_SUP[sign]}({w})")
+        for w, sign in display_order(self.mults):
+            c = self.mults[(w, sign)]
+            head = f"k{SUPERSCRIPT[sign]}({w})"
+            parts.append(head if c == 1 else f"{c}·{head}")
         return " ⊕ ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
     def to_json_dict(self) -> dict:
         """{"plus": {weight: mult}, "minus": {...}}, weights descending."""
-        return {
-            "plus": {str(e): c for e, c in self.plus.terms()},
-            "minus": {str(e): c for e, c in self.minus.terms()},
-        }
+        out: dict = {"plus": {}, "minus": {}}
+        for w, sign in display_order(self.mults):
+            out["plus" if sign == PLUS else "minus"][str(w)] = self.mults[(w, sign)]
+        return out
+
+
+def _signed(mults: dict) -> SignedCharacter:
+    """Adopt ``mults``, already a character's multiset, without re-checking it."""
+    c = object.__new__(SignedCharacter)
+    object.__setattr__(c, "mults", mults)
+    return c
 
 
 class WeightCharacter:
-    """An ungraded weight-multiplicity character (classical or quantum side)."""
+    """An ungraded weight-multiplicity character (classical or quantum side).
 
-    __slots__ = ("poly",)
+    ``mults`` maps each weight to a positive int and is not modified.
+    """
 
-    def __init__(self, poly=()):
-        p = poly if isinstance(poly, LaurentPoly) else LaurentPoly(poly)
-        object.__setattr__(self, "poly", _check_nonneg(p, "weight"))
+    __slots__ = ("mults",)
+
+    def __init__(self, mults=()):
+        """The character with ``mults[w]`` copies of weight w; a mapping or
+        (weight, mult) pairs."""
+        checked = _checked(dict(mults).items(), "weight character")
+        object.__setattr__(self, "mults", checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightCharacter is immutable")
@@ -121,16 +143,27 @@ class WeightCharacter:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightCharacter):
             return NotImplemented
-        return self.poly == other.poly
+        return self.mults == other.mults
 
     def __hash__(self):
-        return hash(self.poly)
+        return hash(frozenset(self.mults.items()))
 
     def __mul__(self, other: "WeightCharacter") -> "WeightCharacter":
-        return WeightCharacter(self.poly * other.poly)
+        out: dict = {}
+        for w1, c1 in self.mults.items():
+            for w2, c2 in other.mults.items():
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        c = object.__new__(WeightCharacter)
+        object.__setattr__(c, "mults", out)
+        return c
 
     def __str__(self) -> str:
-        return str(self.poly)
+        """The weight multiset as a polynomial in v, highest power first."""
+        parts = []
+        for w, c in sorted(self.mults.items(), reverse=True):
+            mono = "v" if w == 1 else f"v^{w}"
+            parts.append(str(c) if w == 0 else mono if c == 1 else f"{c}*{mono}")
+        return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
@@ -142,29 +175,30 @@ def classical_char(n: int) -> WeightCharacter:
     return WeightCharacter({n - 2 * j: 1 for j in range(n + 1)})
 
 
-def simple_weight_poly(n: int) -> LaurentPoly:
-    """Weight character of the quantum simple(n) at q = i, in closed form.
+def simple_weights(n: int) -> range:
+    """Weights of the quantum simple(n) at q = i, each of multiplicity 1.
 
     Odd n: the full string n, n-2, ..., -n.  Even n: n, n-4, ..., -n.
     Cross-checked against the constructed modules in the test suite.
     """
     if n < 0:
-        raise DomainError(f"simple_weight_poly requires n >= 0, got {n}")
-    step = 2 if n % 2 == 1 else 4
-    return LaurentPoly({w: 1 for w in range(n, -n - 1, -step)})
+        raise DomainError(f"simple_weights requires n >= 0, got {n}")
+    return range(n, -n - 1, -2 if n % 2 == 1 else -4)
 
 
 def conv(a: SignedCharacter, b: SignedCharacter) -> SignedCharacter:
     """Graded tensor product: k- tensor k- is k+, weights add."""
-    return SignedCharacter(
-        a.plus * b.plus + a.minus * b.minus,
-        a.plus * b.minus + a.minus * b.plus,
-    )
+    out: dict = {}
+    for (w1, s1), c1 in a.mults.items():
+        for (w2, s2), c2 in b.mults.items():
+            key = (w1 + w2, PLUS if s1 == s2 else MINUS)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _signed(out)
 
 
 def sign_twist(c: SignedCharacter) -> SignedCharacter:
-    """Tensor with the sign representation: swaps the two parts."""
-    return SignedCharacter(c.minus, c.plus)
+    """Tensor with the sign representation: swaps k+ and k-."""
+    return _signed({(w, _OPPOSITE[s]): m for (w, s), m in c.mults.items()})
 
 
 def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
@@ -181,14 +215,14 @@ def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
 
 def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
     """Sum of simple characters of a (n, sign) multiset; inverse of jh_decompose."""
-    parts: dict = {PLUS: Counter(), MINUS: Counter()}
+    mults: dict = {}
     for (n, sign), mult in multiset.items():
         _check_sign(sign)
         if n < 0:
             raise DomainError(f"simple_char requires n >= 0, got {n}")
-        for w, s in _simple_keys(n, sign):
-            parts[s][w] += mult
-    return SignedCharacter(parts[PLUS], parts[MINUS])
+        for key in _simple_keys(n, sign):
+            mults[key] = mults.get(key, 0) + mult
+    return _signed(_checked(mults.items(), "sum of simple characters"))
 
 
 def simple_char(n: int, sign: str) -> SignedCharacter:
@@ -201,23 +235,19 @@ def standard_char(n: int, sign: str) -> SignedCharacter:
 
     For sign '+': k+ in weight n, k+ and k- in each interior weight
     n-2, ..., -n+2, and k- tensored with itself n times (k- for odd n, k+ for
-    even) in weight -n.  Sign '-' is the sign twist.
+    even) in weight -n.  Sign '-' swaps k+ and k- throughout.
     """
     _check_sign(sign)
     if n < 0:
         raise DomainError(f"standard_char requires n >= 0, got {n}")
-    plus: dict = {n: 1}
-    minus: dict = {}
+    other = _OPPOSITE[sign]
+    mults = {(n, sign): 1}
     for w in range(n - 2, -n, -2):
-        plus[w] = 1
-        minus[w] = 1
+        mults[(w, sign)] = 1
+        mults[(w, other)] = 1
     if n >= 1:
-        if n % 2 == 1:
-            minus[-n] = minus.get(-n, 0) + 1
-        else:
-            plus[-n] = plus.get(-n, 0) + 1
-    result = SignedCharacter(plus, minus)
-    return result if sign == PLUS else sign_twist(result)
+        mults[(-n, other if n % 2 == 1 else sign)] = 1
+    return _signed(mults)
 
 
 def _greedy_jh(work: dict, piece, weight) -> Counter:
@@ -251,19 +281,17 @@ def jh_decompose(c: SignedCharacter) -> Counter:
     The two signs at one weight do not interact: a simple character's top
     weight lies in one part only.
     """
-    work = {(e, s): m for s in SIGNS for e, m in c.part(s).terms()}
-    return _greedy_jh(work, lambda key: _simple_keys(*key), itemgetter(0))
+    return _greedy_jh(dict(c.mults), lambda key: _simple_keys(*key), itemgetter(0))
 
 
 def jh_weight_character(wc: WeightCharacter) -> Counter:
     """Multiplicities in wc of the quantum simple characters, by highest weight."""
-    work = dict(wc.poly.terms())
-    return _greedy_jh(work, lambda n: simple_weight_poly(n).exponents(), lambda n: n)
+    return _greedy_jh(dict(wc.mults), simple_weights, lambda n: n)
 
 
 def psi_double(wc: WeightCharacter) -> SignedCharacter:
-    """Weight-doubling transfer of a classical character, landing in the plus part."""
-    return SignedCharacter({2 * e: c for e, c in wc.poly.terms()}, ())
+    """Weight-doubling transfer of a classical character, landing in k+."""
+    return _signed({(2 * w, PLUS): c for w, c in wc.mults.items()})
 
 
 AFFINE_SPACE = "affine-space"

@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 
 from . import equivalence, modtools, satake, zigzag
+from .characters import display_order
 from .errors import DomainError, VerificationError
 
 MAX_GUARD = 24
@@ -97,8 +98,10 @@ def _json_dumps(obj) -> str:
 
 
 def _jh_items(multiset: Counter) -> list[dict]:
-    keys = sorted(multiset, key=lambda k: (-k[0], k[1]))
-    return [{"n": n, "sign": sign, "mult": multiset[(n, sign)]} for n, sign in keys]
+    return [
+        {"n": n, "sign": sign, "mult": multiset[(n, sign)]}
+        for n, sign in display_order(multiset)
+    ]
 
 
 def cmd_char(args) -> int:

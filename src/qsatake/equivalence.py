@@ -147,7 +147,6 @@ def _gauge_basis(gauge: dict[Label, QMatrix], src: int, tgt: int):
         labels = [("y", src)]
     else:
         labels = []
-    labels = [lab for lab in labels if lab in gauge]
     return labels, [gauge[lab] for lab in labels]
 
 

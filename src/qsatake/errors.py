@@ -10,7 +10,7 @@ class NoSolutionError(ValueError):
 
 
 class NotACharacterError(ValueError):
-    """A Laurent-polynomial datum is not the character of any actual object."""
+    """A multiplicity datum is not the character of any actual object."""
 
 
 class VerificationError(RuntimeError):

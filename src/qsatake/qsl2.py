@@ -25,7 +25,7 @@ from .linalg import (
     rank,
     solve_matrix,
 )
-from .scalars import GaussianRational, I, LaurentPoly, ZERO, gauss_binomial, i_power, qint
+from .scalars import GaussianRational, I, ZERO, gauss_binomial, i_power, qint
 
 
 @dataclass(frozen=True)
@@ -325,5 +325,5 @@ def direct_sum(m: QMod, n: QMod) -> QMod:
 
 
 def char(m: QMod) -> WeightCharacter:
-    """Weight multiset of m as a Laurent polynomial."""
-    return WeightCharacter(LaurentPoly(Counter(m.weights)))
+    """Weight multiset of m."""
+    return WeightCharacter(Counter(m.weights))

@@ -18,8 +18,10 @@ from .characters import (
     MINUS,
     PLUS,
     SIGNS,
+    SUPERSCRIPT,
     SignedCharacter,
     conv,
+    display_order,
     jh_decompose,
     simple_char,
     simple_char_sum,
@@ -33,18 +35,15 @@ SIMPLE = "simple"
 PROJECTIVE = "projective"
 KINDS = (STANDARD, COSTANDARD, SIMPLE, PROJECTIVE)
 
-_SUP = {PLUS: "⁺", MINUS: "⁻"}
-
 
 def format_multiset(multiset: Counter) -> str:
     """Render {(n, sign): mult} as "L(5)+, L(3)+ x2, ..." descending."""
     if not multiset:
         return "0"
-    keys = sorted(multiset, key=lambda k: (-k[0], k[1]))
     parts = []
-    for n, sign in keys:
+    for n, sign in display_order(multiset):
         mult = multiset[(n, sign)]
-        head = f"L({n}){_SUP[sign]}"
+        head = f"L({n}){SUPERSCRIPT[sign]}"
         parts.append(head if mult == 1 else f"{head} ×{mult}")
     return ", ".join(parts)
 

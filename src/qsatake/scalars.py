@@ -1,13 +1,13 @@
-"""Exact scalars: Gaussian rationals, Laurent polynomials, quantum integers.
+"""Exact scalars: Gaussian rationals and quantum integers at q = i.
 
 ``GaussianRational`` is the coefficient field Q(i) of all linear algebra
 here.  It stores three plain ints ``a``, ``b``, ``d`` for the value
 ``(a + b*i)/d`` in lowest terms, so arithmetic is integer arithmetic plus one
 gcd, and none at all while every denominator is 1 (the intertwiner systems
-start integral).  Rationals elsewhere are stdlib ``fractions.Fraction``.
-Quantum integers and Gaussian binomials are evaluated at the fourth root of
-unity ``i``; the binomials are computed symbolically in ``q`` first, because
-the quotient of quantum factorials degenerates to 0/0 at a root of unity.
+start integral).  ``fractions.Fraction`` appears only at its edges: it is
+accepted as input and returned by the ``re``/``im`` parts of a non-integral
+value.  Quantum integers and Gaussian binomials are evaluated at the fourth
+root of unity ``i`` directly; no polynomial in a formal ``q`` is built.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Union
 
 from .errors import DomainError
 
@@ -172,137 +171,6 @@ def i_power(k: int) -> GaussianRational:
     return _I_POWERS[k % 4]
 
 
-Coeff = Union[int, Fraction, GaussianRational]
-
-
-class LaurentPoly:
-    """A Laurent polynomial stored as {exponent: nonzero coefficient}.
-
-    Coefficients may be ints, Fractions, or GaussianRationals; mixing within
-    one polynomial is not prevented but never useful.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Coeff] | Iterable = ()):
-        d = dict(coeffs)
-        self._coeffs = {e: c for e, c in d.items() if c}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Coeff = 1) -> "LaurentPoly":
-        return cls({exponent: coeff})
-
-    def coeff(self, exponent: int) -> Coeff:
-        return self._coeffs.get(exponent, 0)
-
-    __getitem__ = coeff
-
-    def exponents(self):
-        return sorted(self._coeffs)
-
-    def terms(self):
-        """(exponent, coefficient) pairs, highest exponent first."""
-        return [(e, self._coeffs[e]) for e in sorted(self._coeffs, reverse=True)]
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._coeffs.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = object.__new__(LaurentPoly)
-        p._coeffs = out
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        p = object.__new__(LaurentPoly)
-        p._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return p
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out: dict = {}
-            for e1, c1 in self._coeffs.items():
-                for e2, c2 in other._coeffs.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            p = object.__new__(LaurentPoly)
-            p._coeffs = out
-            return p
-        if not other:
-            return LaurentPoly()
-        p = object.__new__(LaurentPoly)
-        p._coeffs = {e: c * other for e, c in self._coeffs.items()}
-        return p
-
-    __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by v**k."""
-        p = object.__new__(LaurentPoly)
-        p._coeffs = {e + k: c for e, c in self._coeffs.items()}
-        return p
-
-    def evaluate_at_i(self) -> GaussianRational:
-        re = im = 0
-        for e, c in self._coeffs.items():
-            k = e % 4
-            if k == 0:
-                re += c
-            elif k == 1:
-                im += c
-            elif k == 2:
-                re -= c
-            else:
-                im -= c
-        return GaussianRational(re, im)
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*v" if c != 1 else "v")
-            else:
-                parts.append(f"{c}*v^{e}" if c != 1 else f"v^{e}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
 _QINT_AT_I = (0, 1, 0, -1)
 
 
@@ -314,28 +182,18 @@ def qint(n: int) -> GaussianRational:
     return GaussianRational(_QINT_AT_I[n % 4])
 
 
-def qint_poly(n: int) -> LaurentPoly:
-    """Balanced [n] as a Laurent polynomial: q^(n-1) + q^(n-3) + ... + q^(1-n)."""
-    if n < 0:
-        return -qint_poly(-n)
-    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
-
-
 @lru_cache(maxsize=None)
-def gauss_binomial_poly(n: int, r: int) -> LaurentPoly:
-    """Balanced Gaussian binomial [n choose r] over Z[q, q^-1].
+def gauss_binomial(n: int, r: int) -> GaussianRational:
+    """Balanced Gaussian binomial [n choose r] evaluated at q = i.
 
-    Pascal recurrence: [n r] = q^(n-r) [n-1 r-1] + q^-r [n-1 r].
+    Pascal recurrence: [n r] = q^(n-r) [n-1 r-1] + q^-r [n-1 r].  It never
+    divides, so it stays exact at the root of unity where the quotient of
+    quantum factorials degenerates to 0/0.
     """
     if n < 0 or r < 0 or r > n:
         raise DomainError(f"gauss_binomial requires 0 <= r <= n, got ({n}, {r})")
     if r == 0 or r == n:
-        return LaurentPoly.one()
-    return gauss_binomial_poly(n - 1, r - 1).shifted(n - r) + gauss_binomial_poly(
+        return ONE
+    return i_power(n - r) * gauss_binomial(n - 1, r - 1) + i_power(-r) * gauss_binomial(
         n - 1, r
-    ).shifted(-r)
-
-
-def gauss_binomial(n: int, r: int) -> GaussianRational:
-    """Balanced Gaussian binomial evaluated at q = i."""
-    return gauss_binomial_poly(n, r).evaluate_at_i()
+    )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -51,6 +52,20 @@ class TestSignedCharacter:
         assert str(K(0, "+")) == "k⁺(0)"
         assert str(SignedCharacter.zero()) == "0"
 
+    @given(characters)
+    def test_equal_values_hash_equally(self, c):
+        rebuilt = [
+            sign_twist(sign_twist(c)),
+            c + SignedCharacter.zero(),
+            conv(SignedCharacter({0: 1}), c),
+            SignedCharacter(
+                {w: m for (w, s), m in reversed(c.mults.items()) if s == "+"},
+                {**{w: m for (w, s), m in c.mults.items() if s == "-"}, 99: 0},
+            ),
+        ]
+        for other in rebuilt:
+            assert other == c and hash(other) == hash(c)
+
     def test_json_round_trip_and_schema(self, schemas):
         c = standard_char(2, "+")
         data = c.to_json_dict()
@@ -60,6 +75,23 @@ class TestSignedCharacter:
         assert json.dumps(data, separators=(",", ":")) == (
             '{"plus":{"2":1,"0":1,"-2":1},"minus":{"0":1}}'
         )
+
+
+class TestWeightCharacter:
+    @pytest.mark.parametrize("mult", [-1, 0.5, Fraction(1, 2), "1"])
+    def test_rejects_non_characters(self, mult):
+        with pytest.raises(NotACharacterError):
+            WeightCharacter({0: 1, 2: mult})
+
+    @given(small_parts)
+    def test_equal_values_hash_equally(self, part):
+        wc = WeightCharacter(part)
+        rebuilt = [
+            WeightCharacter({**dict(reversed(part.items())), 99: 0}),
+            wc * WeightCharacter({0: 1}),
+        ]
+        for other in rebuilt:
+            assert other == wc and hash(other) == hash(wc)
 
 
 class TestConv:
@@ -103,8 +135,7 @@ class TestClosedForms:
 
     def test_simple_even_weights_step_four(self):
         c = simple_char(8, "+")
-        assert c.minus == SignedCharacter.zero().minus
-        assert sorted(c.plus.exponents()) == [-8, -4, 0, 4, 8]
+        assert c.mults == {(w, "+"): 1 for w in (8, 4, 0, -4, -8)}
 
     def test_standard_examples(self):
         assert standard_char(0, "+") == K(0, "+")
@@ -209,6 +240,10 @@ def per_copy_sum(multiset) -> SignedCharacter:
 
 
 class TestSimpleCharSum:
+    def test_rejects_negative_multiplicity(self):
+        with pytest.raises(NotACharacterError):
+            simple_char_sum({(1, "+"): -1})
+
     def test_single_labels_match_per_copy_sum(self):
         for n in range(13):
             for sign in "+-":

@@ -6,19 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from laurent import LaurentPoly, gauss_binomial_poly, qint_poly
 from qsatake.errors import DomainError
 from qsatake.scalars import (
     GaussianRational,
     _make,
     I,
-    LaurentPoly,
     ONE,
     ZERO,
     gauss_binomial,
-    gauss_binomial_poly,
     i_power,
     qint,
-    qint_poly,
 )
 
 
@@ -295,6 +293,12 @@ class TestGaussBinomial:
                 # At q = 1 the polynomial is the sum of its coefficients.
                 p = gauss_binomial_poly(n, r)
                 assert sum(c for _, c in p.terms()) == math.comb(n, r)
+
+    def test_matches_symbolic_binomial_at_i(self):
+        # n = 49 is reached by weyl(49), the module behind `homdim 48 48`.
+        for n in range(60):
+            for r in range(n + 1):
+                assert gauss_binomial(n, r) == gauss_binomial_poly(n, r).evaluate_at_i()
 
     def test_q_lucas_oracle(self):
         for n in range(31):

@@ -13,6 +13,7 @@ its name only, so it shares those with every same-named attribute.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -27,11 +28,6 @@ ALLOWED = {
     # Builds the decomposable modules the corruption tests feed to the
     # locality check and to the gauge fixing of `verify zigzag`.
     "qsl2.direct_sum",
-    # The symbolic reference model of the quantum relations in test_qsl2.py
-    # is written in balanced quantum integers over Z[q, q^-1].
-    "scalars.qint_poly",
-    # Same reference model: the Cartan elements K^w as monomials q^w.
-    "scalars.LaurentPoly.monomial",
     # The planned zero-Hom certificate of the zigzag suite (ROADMAP); its
     # output is pinned by a digest in test_modtools.py until then.
     "modtools.submodule_closure",
@@ -109,3 +105,22 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_names_only_uncalled_definitions():
     # An entry that is gone, or that gained a caller, no longer needs to be here.
     assert sorted(set(_unreferenced()) & ALLOWED) == sorted(ALLOWED)
+
+
+def test_package_imports_only_the_standard_library():
+    # The package has no runtime dependencies; test helpers stay outside it.
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == [], f"imports outside the standard library: {foreign}"
