@@ -5,15 +5,17 @@ A signed character is a multiset of keys ``(weight, sign)``: the key
 in weight w, ``(w, "-")`` copies of the sign representation k-.  A weight
 character is a multiset of weights.  The convolution product is the graded
 tensor product of Z/2-representations.  Closed-form characters of simples
-and standards, the one greedy Jordan-Holder decomposition (of signed and of
-weight characters), and the standard character from an orbit-intersection
-cell table live here.
+and standards, the one Jordan-Holder decomposition (of signed and of weight
+characters, by the inverse of the unitriangular matrix of simple
+characters), and the standard character from an orbit-intersection cell
+table live here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from operator import itemgetter
 
 from .errors import DomainError, NotACharacterError
@@ -149,12 +151,9 @@ class WeightCharacter:
         return hash(frozenset(self.mults.items()))
 
     def __mul__(self, other: "WeightCharacter") -> "WeightCharacter":
-        out: dict = {}
-        for w1, c1 in self.mults.items():
-            for w2, c2 in other.mults.items():
-                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        """Weights add: the character of the tensor product."""
         c = object.__new__(WeightCharacter)
-        object.__setattr__(c, "mults", out)
+        object.__setattr__(c, "mults", _packed_product(self.mults, other.mults))
         return c
 
     def __str__(self) -> str:
@@ -175,6 +174,15 @@ def classical_char(n: int) -> WeightCharacter:
     return WeightCharacter({n - 2 * j: 1 for j in range(n + 1)})
 
 
+def _chain_step(n: int) -> tuple[int, bool]:
+    """One step down the chain of keys of a simple character led at weight n.
+
+    The weight drops by 2 with the sign alternating for odd n, and by 4 with
+    the sign kept for even n.  Every key of the chain has the parity of n.
+    """
+    return (2, True) if n % 2 else (4, False)
+
+
 def simple_weights(n: int) -> range:
     """Weights of the quantum simple(n) at q = i, each of multiplicity 1.
 
@@ -183,16 +191,80 @@ def simple_weights(n: int) -> range:
     """
     if n < 0:
         raise DomainError(f"simple_weights requires n >= 0, got {n}")
-    return range(n, -n - 1, -2 if n % 2 == 1 else -4)
+    return range(n, -n - 1, -_chain_step(n)[0])
+
+
+def _slot_bytes(a: dict, b: dict) -> int:
+    """Bytes per slot that hold every coefficient of the product of a and b.
+
+    A coefficient of the product sums at most min(len a, len b) terms, each
+    at most max(a) * max(b).
+    """
+    bound = min(len(a), len(b)) * max(a.values()) * max(b.values())
+    return (bound.bit_length() + 7) // 8
+
+
+def _pack(poly: dict, low: int, step: int, width: int) -> int:
+    """``poly`` as one int, ``width`` bytes per slot, exponent low + step*i
+    in slot i."""
+    buf = bytearray(((max(poly) - low) // step + 1) * width)
+    if width == 1:
+        for e, c in poly.items():
+            buf[(e - low) // step] = c
+    else:
+        for e, c in poly.items():
+            i = (e - low) // step * width
+            buf[i : i + width] = c.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _packed_product(a: dict, b: dict) -> dict:
+    """Product of two polynomials {int exponent: nonnegative int coefficient}.
+
+    Kronecker substitution: the exponents of a lie in min(a) + step*N and
+    those of b in min(b) + step*N, for ``step`` the gcd of all their offsets.
+    Each operand becomes one int with a slot of ``_slot_bytes`` per step, so
+    one C-level int product gives every coefficient, and no carry crosses a
+    slot.  The result lists the nonzero coefficients by ascending exponent.
+    """
+    if not a or not b:
+        return {}
+    low_a, low_b = min(a), min(b)
+    step = gcd(*(e - low_a for e in a), *(e - low_b for e in b)) or 1
+    width = _slot_bytes(a, b)
+    slots = (max(a) - low_a + max(b) - low_b) // step + 1
+    raw = (_pack(a, low_a, step, width) * _pack(b, low_b, step, width)).to_bytes(
+        slots * width, "little"
+    )
+    if width > 1:
+        raw = [
+            int.from_bytes(raw[i : i + width], "little")
+            for i in range(0, len(raw), width)
+        ]
+    low = low_a + low_b
+    return {low + step * i: c for i, c in enumerate(raw) if c}
+
+
+# The key (w, sign) is the exponent 3w + digit: a product of two keys lands at
+# 3(w1 + w2) + d1 + d2 with d1 + d2 in {0, 1, 2}, of which 0 and 2 are k+.
+_DIGIT = {PLUS: 0, MINUS: 1}
+_DIGIT_SIGN = (PLUS, MINUS, PLUS)
 
 
 def conv(a: SignedCharacter, b: SignedCharacter) -> SignedCharacter:
-    """Graded tensor product: k- tensor k- is k+, weights add."""
+    """Graded tensor product: k- tensor k- is k+, weights add.
+
+    One packed product over the exponents 3w + digit (see ``_DIGIT``).
+    """
+    product = _packed_product(
+        {3 * w + _DIGIT[s]: c for (w, s), c in a.mults.items()},
+        {3 * w + _DIGIT[s]: c for (w, s), c in b.mults.items()},
+    )
     out: dict = {}
-    for (w1, s1), c1 in a.mults.items():
-        for (w2, s2), c2 in b.mults.items():
-            key = (w1 + w2, PLUS if s1 == s2 else MINUS)
-            out[key] = out.get(key, 0) + c1 * c2
+    for e, c in product.items():
+        w, digit = divmod(e, 3)
+        key = (w, _DIGIT_SIGN[digit])
+        out[key] = out.get(key, 0) + c
     return _signed(out)
 
 
@@ -207,10 +279,12 @@ def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
     Even n = 2m: k^sign in weights 2m, 2m-4, ..., -2m.  Odd n: one copy in
     every weight n, n-2, ..., -n with the sign alternating from the top.
     """
-    if n % 2 == 0:
-        return [(w, sign) for w in range(n, -n - 1, -4)]
+    flips = _chain_step(n)[1]
     other = _OPPOSITE[sign]
-    return [(w, other if k % 2 else sign) for k, w in enumerate(range(n, -n - 1, -2))]
+    return [
+        (w, other if flips and k % 2 else sign)
+        for k, w in enumerate(simple_weights(n))
+    ]
 
 
 def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
@@ -250,29 +324,55 @@ def standard_char(n: int, sign: str) -> SignedCharacter:
     return _signed(mults)
 
 
-def _greedy_jh(work: dict, piece, weight) -> Counter:
-    """Greedy leading-key elimination, the one Jordan-Holder routine.
+def _triangular_jh(mults: dict, weight, chain) -> Counter:
+    """The one Jordan-Holder routine: invert the unitriangular matrix of
+    simple characters.
 
-    ``work`` maps keys to multiplicities and is consumed.  The largest key
-    must have ``weight(key) >= 0`` and a positive multiplicity, and mult is
-    subtracted at every key ``piece(key)`` lists: the simple character led
-    by key, which is multiplicity-free.  The simple characters are
-    triangular in their leading key, so the result is unique.
+    ``chain(key)`` is (above, below, bottom) of a key on its chain of simple
+    keys (see ``_chain_step``).  The simple character led by K is
+    multiplicity-free on K, below(K), ..., bottom(K), and bottom(K) has
+    weight -weight(K).  So the multiplicity of the simple led by a key K of
+    weight >= 0 is mults[K] - mults[above(K)], and a key of negative weight
+    must have mults[bottom(K)].  Only the keys of ``mults`` and the below and
+    bottom of each of weight >= 0 can break either rule.  They are scanned
+    from the largest down, and the first negative multiplicity, or nonzero
+    residual at negative weight, raises: the key and residual at which
+    leading-key elimination would stop first.
     """
+    links = dict.fromkeys(mults)
+    for key in mults:
+        if weight(key) >= 0:
+            _, below, bottom = links[key] = chain(key)
+            links.setdefault(below)
+            links.setdefault(bottom)
+    get = mults.get
     out: Counter = Counter()
-    while work:
-        key = max(work)
-        mult = work[key]
-        if weight(key) < 0 or mult < 0:
+    for key in sorted(links, reverse=True):
+        above, _, bottom = links[key] or chain(key)
+        if weight(key) >= 0:
+            mult = get(key, 0) - get(above, 0)
+            if mult > 0:
+                out[key] = mult
+                continue
+        else:
+            mult = get(key, 0) - get(bottom, 0)
+        if mult:
             raise NotACharacterError(f"multiplicity {mult} at {key}: not a character")
-        for k in piece(key):
-            v = work.get(k, 0) - mult
-            if v:
-                work[k] = v
-            else:
-                del work[k]
-        out[key] += mult
     return out
+
+
+def _signed_chain(key: tuple[int, str]) -> tuple:
+    """(above, below, bottom) of a (weight, sign) key; all three have the sign
+    one step turns, as bottom is an odd number of steps away for odd weights."""
+    w, sign = key
+    step, flips = _chain_step(w)
+    turned = _OPPOSITE[sign] if flips else sign
+    return (w + step, turned), (w - step, turned), (-w, turned)
+
+
+def _weight_chain(w: int) -> tuple[int, int, int]:
+    step = _chain_step(w)[0]
+    return w + step, w - step, -w
 
 
 def jh_decompose(c: SignedCharacter) -> Counter:
@@ -281,12 +381,12 @@ def jh_decompose(c: SignedCharacter) -> Counter:
     The two signs at one weight do not interact: a simple character's top
     weight lies in one part only.
     """
-    return _greedy_jh(dict(c.mults), lambda key: _simple_keys(*key), itemgetter(0))
+    return _triangular_jh(c.mults, itemgetter(0), _signed_chain)
 
 
 def jh_weight_character(wc: WeightCharacter) -> Counter:
     """Multiplicities in wc of the quantum simple characters, by highest weight."""
-    return _greedy_jh(dict(wc.mults), simple_weights, lambda n: n)
+    return _triangular_jh(wc.mults, lambda w: w, _weight_chain)
 
 
 def psi_double(wc: WeightCharacter) -> SignedCharacter:

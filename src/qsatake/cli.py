@@ -205,8 +205,7 @@ def _suite_bgg(max_n: int) -> list[dict]:
     items = []
     for n in range(1, max_n + 1):
         items.extend(satake.verify_odd_ses(n))
-    for n in range(max_n + 1):
-        items.extend(satake.verify_bgg(n))
+    items.extend(satake.verify_bgg(max_n))
     return items
 
 

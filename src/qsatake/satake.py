@@ -139,35 +139,41 @@ def verify_odd_ses(n: int) -> list[dict]:
     return items
 
 
-def verify_bgg(n: int) -> list[dict]:
-    """Reciprocity at the odd projective P(2n+1)+.
+def verify_bgg(max_n: int) -> list[dict]:
+    """Reciprocity at the odd projectives P(2n+1)+, for n = 0, ..., max_n.
 
     For every m <= 2n+5 and both signs, the filtration multiplicity of
     standard(m) in P(2n+1)+ equals the Jordan-Holder multiplicity of
     L(2n+1)+ in costandard(m), and both equal 1 exactly for sign + with
-    m in {2n+1, 2n+3}.
+    m in {2n+1, 2n+3}.  Each costandard is built once, and only its
+    Jordan-Holder content is kept.
     """
-    if n < 0:
-        raise DomainError(f"verify_bgg requires n >= 0, got {n}")
-    proj = formal(PROJECTIVE, 2 * n + 1, PLUS)
-    filt = Counter(proj.standard_filtration)
+    if max_n < 0:
+        raise DomainError(f"verify_bgg requires n >= 0, got {max_n}")
+    costandard_jh = {
+        (m, sign): formal(COSTANDARD, m, sign).jh
+        for m in range(2 * max_n + 6)
+        for sign in SIGNS
+    }
     items = []
-    for m in range(2 * n + 6):
-        for sign in SIGNS:
-            left = filt.get((m, sign), 0)
-            right = formal(COSTANDARD, m, sign).jh.get((2 * n + 1, PLUS), 0)
-            expected = 1 if sign == PLUS and m in (2 * n + 1, 2 * n + 3) else 0
-            items.append(
-                {
-                    "relation": (
-                        f"[P({2 * n + 1})+ : standard({m}){sign}] == "
-                        f"[costandard({m}){sign} : L({2 * n + 1})+] == {expected}"
-                    ),
-                    "lhs": str(left),
-                    "rhs": str(right),
-                    "pass": left == right == expected,
-                }
-            )
+    for n in range(max_n + 1):
+        filt = Counter(formal(PROJECTIVE, 2 * n + 1, PLUS).standard_filtration)
+        for m in range(2 * n + 6):
+            for sign in SIGNS:
+                left = filt.get((m, sign), 0)
+                right = costandard_jh[(m, sign)].get((2 * n + 1, PLUS), 0)
+                expected = 1 if sign == PLUS and m in (2 * n + 1, 2 * n + 3) else 0
+                items.append(
+                    {
+                        "relation": (
+                            f"[P({2 * n + 1})+ : standard({m}){sign}] == "
+                            f"[costandard({m}){sign} : L({2 * n + 1})+] == {expected}"
+                        ),
+                        "lhs": str(left),
+                        "rhs": str(right),
+                        "pass": left == right == expected,
+                    }
+                )
     return items
 
 

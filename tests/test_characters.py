@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsatake.characters import (
+    _slot_bytes,
     AFFINE_SPACE,
     COMPLEMENT_PAIR,
     EMPTY,
@@ -19,6 +20,7 @@ from qsatake.characters import (
     conv,
     intersection_cells,
     jh_decompose,
+    jh_weight_character,
     psi_double,
     sign_twist,
     simple_char,
@@ -41,6 +43,89 @@ small_parts = st.dictionaries(
     max_size=4,
 )
 characters = st.builds(SignedCharacter, small_parts, small_parts)
+
+
+def reference_conv(a: dict, b: dict, add) -> dict:
+    """The double-loop convolution of two multisets; ``add`` combines keys."""
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = add(k1, k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def add_signed(k1, k2):
+    return (k1[0] + k2[0], "+" if k1[1] == k2[1] else "-")
+
+
+def reference_greedy_jh(work: dict, piece, weight) -> Counter:
+    """Greedy leading-key elimination, the Jordan-Holder routine the package
+    used before the triangular inverse: subtract the simple character led by
+    the largest key, ``piece(key)``, until nothing is left."""
+    out: Counter = Counter()
+    while work:
+        key = max(work)
+        mult = work[key]
+        if weight(key) < 0 or mult < 0:
+            raise NotACharacterError(f"multiplicity {mult} at {key}: not a character")
+        for k in piece(key):
+            v = work.get(k, 0) - mult
+            if v:
+                work[k] = v
+            else:
+                del work[k]
+        out[key] += mult
+    return out
+
+
+def closed_form_weights(n: int) -> range:
+    """Weights of a simple character led at n: step 2 for odd n, 4 for even."""
+    return range(n, -n - 1, -2 if n % 2 == 1 else -4)
+
+
+def closed_form_keys(key) -> list:
+    """(weight, sign) keys of the simple led by key; odd n alternate signs."""
+    n, sign = key
+    other = "-" if sign == "+" else "+"
+    return [
+        (w, other if n % 2 and k % 2 else sign)
+        for k, w in enumerate(closed_form_weights(n))
+    ]
+
+
+@st.composite
+def corrupted_sums(draw, labels, piece, negative_keys):
+    """{key: mult} of a sum of simple characters with 0-2 corruptions: an
+    extra key at negative weight, a missing key, or a raised or lowered
+    multiplicity."""
+    mults: dict = {}
+    for label, mult in draw(st.dictionaries(labels, st.integers(1, 3), max_size=5)).items():
+        for key in piece(label):
+            mults[key] = mults.get(key, 0) + mult
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("extra", "missing", "shift")))
+        if kind == "extra":
+            key = draw(negative_keys)
+            mults[key] = mults.get(key, 0) + draw(st.integers(1, 3))
+        elif mults:
+            key = draw(st.sampled_from(sorted(mults)))
+            mult = 0 if kind == "missing" else mults[key] + draw(
+                st.integers(-3, 3).filter(bool)
+            )
+            if mult > 0:
+                mults[key] = mult
+            else:
+                del mults[key]
+    return mults
+
+
+def outcome(jh, *args):
+    """The factors of a decomposition in the order found, or its error text."""
+    try:
+        return list(jh(*args).items())
+    except NotACharacterError as exc:
+        return str(exc)
 
 
 class TestSignedCharacter:
@@ -94,7 +179,44 @@ class TestWeightCharacter:
             assert other == wc and hash(other) == hash(wc)
 
 
+big_parts = st.dictionaries(
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=2**70),
+    max_size=6,
+)
+
+
 class TestConv:
+    @given(big_parts, big_parts, big_parts, big_parts)
+    @settings(max_examples=150)
+    def test_matches_double_loop(self, ap, am, bp, bm):
+        a, b = SignedCharacter(ap, am), SignedCharacter(bp, bm)
+        assert conv(a, b).mults == reference_conv(a.mults, b.mults, add_signed)
+
+    @given(big_parts, big_parts)
+    @settings(max_examples=150)
+    def test_weight_product_matches_double_loop(self, a, b):
+        got = WeightCharacter(a) * WeightCharacter(b)
+        assert got.mults == reference_conv(a, b, lambda w1, w2: w1 + w2)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
+    def test_slot_widths(self, width):
+        # One key times three: each product coefficient is a single term of
+        # size 2**(8 * width - 2), which needs exactly ``width`` bytes.
+        big = 2 ** (4 * width - 1)
+        a = SignedCharacter({-3: big})
+        b = SignedCharacter({5: big, -1: big - 1}, {-7: big})
+        assert _slot_bytes(a.mults, b.mults) == width
+        assert conv(a, b).mults == reference_conv(a.mults, b.mults, add_signed)
+        assert conv(b, a) == conv(a, b)
+
+    def test_empty_operands(self):
+        zero = SignedCharacter.zero()
+        assert conv(zero, simple_char(3, "+")) == zero
+        assert conv(simple_char(3, "+"), zero) == zero
+        assert conv(zero, zero) == zero
+        assert (WeightCharacter() * WeightCharacter({1: 2})).mults == {}
+
     @given(characters)
     def test_unit(self, c):
         unit = SignedCharacter({0: 1})
@@ -227,6 +349,43 @@ class TestJhDecompose:
     def test_left_inverse_of_sum(self, multiset):
         counter = Counter(multiset)
         assert jh_decompose(simple_char_sum(counter)) == counter
+
+    @given(
+        corrupted_sums(
+            st.tuples(st.integers(0, 12), st.sampled_from("+-")),
+            closed_form_keys,
+            st.tuples(st.integers(-14, -1), st.sampled_from("+-")),
+        )
+    )
+    @settings(max_examples=400)
+    def test_signed_matches_greedy(self, mults):
+        plus = {w: m for (w, s), m in mults.items() if s == "+"}
+        minus = {w: m for (w, s), m in mults.items() if s == "-"}
+        assert outcome(jh_decompose, SignedCharacter(plus, minus)) == outcome(
+            reference_greedy_jh, dict(mults), closed_form_keys, lambda key: key[0]
+        )
+
+    @given(
+        corrupted_sums(st.integers(0, 12), closed_form_weights, st.integers(-14, -1))
+    )
+    @settings(max_examples=400)
+    def test_weight_matches_greedy(self, mults):
+        assert outcome(jh_weight_character, WeightCharacter(mults)) == outcome(
+            reference_greedy_jh, dict(mults), closed_form_weights, lambda w: w
+        )
+
+    def test_error_names_the_first_key_greedy_stops_at(self):
+        # L(3)+ with its k-(1) missing: the residual -1 shows at (1, "-")
+        # before the stray k+(-1) and k-(-3) below it.
+        c = simple_char(3, "+")
+        broken = SignedCharacter({3: 1, -1: 1}, {-3: 1})
+        assert jh_decompose(c) == Counter({(3, "+"): 1})
+        with pytest.raises(NotACharacterError) as exc:
+            jh_decompose(broken)
+        assert str(exc.value) == "multiplicity -1 at (1, '-'): not a character"
+        with pytest.raises(NotACharacterError) as exc:
+            jh_weight_character(WeightCharacter({4: 1, -4: 1}))
+        assert str(exc.value) == "multiplicity -1 at 0: not a character"
 
 
 def per_copy_sum(multiset) -> SignedCharacter:

@@ -222,8 +222,10 @@ class TestReportBytes:
     """Reports must not change by a byte; the zigzag and frobenius digests
     were recorded from the dense-matrix implementation and the relations
     digests from the associativity loop that called ``multiply`` four times
-    per triple, so any change in a printed coefficient or in the order of
-    items fails here."""
+    per triple, and the clebsch-gordan and bgg digests from the greedy
+    Jordan-Holder routine, the double-loop convolution and the per-n bgg
+    verifier, so any change in a printed coefficient or in the order of items
+    fails here."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -244,8 +246,23 @@ class TestReportBytes:
                 ("verify", "relations", "--max", "4", "--format", "json"),
                 "2f5a3a0ac21c6b8784f61a2a2e8f5dc26ee4984a7a916c5983b1899b12cca49d",
             ),
+            (
+                ("verify", "clebsch-gordan", "--max", "16", "--format", "json"),
+                "c48da33197186c721313cd5e95096ecddbb880725237a26f6dfed474cafc14db",
+            ),
+            (
+                ("verify", "bgg", "--max", "16", "--format", "json"),
+                "b725a909e13ff6877d42f9f7de0178a54dcb2b0c1d06ef283271a889ac0cddf5",
+            ),
         ],
-        ids=["zigzag-text", "frobenius-json", "relations-text", "relations-json"],
+        ids=[
+            "zigzag-text",
+            "frobenius-json",
+            "relations-text",
+            "relations-json",
+            "clebsch-gordan-json",
+            "bgg-json",
+        ],
     )
     def test_report_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -33,6 +33,30 @@ def failed(items):
     return [it["relation"] for it in items if not it["pass"]]
 
 
+def reference_bgg(n: int) -> list[dict]:
+    """Reciprocity items at P(2n+1)+ alone, each costandard built afresh: the
+    per-n verifier that ``verify_bgg`` replaced."""
+    filt = Counter(formal("projective", 2 * n + 1, "+").standard_filtration)
+    items = []
+    for m in range(2 * n + 6):
+        for sign in "+-":
+            left = filt.get((m, sign), 0)
+            right = formal("costandard", m, sign).jh.get((2 * n + 1, "+"), 0)
+            expected = 1 if sign == "+" and m in (2 * n + 1, 2 * n + 3) else 0
+            items.append(
+                {
+                    "relation": (
+                        f"[P({2 * n + 1})+ : standard({m}){sign}] == "
+                        f"[costandard({m}){sign} : L({2 * n + 1})+] == {expected}"
+                    ),
+                    "lhs": str(left),
+                    "rhs": str(right),
+                    "pass": left == right == expected,
+                }
+            )
+    return items
+
+
 @pytest.fixture
 def twist_at(monkeypatch):
     """A function that makes ``satake.<name>(n, sign)`` return the sign twist
@@ -166,8 +190,29 @@ class TestVerifiers:
         assert len(hits) == 2  # m = 1 and m = 3, sign +
 
     def test_bgg_range(self):
-        for n in range(7):
-            assert all_pass(verify_bgg(n))
+        assert all_pass(verify_bgg(6))
+
+    def test_bgg_matches_per_n_reference(self):
+        for max_n in range(9):
+            want = [it for n in range(max_n + 1) for it in reference_bgg(n)]
+            assert verify_bgg(max_n) == want
+
+    def test_bgg_builds_each_costandard_once(self, monkeypatch):
+        built = Counter()
+        true = satake.formal
+
+        def counting(kind, n, sign):
+            built[kind, n, sign] += 1
+            return true(kind, n, sign)
+
+        monkeypatch.setattr(satake, "formal", counting)
+        verify_bgg(8)
+        costandards = {(n, s): c for (k, n, s), c in built.items() if k == "costandard"}
+        assert costandards == {(m, s): 1 for m in range(2 * 8 + 6) for s in "+-"}
+
+    def test_bgg_rejects_negative_bound(self):
+        with pytest.raises(DomainError):
+            verify_bgg(-1)
 
     def test_bgg_specific_zeros(self):
         items = {it["relation"]: it for it in verify_bgg(2)}
@@ -216,6 +261,13 @@ class TestVerifierCorruptions:
         twist_at("standard_char", 3)
         assert failed(verify_bgg(0)) == [
             f"[P(1)+ : standard(3){s}] == [costandard(3){s} : L(1)+] == {want}"
+            for s, want in (("+", 1), ("-", 0))
+        ]
+        # P(3)+ has a standard(3)+ factor, so its m = 3 items fail as well;
+        # from P(5)+ on both sides read 0 at m = 3 and pass.
+        assert failed(verify_bgg(4)) == [
+            f"[P({p})+ : standard(3){s}] == [costandard(3){s} : L({p})+] == {want}"
+            for p in (1, 3)
             for s, want in (("+", 1), ("-", 0))
         ]
 
