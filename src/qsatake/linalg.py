@@ -305,13 +305,15 @@ def _subtract_multiple(row: dict, f, piv: dict, c: int) -> None:
             row.pop(cc, None)
 
 
-def insert_row(pivots: dict, row: Mapping) -> dict | None:
+def insert_row(pivots: dict, row: Mapping, steps: list | None = None) -> dict | None:
     """One forward elimination step against echelon rows {pivot column: row}.
 
     While the leading column of (a copy of) ``row`` has a pivot row, that
     row's multiple is subtracted.  A leftover is scaled to 1 at its lead,
     stored in ``pivots`` and returned; None means the row was dependent.
-    Stored rows are not back-substituted.
+    Stored rows are not back-substituted.  A ``steps`` list receives
+    (pivot column, factor) for each subtraction and, when the row is kept,
+    a last (lead, scale) pair, so the same steps can be replayed elsewhere.
     """
     row = dict(row)
     while row:
@@ -319,10 +321,15 @@ def insert_row(pivots: dict, row: Mapping) -> dict | None:
         piv = pivots.get(c)
         if piv is None:
             inv = row[c].inverse()
+            if steps is not None:
+                steps.append((c, inv))
             row = {cc: inv * vv for cc, vv in row.items()}
             pivots[c] = row
             return row
-        _subtract_multiple(row, row.pop(c), piv, c)
+        f = row.pop(c)
+        if steps is not None:
+            steps.append((c, f))
+        _subtract_multiple(row, f, piv, c)
     return None
 
 

@@ -17,9 +17,8 @@ from functools import lru_cache
 from . import qsl2
 from .characters import jh_weight_character
 from .errors import DomainError, NoSolutionError, VerificationError
-from .linalg import QMatrix, insert_row, kernel, solve_matrix
+from .linalg import QMatrix, kernel, solve_matrix
 from .qsl2 import QMod
-from .scalars import GaussianRational, ZERO
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,9 @@ class HomBasis:
 # --max 24 --force needs (24+1)^2 = 625.
 @lru_cache(maxsize=1024)
 def hom(m: QMod, n: QMod) -> HomBasis:
-    """Solve for all weight-preserving maps commuting with E, F, E2, F2."""
+    """All weight-preserving maps m -> n commuting with E, F, E2, F2, from
+    ``qsl2.intertwiner_basis``: the spin of m from its generators replayed on
+    n's side, in reduced echelon form from the right over row-major entries."""
     return HomBasis(tuple(qsl2.intertwiner_basis(m, n)))
 
 
@@ -65,47 +66,17 @@ def _split_by_weight(m: QMod, vec: QMatrix) -> list[tuple[int, dict]]:
 def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
     """Smallest operator-stable graded subspace containing the vectors.
 
-    Seeds are split into weight components, then the four operators are
-    iterated to a fixed point.  Per-weight bases are kept in column echelon
-    form with lead 1 (``linalg.insert_row``, not back-substituted), so the
-    result is deterministic.
+    Seeds are split into weight components and spun up under the four
+    operators (``qsl2.Spin``, the spin ``intertwiner_basis`` replays): the
+    closure is that spin with no target.  The span's columns are kept in
+    echelon form with lead 1 (``linalg.insert_row``, not back-substituted)
+    and taken in order of their leads, so the result is deterministic.
     """
-    bases: dict[int, dict[int, dict]] = {}
-    queue: list[tuple[int, dict]] = []
-
-    def add(weight: int, col: dict) -> None:
-        added = insert_row(bases.setdefault(weight, {}), col)
-        if added is not None:
-            queue.append((weight, added))
-
-    for vec in vectors:
-        for weight, col in _split_by_weight(m, vec):
-            add(weight, col)
-    # Row j of an operator's transpose holds the nonzeros of its column j.
-    ops = [(qsl2.OP_WEIGHT_SHIFT[name], op.transpose()) for name, op in m.operators()]
-    while queue:
-        weight, col = queue.pop()
-        for shift, op_t in ops:
-            out: dict[int, GaussianRational] = {}
-            for j, v in col.items():
-                for i, a in op_t.row(j).items():
-                    s = out.get(i, ZERO) + a * v
-                    if s:
-                        out[i] = s
-                    else:
-                        out.pop(i, None)
-            if out:
-                add(weight + shift, out)
-    columns = []
-    for weight in bases:
-        for lead in bases[weight]:
-            columns.append((lead, weight))
-    columns.sort()
+    spin = qsl2.Spin(m)
+    spin.add([col for vec in vectors for _, col in _split_by_weight(m, vec)])
     cols = [
-        QMatrix.from_row_dicts(
-            m.dim, 1, {i: {0: v} for i, v in bases[weight][lead].items()}
-        )
-        for lead, weight in columns
+        QMatrix.from_row_dicts(m.dim, 1, {i: {0: v} for i, v in spin.pivots[lead].items()})
+        for lead in sorted(spin.pivots)
     ]
     return qsl2.restrict_to_span(m, cols)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
@@ -20,12 +21,14 @@ from .linalg import (
     QMatrix,
     block_diag,
     image,
+    insert_row,
     kernel,
     kronecker,
     rank,
+    reduce_rows,
     solve_matrix,
 )
-from .scalars import GaussianRational, I, ZERO, gauss_binomial, i_power, qint
+from .scalars import GaussianRational, I, ONE, ZERO, gauss_binomial, i_power, qint
 
 
 @dataclass(frozen=True)
@@ -153,54 +156,209 @@ def dual_weyl(n: int) -> QMod:
     )
 
 
-def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
-    """Canonical basis of weight-preserving maps commuting with all four operators.
+def _add_multiple(out: dict, f: GaussianRational, vec: Mapping) -> None:
+    """out += f * vec in place for f != 0; entries that cancel are dropped."""
+    for i, v in vec.items():
+        cur = out.get(i)
+        if cur is None:
+            out[i] = f * v
+        else:
+            s = cur + f * v
+            if s:
+                out[i] = s
+            else:
+                del out[i]
 
-    Unknowns are the weight-matched entries X[a, b] of X: n.dim x m.dim
-    (row-major).  Each operator's equations X @ op_M - op_N @ X = 0 are
-    assembled from its nonzeros: unknown X[a, c] meets op_M[c, b], and unknown
-    X[c, b] meets op_N[a, c], both in equation (a, b).  Equations that receive
-    no term, or whose terms cancel, are never built; the rest are kept in
-    (operator, a, b) order.  The kernel is read off the canonical RREF, so the
-    basis is exactly that of one big dense solve over all n.dim * m.dim
-    entries of X with X[a, b] = 0 added wherever the weights differ.
+
+def _apply(op_t: QMatrix, col: Mapping) -> dict:
+    """op @ col for a sparse column {index: value}, given op's transpose."""
+    out: dict[int, GaussianRational] = {}
+    for j, v in col.items():
+        _add_multiple(out, v, op_t.row(j))
+    return out
+
+
+class Spin:
+    """The spin-up of vectors of a module under E, F, E2, F2: the smallest
+    operator-stable subspace containing them (the MeatAxe spin-up; Parker
+    1984, Holt, Eick and O'Brien 2005, ch. 7).
+
+    ``pivots`` holds the span in column echelon form, {lead index: column}
+    with lead 1, not back-substituted (``linalg.insert_row``).  ``seeds``
+    lists the seed columns that were outside the span when added; a seed
+    inside it is dropped.  ``words`` records every insertion in order as
+    (source, op, steps, lead, scale): the column was ``seeds[op]`` when
+    ``source`` is None, else operator ``op`` of ``m.operators()`` applied to
+    the pivot column led by ``source``; ``steps`` are the (pivot lead,
+    factor) subtractions made; a kept column was scaled by ``scale`` and
+    stored under ``lead``, and a dependent one has ``lead`` None.  Seed
+    columns must be weight-homogeneous.
     """
-    positions = [
-        (a, b)
-        for a in range(n.dim)
-        for b in range(m.dim)
-        if n.weights[a] == m.weights[b]
+
+    def __init__(self, m: QMod):
+        self.pivots: dict[int, dict] = {}
+        self.seeds: list[dict] = []
+        self.words: list[tuple] = []
+        # Row j of an operator's transpose holds the nonzeros of its column j.
+        self._ops = [op.transpose() for _, op in m.operators()]
+
+    def add(self, seeds) -> None:
+        """Insert the seed columns, then apply the operators to every new
+        column until the span is stable (last in, first out)."""
+        queue: list[int] = []
+        for seed in seeds:
+            if self._insert(None, len(self.seeds), seed, queue):
+                self.seeds.append(seed)
+        while queue:
+            source = queue.pop()
+            col = self.pivots[source]
+            for op, op_t in enumerate(self._ops):
+                self._insert(source, op, _apply(op_t, col), queue)
+
+    def _insert(self, source, op, col, queue) -> bool:
+        steps: list = []
+        if insert_row(self.pivots, col, steps) is None:
+            if source is not None:
+                self.words.append((source, op, steps, None, None))
+            return False
+        lead, scale = steps.pop()
+        queue.append(lead)
+        self.words.append((source, op, steps, lead, scale))
+        return True
+
+
+def _generating_spin(m: QMod) -> Spin:
+    """The spin of m from basis vectors that generate it, chosen by one rule.
+
+    Greedy in index order: a basis vector joins when it lies outside the span
+    spun up from those before it.  Then each chosen vector, in order, is
+    dropped if the remaining ones still span m.
+    """
+    spin = Spin(m)
+    for i in range(m.dim):
+        if len(spin.pivots) == m.dim:
+            break
+        spin.add([{i: ONE}])
+    for seed in list(spin.seeds):
+        rest = [s for s in spin.seeds if s is not seed]
+        if not rest:
+            break
+        trial = Spin(m)
+        trial.add(rest)
+        if len(trial.pivots) == m.dim:
+            spin = trial
+    return spin
+
+
+# Every Hom solve out of a source replays its spin, so the spin is kept per
+# source module.  hom_quiver(N) reuses every P(2a), a <= N, at each N, and each
+# N also spins one weyl(2N + 1) for canonical_map; --max 36 --force needs 74.
+@lru_cache(maxsize=256)
+def _spun_source(m: QMod) -> tuple:
+    """The spin of m from its generators, independent of any target:
+    (generator weights, words, back) where ``back[c]`` writes basis vector c
+    as {pivot lead: coefficient} over the spun columns.
+
+    Raises InternalInconsistencyError when the generators do not span m.
+    """
+    spin = _generating_spin(m)
+    if len(spin.pivots) != m.dim:
+        raise InternalInconsistencyError(
+            f"{len(spin.seeds)} generators spin up {len(spin.pivots)} of "
+            f"{m.dim} dimensions"
+        )
+    # Row c of the reduced [columns | identity] is [e_c | e_c in the columns].
+    reduced = reduce_rows(
+        [{**col, m.dim + lead: ONE} for lead, col in spin.pivots.items()]
+    )
+    back = tuple(
+        {j - m.dim: v for j, v in reduced[c].items() if j >= m.dim}
+        for c in range(m.dim)
+    )
+    weights = tuple(m.weights[min(seed)] for seed in spin.seeds)
+    return weights, tuple(spin.words), back
+
+
+def _standard_map(back: tuple, image: dict, dim: int) -> dict:
+    """X in the standard basis, {a * dim + b: X[a, b]}, from the images of the
+    spun columns and each basis vector b written over them in ``back[b]``."""
+    x: dict[int, GaussianRational] = {}
+    for b, column in enumerate(back):
+        for lead, c in column.items():
+            _add_multiple(x, c, {i * dim + b: v for i, v in image[lead].items()})
+    return x
+
+
+def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
+    """Canonical basis of weight-preserving maps X: m -> n commuting with all
+    four operators, for modules m and n.
+
+    An intertwiner is fixed by where it sends generators of m, and each
+    generator g goes into n's weight space at g's weight: those coordinates
+    are the unknowns, and a target with no such weight has none.  The spin of
+    m from its generators (``_generating_spin``, kept per source by
+    ``_spun_source``) is replayed on n's side, carrying each spun column's
+    image as a function of the unknowns.  Every word that reduces to 0 in m
+    gives linear equations on the unknowns; once they force all unknowns to
+    0 the replay stops.  Each solution is written in the standard basis
+    through the spun columns, and the solutions are returned in reduced
+    echelon form from the right over the entries X[a, b] in row-major order:
+    each has 1 at its last nonzero entry and 0 there in the others, in
+    increasing order of that entry.  This is exactly the basis
+    ``linalg.kernel`` reads off the system of all weight-matched entries of X.
+    """
+    weights, words, back = _spun_source(m)
+    unknowns = [
+        (g, a) for g, w in enumerate(weights) for a in range(n.dim) if n.weights[a] == w
     ]
-    if not positions:
+    if not unknowns:
         return []
-    rows = []
-    for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
-        op_m_rows = [op_m.row(c) for c in range(m.dim)]
-        op_n_t = op_n.transpose()
-        op_n_cols = [op_n_t.row(c) for c in range(n.dim)]
-        eqs: dict[tuple[int, int], dict] = {}
-        for k, (a, c) in enumerate(positions):
-            for b, v in op_m_rows[c].items():
-                row = eqs.setdefault((a, b), {})
-                cur = row.get(k)
-                row[k] = v if cur is None else cur + v
-        for k, (c, b) in enumerate(positions):
-            for a, v in op_n_cols[c].items():
-                row = eqs.setdefault((a, b), {})
-                cur = row.get(k)
-                row[k] = -v if cur is None else cur - v
-        for key in sorted(eqs):
-            row = {k: v for k, v in eqs[key].items() if v}
-            if row:
-                rows.append(row)
-    system = QMatrix.from_row_dicts(len(rows), len(positions), dict(enumerate(rows)))
+    ops = [op.transpose() for _, op in n.operators()]
+    # images[k][lead]: the image of the spun column ``lead`` when unknown k is
+    # 1 and the others are 0.
+    images: list[dict[int, dict]] = [{} for _ in unknowns]
+    equations: dict[int, dict] = {}
+    for source, op, steps, lead, scale in words:
+        rows: dict[int, dict] = {}
+        for k, (g, a) in enumerate(unknowns):
+            image = images[k]
+            if source is None:
+                out = {a: ONE} if op == g else {}
+            else:
+                out = _apply(ops[op], image[source])
+            for c, f in steps:
+                _add_multiple(out, -f, image[c])
+            if lead is not None:
+                image[lead] = {i: scale * v for i, v in out.items()}
+            else:
+                for i, v in out.items():
+                    rows.setdefault(i, {})[k] = v
+        for row in rows.values():
+            insert_row(equations, row)
+        if len(equations) == len(unknowns):
+            return []
+    system = QMatrix.from_row_dicts(
+        len(equations), len(unknowns), dict(enumerate(equations.values()))
+    )
+    maps: dict[int, dict] = {}  # unknown k -> its X as {a * m.dim + b: value}
+    solutions = []
+    for sol in kernel(system):
+        row: dict[int, GaussianRational] = {}
+        for k, _, t in sol.nonzero_entries():
+            if k not in maps:
+                # Negated positions: reduce_rows pivots on the last entry.
+                x = _standard_map(back, images[k], m.dim)
+                maps[k] = {-p: v for p, v in x.items()}
+            _add_multiple(row, t, maps[k])
+        solutions.append(row)
+    reduced = reduce_rows(solutions)
     basis = []
-    for vec in kernel(system):
-        x: dict[int, dict] = {}
-        for k, _, v in vec.nonzero_entries():
-            a, b = positions[k]
-            x.setdefault(a, {})[b] = v
-        basis.append(QMatrix.from_row_dicts(n.dim, m.dim, x))
+    for key in sorted(reduced, reverse=True):
+        data: dict[int, dict] = {}
+        for p, v in reduced[key].items():
+            i, b = divmod(-p, m.dim)
+            data.setdefault(i, {})[b] = v
+        basis.append(QMatrix.from_row_dicts(n.dim, m.dim, data))
     return basis
 
 

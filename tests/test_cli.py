@@ -220,7 +220,8 @@ class TestVerify:
 
 class TestReportBytes:
     """Reports must not change by a byte; the zigzag and frobenius digests
-    were recorded from the dense-matrix implementation and the relations
+    were recorded from the dense-matrix implementation (the zigzag json one
+    from the big intertwiner solve, before the spin-up) and the relations
     digests from the associativity loop that called ``multiply`` four times
     per triple, and the clebsch-gordan and bgg digests from the greedy
     Jordan-Holder routine, the double-loop convolution and the per-n bgg
@@ -233,6 +234,10 @@ class TestReportBytes:
             (
                 ("verify", "zigzag", "--max", "3"),
                 "884c675e70708edb3b4ab8239f6feb19b1cf2afa3665c162cc8853d0fa077cc5",
+            ),
+            (
+                ("verify", "zigzag", "--max", "8", "--format", "json"),
+                "7d0e3f7b0633bd510bf9ee384e9a4b76824987dfdbc42d068b3d6b4bea6d7e00",
             ),
             (
                 ("verify", "frobenius", "--max", "4", "--format", "json"),
@@ -257,6 +262,7 @@ class TestReportBytes:
         ],
         ids=[
             "zigzag-text",
+            "zigzag-json",
             "frobenius-json",
             "relations-text",
             "relations-json",

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurent import LaurentPoly, gauss_binomial_poly, qint_poly
 from qsatake.characters import WeightCharacter, simple_weights
-from qsatake.errors import DomainError
+from qsatake import qsl2
+from qsatake.errors import DomainError, InternalInconsistencyError
 from qsatake.linalg import QMatrix, kernel, rank
 from qsatake.modtools import projective
 from qsatake.qsl2 import (
     QMod,
+    Spin,
     canonical_map,
     char,
     direct_sum,
@@ -20,7 +23,7 @@ from qsatake.qsl2 import (
     tensor,
     weyl,
 )
-from qsatake.scalars import ZERO
+from qsatake.scalars import ONE, ZERO
 
 # ---------------------------------------------------------------------------
 # Generic-q oracle: the action formulas and the coproduct convention are
@@ -399,6 +402,55 @@ class TestIntegrityMutations:
         assert f"E[{j},{j}] maps weight {w} to {w}, expected shift 2" in found
 
 
+def reference_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
+    """The big sparse solve ``intertwiner_basis`` made before the spin-up.
+
+    Unknowns are the weight-matched entries X[a, b] of X: n.dim x m.dim
+    (row-major).  Each operator's equations X @ op_M - op_N @ X = 0 are
+    assembled from its nonzeros: unknown X[a, c] meets op_M[c, b], and unknown
+    X[c, b] meets op_N[a, c], both in equation (a, b).  Equations that receive
+    no term, or whose terms cancel, are never built; the rest are kept in
+    (operator, a, b) order, and the basis is read off by ``linalg.kernel``.
+    """
+    positions = [
+        (a, b)
+        for a in range(n.dim)
+        for b in range(m.dim)
+        if n.weights[a] == m.weights[b]
+    ]
+    if not positions:
+        return []
+    rows = []
+    for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
+        op_m_rows = [op_m.row(c) for c in range(m.dim)]
+        op_n_t = op_n.transpose()
+        op_n_cols = [op_n_t.row(c) for c in range(n.dim)]
+        eqs: dict[tuple[int, int], dict] = {}
+        for k, (a, c) in enumerate(positions):
+            for b, v in op_m_rows[c].items():
+                row = eqs.setdefault((a, b), {})
+                cur = row.get(k)
+                row[k] = v if cur is None else cur + v
+        for k, (c, b) in enumerate(positions):
+            for a, v in op_n_cols[c].items():
+                row = eqs.setdefault((a, b), {})
+                cur = row.get(k)
+                row[k] = -v if cur is None else cur - v
+        for key in sorted(eqs):
+            row = {k: v for k, v in eqs[key].items() if v}
+            if row:
+                rows.append(row)
+    system = QMatrix.from_row_dicts(len(rows), len(positions), dict(enumerate(rows)))
+    basis = []
+    for vec in kernel(system):
+        x: dict[int, dict] = {}
+        for k, _, v in vec.nonzero_entries():
+            a, b = positions[k]
+            x.setdefault(a, {})[b] = v
+        basis.append(QMatrix.from_row_dicts(n.dim, m.dim, x))
+    return basis
+
+
 def dense_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     """Reference solve: every entry of X is an unknown (index a * m.dim + b),
     the four systems X @ op_M - op_N @ X = 0 are stacked, and X[a, b] = 0 is
@@ -451,3 +503,132 @@ class TestIntertwinerBasis:
     def test_frobenius_to_even_simple(self):
         for k in range(4):
             assert self.assert_matches_dense(frobenius_simple(k), simple(2 * k)) == 1
+
+    def test_projectives_below_the_diagonal_solve_nothing(self, monkeypatch):
+        # P(2b) has no weight 2a for a >= b + 2, so there are no unknowns.
+        def fail(*args):
+            raise AssertionError("elimination on a target with no unknowns")
+
+        for a in range(2, 8):
+            qsl2._spun_source(projective(2 * a))  # the source side eliminates once
+        monkeypatch.setattr(qsl2, "kernel", fail)
+        monkeypatch.setattr(qsl2, "reduce_rows", fail)
+        monkeypatch.setattr(qsl2, "insert_row", fail)
+        for a in range(2, 8):
+            for b in range(a - 1):
+                assert intertwiner_basis(projective(2 * a), projective(2 * b)) == []
+
+
+# Sources and targets for the reference comparison: every constructor, small
+# tensors, and direct sums, which need one generator per summand.
+CORPUS = (
+    [weyl(k) for k in range(6)]
+    + [dual_weyl(k) for k in range(6)]
+    + [simple(k) for k in range(7)]
+    + [projective(2 * a) for a in range(3)]
+    + [frobenius_simple(k) for k in range(4)]
+    + [
+        tensor(simple(1), simple(1)),
+        tensor(simple(2), simple(1)),
+        tensor(simple(1), frobenius_simple(1)),
+        direct_sum(simple(0), simple(0)),
+        direct_sum(simple(0), simple(2)),
+        direct_sum(weyl(2), simple(1)),
+        direct_sum(projective(0), simple(2)),
+        direct_sum(projective(0), projective(0)),
+    ]
+)
+corpus_modules = st.sampled_from(CORPUS)
+
+
+def generators(m: QMod) -> list[int]:
+    """Indices of the basis vectors the Hom solver takes as generators of m."""
+    return [min(seed) for seed in qsl2._generating_spin(m).seeds]
+
+
+class TestSpunIntertwiners:
+    @given(corpus_modules, corpus_modules)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, m, n):
+        assert intertwiner_basis(m, n) == reference_intertwiner_basis(m, n)
+
+    def test_reference_pairs_include_zero_homs_and_several_generators(self):
+        zero = [(m, n) for m in CORPUS for n in CORPUS if not intertwiner_basis(m, n)]
+        assert len(zero) > len(CORPUS)
+        assert all(reference_intertwiner_basis(m, n) == [] for m, n in zero)
+        assert sum(len(generators(m)) >= 2 for m in CORPUS) >= 5
+
+    def test_projective_is_generated_by_its_first_weight_2a_vector(self):
+        for a in range(25):
+            p = projective(2 * a)
+            assert generators(p) == [p.weights.index(2 * a)]
+
+    def test_direct_sums_take_one_generator_per_summand(self):
+        assert generators(direct_sum(simple(0), simple(0))) == [0, 1]
+        assert generators(direct_sum(projective(0), projective(0))) == [1, 5]
+        assert generators(direct_sum(weyl(2), simple(1))) == [0, 3]
+
+    def test_generators_that_do_not_span_are_an_error(self, monkeypatch):
+        m = direct_sum(projective(0), simple(2))
+        real = qsl2._generating_spin
+        assert len(real(m).seeds) == 2
+
+        def first_generator_only(mod):
+            spin = Spin(mod)
+            spin.add(real(mod).seeds[:1])
+            return spin
+
+        monkeypatch.setattr(qsl2, "_generating_spin", first_generator_only)
+        qsl2._spun_source.cache_clear()
+        with pytest.raises(InternalInconsistencyError, match="spin up 4 of 6"):
+            intertwiner_basis(m, m)
+
+    def test_source_cache_is_bounded(self):
+        assert qsl2._spun_source.cache_info().maxsize is not None
+
+    def test_equal_sources_share_one_spin(self, monkeypatch):
+        p2 = projective(2)
+        first = qsl2._spun_source(p2)
+        rebuilt = tensor(simple(3), simple(1))
+        assert rebuilt is not p2 and rebuilt == p2
+        spins = []
+        real = qsl2._generating_spin
+        monkeypatch.setattr(
+            qsl2, "_generating_spin", lambda m: spins.append(1) or real(m)
+        )
+        assert qsl2._spun_source(rebuilt) is first
+        assert spins == []
+
+
+class TestSpin:
+    def test_words_replay_to_the_spun_columns(self):
+        # Replaying the recorded words on the source itself rebuilds each
+        # pivot column, and every dependent word reduces to 0.
+        m = direct_sum(projective(2), simple(2))
+        spin = Spin(m)
+        spin.add([{0: ONE}, {m.dim - 1: ONE}])
+        ops = [op.transpose() for _, op in m.operators()]
+        cols: dict[int, dict] = {}
+        for source, op, steps, lead, scale in spin.words:
+            if source is None:
+                out = dict(spin.seeds[op])
+            else:
+                out = qsl2._apply(ops[op], cols[source])
+            for c, f in steps:
+                for i, v in cols[c].items():
+                    out[i] = out.get(i, ZERO) - f * v
+            out = {i: v for i, v in out.items() if v}
+            if lead is None:
+                assert out == {}
+            else:
+                cols[lead] = {i: scale * v for i, v in out.items()}
+        assert cols == spin.pivots
+        assert len(spin.pivots) < m.dim
+
+    def test_seeds_inside_the_span_are_dropped(self):
+        spin = Spin(weyl(3))
+        spin.add([{0: ONE}, {0: 2 * ONE}])
+        assert len(spin.pivots) == 4
+        spin.add([{2: ONE}])
+        assert spin.seeds == [{0: ONE}]
+        assert [w for w in spin.words if w[0] is None] == [(None, 0, [], 0, ONE)]
