@@ -157,12 +157,16 @@ def _suite_relations(max_n: int) -> list[dict]:
 
 
 def _suite_zigzag(max_n: int) -> list[dict]:
+    """Truncations N = 0..max_n in order; each gauge extends the one of N - 1
+    when ``gauge_fix`` finds its quiver unchanged."""
     items = []
+    prev = None  # (quiver, gauge) of N - 1, if both were built
     for n in range(max_n + 1):
         try:
             hq = equivalence.hom_quiver(n)
         except VerificationError as exc:
             items.append(_failed(f"N={n}: hom dimension pattern", exc, "2/1/0 pattern"))
+            prev = None
             continue
         items.append(
             {
@@ -173,10 +177,13 @@ def _suite_zigzag(max_n: int) -> list[dict]:
             }
         )
         try:
-            compared = equivalence.compare_zigzag(hq)
+            gauge = equivalence.gauge_fix(hq, prev)
+            compared = equivalence.compare_zigzag(hq, gauge)
         except VerificationError as exc:
             items.append(_failed(f"N={n}: gauge fixing", exc, "zigzag generators"))
+            prev = None
             continue
+        prev = (hq, gauge)
         for item in compared:
             items.append({**item, "relation": f"N={n}: {item['relation']}"})
     return items

@@ -33,9 +33,9 @@ class HomBasis:
 
 
 # hom_quiver(N) asks for all (N+1)^2 pairs row-major, N = 0, 1, ...; an LRU
-# smaller than one cycle evicts each pair before its reuse at N+1, and
-# --max 24 --force needs (24+1)^2 = 625.
-@lru_cache(maxsize=1024)
+# smaller than one cycle evicts each pair before its reuse at N+1.  4096
+# entries cover every N <= 63, well above the --max guard of 24.
+@lru_cache(maxsize=4096)
 def hom(m: QMod, n: QMod) -> HomBasis:
     """All weight-preserving maps m -> n commuting with E, F, E2, F2, from
     ``qsl2.intertwiner_basis``: the spin of m from its generators replayed on

@@ -182,6 +182,10 @@ class TestVerify:
         assert "FAIL blocks: forced" in out
 
     def test_gauge_failure_is_reported(self, capsys, monkeypatch, with_doubled_arrow):
+        # A clean run first fills the memos; they must not hide the failure.
+        code, out, _ = run(capsys, "verify", "zigzag", "--max", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "zigzag: 143 checks, 0 failures"
         # Only N = 2 has a vertex where the doubled entry breaks gauge fixing.
         real = equivalence.hom_quiver
         monkeypatch.setattr(
@@ -197,6 +201,25 @@ class TestVerify:
             "FAIL zigzag: N=2: gauge fixing: lhs=x0*y1 and y2*x1 are not "
             "proportional at vertex 1 rhs=zigzag generators"
         ) in lines
+
+    def test_truncation_after_a_gauge_failure_passes(
+        self, capsys, monkeypatch, with_doubled_arrow
+    ):
+        # N = 3 cannot extend the failed gauge of N = 2 and is built afresh.
+        real = equivalence.hom_quiver
+        monkeypatch.setattr(
+            equivalence,
+            "hom_quiver",
+            lambda n: with_doubled_arrow(real(n)) if n == 2 else real(n),
+        )
+        code, out, _ = run(capsys, "verify", "zigzag", "--max", "3")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL zigzag: N=2: gauge fixing: lhs=x0*y1 and y2*x1 are not "
+            "proportional at vertex 1 rhs=zigzag generators"
+        ]
+        assert out.splitlines()[-1] == "zigzag: 241 checks, 1 failures"
 
     def test_non_local_end_at_vertex_0_is_reported(self, capsys, monkeypatch):
         # End(S0 + S2) has dimension 2, like End P(0), but no radical.
@@ -221,7 +244,9 @@ class TestVerify:
 class TestReportBytes:
     """Reports must not change by a byte; the zigzag and frobenius digests
     were recorded from the dense-matrix implementation (the zigzag json one
-    from the big intertwiner solve, before the spin-up) and the relations
+    from the big intertwiner solve, before the spin-up; the zigzag --max 16
+    one, the first above N = 8, from the suite that gauged and compared
+    every truncation from scratch) and the relations
     digests from the associativity loop that called ``multiply`` four times
     per triple, and the clebsch-gordan and bgg digests from the greedy
     Jordan-Holder routine, the double-loop convolution and the per-n bgg
@@ -238,6 +263,10 @@ class TestReportBytes:
             (
                 ("verify", "zigzag", "--max", "8", "--format", "json"),
                 "7d0e3f7b0633bd510bf9ee384e9a4b76824987dfdbc42d068b3d6b4bea6d7e00",
+            ),
+            (
+                ("verify", "zigzag", "--max", "16", "--format", "json"),
+                "c0046ff06bb0b10358917a5e5d82c89e12d14edb37fc23c204860eb7dcb8e7ca",
             ),
             (
                 ("verify", "frobenius", "--max", "4", "--format", "json"),
@@ -263,6 +292,7 @@ class TestReportBytes:
         ids=[
             "zigzag-text",
             "zigzag-json",
+            "zigzag-16-json",
             "frobenius-json",
             "relations-text",
             "relations-json",

@@ -6,7 +6,7 @@ from collections import Counter
 import jsonschema
 import pytest
 
-from qsatake import qsl2
+from qsatake import equivalence, modtools, qsl2, zigzag
 from qsatake.equivalence import (
     HomQuiver,
     compare_zigzag,
@@ -14,10 +14,119 @@ from qsatake.equivalence import (
     gauge_fix,
     hom_quiver,
 )
-from qsatake.errors import DomainError, VerificationError
-from qsatake.modtools import HomBasis, jh
+from qsatake.errors import DomainError, NoSolutionError, VerificationError
+from qsatake.linalg import QMatrix
+from qsatake.modtools import HomBasis, coords_in_basis, jh
 from qsatake.satake import expected_clebsch_gordan
 from qsatake.scalars import GaussianRational
+from qsatake.zigzag import label_str
+
+
+def reference_gauge_fix(hq: HomQuiver) -> dict:
+    """Gauge fixing from scratch at every N, as before the incremental gauge."""
+    n = hq.n
+    gauge = {}
+    for a in range(n + 1):
+        gauge[("e", a)] = QMatrix.identity(hq.modules[a].dim)
+    if n == 0:
+        gauge[("z", 0)] = modtools.radical_element(hq.hom(0, 0).basis)
+        return gauge
+    for a in range(n):
+        gauge[("x", a)] = hq.hom(a, a + 1).basis[0]
+    gauge[("y", 1)] = hq.hom(1, 0).basis[0]
+    z0 = gauge[("y", 1)] @ gauge[("x", 0)]
+    if z0.is_zero():
+        raise VerificationError("composite y1*x0 vanishes; no loop at vertex 0")
+    gauge[("z", 0)] = z0
+    for a in range(1, n):
+        fixed = gauge[("x", a - 1)] @ gauge[("y", a)]
+        raw = hq.hom(a + 1, a).basis[0]
+        unscaled = raw @ gauge[("x", a)]
+        if fixed.is_zero() or unscaled.is_zero():
+            raise VerificationError(
+                f"a loop composite at vertex {a} vanishes; cannot gauge y{a + 1}"
+            )
+        try:
+            (lam,) = coords_in_basis([unscaled], fixed)
+        except NoSolutionError:
+            raise VerificationError(
+                f"x{a - 1}*y{a} and y{a + 1}*x{a} are not proportional at vertex {a}"
+            )
+        gauge[("y", a + 1)] = raw.scale(lam)
+        gauge[("z", a)] = fixed
+    zn = gauge[("x", n - 1)] @ gauge[("y", n)]
+    if zn.is_zero():
+        raise VerificationError(f"composite x{n - 1}*y{n} vanishes at vertex {n}")
+    gauge[("z", n)] = zn
+    return gauge
+
+
+def reference_compare_zigzag(hq: HomQuiver, gauge: dict | None = None) -> list[dict]:
+    """Every product computed afresh and every lhs solved for its coordinates,
+    as before the memo and the solve-on-FAIL rule."""
+    n = hq.n
+    algebra = zigzag.make(n)
+    if gauge is None:
+        gauge = reference_gauge_fix(hq)
+    items = []
+    for u in algebra.basis:
+        for v in algebra.basis:
+            expected = algebra.mult[(u, v)]
+            rhs = zigzag.element_str(expected)
+            relation = f"{label_str(u)}*{label_str(v)}"
+            if zigzag.source(u) != zigzag.target(v):
+                items.append(
+                    {"relation": relation, "lhs": "0", "rhs": rhs, "pass": not expected}
+                )
+                continue
+            prod = gauge[u] @ gauge[v]
+            labels, mats = equivalence._gauge_basis(
+                gauge, zigzag.source(v), zigzag.target(u)
+            )
+            want = QMatrix.zeros(prod.rows, prod.cols)
+            for w, c in expected.items():
+                want = want + gauge[w].scale(c)
+            ok = prod == want
+            if not mats:
+                lhs = "0" if prod.is_zero() else "<outside hom space>"
+            else:
+                try:
+                    coords = coords_in_basis(list(mats), prod)
+                    lhs = zigzag.element_str(
+                        {lab: c for lab, c in zip(labels, coords) if c}
+                    )
+                except NoSolutionError:
+                    lhs = "<not in gauge span>"
+                    ok = False
+            items.append(
+                {"relation": relation, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
+            )
+    return items
+
+
+def scrambled_quiver(n: int, seed: int = 20240817) -> HomQuiver:
+    """hom_quiver(n) with every Hom basis element rescaled by a pseudo-random
+    unit; gauge fixing must absorb the scalars."""
+    rng = random.Random(seed)
+    hq = hom_quiver(n)
+
+    def scramble(hb: HomBasis) -> HomBasis:
+        scaled = []
+        for b in hb.basis:
+            c = GaussianRational(rng.randint(1, 5), rng.randint(-4, 4))
+            scaled.append(b.scale(c))
+        return HomBasis(tuple(scaled))
+
+    homs = tuple(
+        tuple(scramble(hq.hom(a, b)) for b in range(n + 1)) for a in range(n + 1)
+    )
+    return HomQuiver(n, hq.modules, homs)
+
+
+def y2_scaled_gauge(hq: HomQuiver) -> dict:
+    gauge = gauge_fix(hq)
+    gauge[("y", 2)] = gauge[("y", 2)].scale(2)
+    return gauge
 
 
 class TestHomQuiver:
@@ -78,6 +187,31 @@ class TestGaugeFix:
         with pytest.raises(VerificationError, match="at vertex 1"):
             gauge_fix(bad)
 
+    def test_incremental_gauge_equals_scratch(self):
+        prev = None
+        for n in range(13):
+            hq = hom_quiver(n)
+            gauge = gauge_fix(hq, prev)
+            assert gauge == gauge_fix(hq) == reference_gauge_fix(hq), n
+            if n >= 2:
+                # The gauge of N - 1 was extended, not rebuilt.
+                assert all(gauge[lab] is m for lab, m in prev[1].items()), n
+            prev = (hq, gauge)
+
+    def test_previous_gauge_of_another_quiver_is_not_reused(self, with_doubled_arrow):
+        bad = with_doubled_arrow(hom_quiver(1))
+        prev = (bad, gauge_fix(bad))
+        got = gauge_fix(hom_quiver(2), prev)
+        assert got == gauge_fix(hom_quiver(2))
+        assert got[("x", 0)] is not prev[1][("x", 0)]
+
+    def test_previous_gauge_of_another_truncation_is_not_reused(self):
+        hq2 = hom_quiver(2)
+        prev = (hq2, gauge_fix(hq2))
+        got = gauge_fix(hom_quiver(4), prev)
+        assert got == gauge_fix(hom_quiver(4))
+        assert got[("y", 2)] is not prev[1][("y", 2)]
+
     def test_single_vertex_radical(self):
         hq = hom_quiver(0)
         g = gauge_fix(hq)
@@ -108,34 +242,89 @@ class TestCompareZigzag:
         assert items["e0*x0"]["rhs"] == "0"  # not composable: x0 lands at vertex 1
 
     def test_rescaled_bases_give_same_verdict(self):
-        # Deterministically pseudo-random unit rescalings of every Hom basis
-        # element; gauge fixing must absorb them.
-        rng = random.Random(20240817)
-        hq = hom_quiver(3)
-
-        def scramble(hb: HomBasis) -> HomBasis:
-            scaled = []
-            for b in hb.basis:
-                c = GaussianRational(rng.randint(1, 5), rng.randint(-4, 4))
-                scaled.append(b.scale(c))
-            return HomBasis(tuple(scaled))
-
-        homs = tuple(
-            tuple(scramble(hq.hom(a, b)) for b in range(4)) for a in range(4)
-        )
-        scrambled = HomQuiver(3, hq.modules, homs)
-        items = compare_zigzag(scrambled)
+        items = compare_zigzag(scrambled_quiver(3))
         assert all(it["pass"] for it in items)
-
 
     def test_corrupted_gauge_scalar_fails_only_its_relations(self):
         hq = hom_quiver(2)
+        items = compare_zigzag(hq, y2_scaled_gauge(hq))
+        assert [it for it in items if not it["pass"]] == [
+            {"relation": "x1*y2", "lhs": "2*z2", "rhs": "z2", "pass": False},
+            {"relation": "y2*x1", "lhs": "2*z1", "rhs": "z1", "pass": False},
+        ]
+
+    def test_failure_prints_solved_coordinates(self):
+        # y2 scaled by 1 + i: a failing lhs is the solved coordinate, not rhs.
+        hq = hom_quiver(3)
         gauge = gauge_fix(hq)
-        gauge[("y", 2)] = gauge[("y", 2)].scale(2)
-        failures = [it for it in compare_zigzag(hq, gauge) if not it["pass"]]
-        assert failures
-        for it in failures:
-            assert "y2" in it["relation"].split("*"), it["relation"]
+        gauge[("y", 2)] = gauge[("y", 2)].scale(GaussianRational(1, 1))
+        items = compare_zigzag(hq, gauge)
+        failures = {it["relation"]: it["lhs"] for it in items if not it["pass"]}
+        assert failures == {"x1*y2": "1+1*i*z2", "y2*x1": "1+1*i*z1"}
+
+    def test_memo_is_keyed_by_value(self):
+        # A clean run first fills the product memo; the corrupted gauge shares
+        # every label with it and must still fail.
+        hq = hom_quiver(2)
+        assert all(it["pass"] for it in compare_zigzag(hq))
+        items = compare_zigzag(hq, y2_scaled_gauge(hq))
+        assert [it["relation"] for it in items if not it["pass"]] == ["x1*y2", "y2*x1"]
+
+    def test_memos_are_bounded(self):
+        assert equivalence._product_matches.cache_info().maxsize is not None
+        assert equivalence._independent.cache_info().maxsize is not None
+
+
+class TestAgainstReference:
+    """The memo and the solve-on-FAIL rule give the items of the reference
+    that solves every product afresh, on passing and failing inputs."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_clean(self, n):
+        hq = hom_quiver(n)
+        assert compare_zigzag(hq) == reference_compare_zigzag(hq)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_doubled_arrow(self, with_doubled_arrow, n):
+        bad = with_doubled_arrow(hom_quiver(n))
+        if n == 1:
+            # One vertex pair: the gauge exists and the loops fail.
+            got = compare_zigzag(bad)
+            assert got == reference_compare_zigzag(bad)
+            assert not all(it["pass"] for it in got)
+            return
+        with pytest.raises(VerificationError) as got:
+            compare_zigzag(bad)
+        with pytest.raises(VerificationError) as want:
+            reference_compare_zigzag(bad)
+        assert str(got.value) == str(want.value)
+        # The clean gauge with the doubled arrow put in fails item by item.
+        clean = hom_quiver(n)
+        gauge = gauge_fix(clean)
+        gauge[("x", 0)] = bad.hom(0, 1).basis[0]
+        items = compare_zigzag(clean, gauge)
+        assert items == reference_compare_zigzag(clean, gauge)
+        assert not all(it["pass"] for it in items)
+
+    def test_rescaled_bases(self):
+        hq = scrambled_quiver(3)
+        assert compare_zigzag(hq) == reference_compare_zigzag(hq)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_y2_scaled_gauge(self, n):
+        hq = hom_quiver(n)
+        gauge = y2_scaled_gauge(hq)
+        assert compare_zigzag(hq, gauge) == reference_compare_zigzag(hq, gauge)
+
+    def test_dependent_gauge_basis_is_solved(self):
+        # z0 = 2 e0 makes the basis of End P(0) dependent; e0*z0 passes, but its
+        # lhs is the solver's coordinates, not the table's.
+        hq = hom_quiver(0)
+        gauge = gauge_fix(hq)
+        gauge[("z", 0)] = gauge[("e", 0)].scale(2)
+        items = compare_zigzag(hq, gauge)
+        assert items == reference_compare_zigzag(hq, gauge)
+        assert {"relation": "e0*z0", "lhs": "2*e0", "rhs": "z0", "pass": True} in items
 
 
 class TestFrobeniusAction:

@@ -72,7 +72,9 @@ class TestHom:
         assert solves == []
 
     def test_cache_is_bounded(self):
+        # Finite, and large enough for every pair of hom_quiver(N), N <= 63.
         assert hom.cache_info().maxsize is not None
+        assert hom.cache_info().maxsize >= 64 * 64
 
     def test_zigzag_dimension_pattern(self):
         for a in range(7):
