@@ -14,11 +14,11 @@ table live here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
 from .errors import DomainError, NotACharacterError
+from .record import Record
 
 PLUS = "+"
 MINUS = "-"
@@ -400,18 +400,16 @@ POINT = "point"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class CellDescriptor:
+class CellDescriptor(Record):
     """One entry of the semi-infinite/spherical orbit intersection table.
 
+    ``kind`` is one of the four cell kinds and ``dimension`` an int.
     ``sign_action`` records whether the order-two component group acts by
     multiplication by -1 on the cell coordinates (true exactly when there are
     coordinates to act on, i.e. dimension >= 1).
     """
 
-    kind: str
-    dimension: int
-    sign_action: bool
+    __slots__ = ("kind", "dimension", "sign_action")
 
     def __post_init__(self):
         if self.kind not in (AFFINE_SPACE, COMPLEMENT_PAIR, POINT, EMPTY):

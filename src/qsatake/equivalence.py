@@ -15,7 +15,6 @@ wrong Hom dimension pattern is a hard verification error.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import modtools, qsl2, zigzag
@@ -36,21 +35,20 @@ from .errors import (
 )
 from .linalg import QMatrix, reduce_rows
 from .modtools import HomBasis, coords_in_basis
+from .record import Record
 from .satake import expected_clebsch_gordan
 from .zigzag import Label, label_str
 
 
-@dataclass(frozen=True)
-class HomQuiver:
+class HomQuiver(Record):
     """All Hom bases among P(0) ... P(2N).
 
-    Composites are not stored: ``compare_zigzag`` multiplies the gauge-fixed
-    generators itself.
+    ``modules`` is P(0), P(2), ..., P(2N) and ``homs[a][b]`` the
+    ``HomBasis`` of P(2a) -> P(2b).  Composites are not stored:
+    ``compare_zigzag`` multiplies the gauge-fixed generators itself.
     """
 
-    n: int
-    modules: tuple  # P(0), P(2), ..., P(2N)
-    homs: tuple  # homs[a][b] = HomBasis P(2a) -> P(2b)
+    __slots__ = ("n", "modules", "homs")
 
     def hom(self, a: int, b: int) -> HomBasis:
         return self.homs[a][b]

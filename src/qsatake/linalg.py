@@ -11,8 +11,8 @@ and ``kernel``/``image`` bases are reproducible across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .errors import NoSolutionError
 from .scalars import GaussianRational, ONE, ZERO

@@ -11,7 +11,6 @@ and equal modules built separately share one entry.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import qsl2
@@ -19,13 +18,14 @@ from .characters import jh_weight_character
 from .errors import DomainError, NoSolutionError, VerificationError
 from .linalg import QMatrix, kernel, solve_matrix
 from .qsl2 import QMod
+from .record import Record
 
 
-@dataclass(frozen=True)
-class HomBasis:
-    """Canonical basis of an intertwiner space."""
+class HomBasis(Record):
+    """Canonical basis of an intertwiner space: ``basis`` is a tuple of
+    ``QMatrix``."""
 
-    basis: tuple[QMatrix, ...]
+    __slots__ = ("basis",)
 
     @property
     def dim(self) -> int:

@@ -11,9 +11,8 @@ structure down completely for the generator set used here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Mapping
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
@@ -28,18 +27,18 @@ from .linalg import (
     reduce_rows,
     solve_matrix,
 )
+from .record import Record
 from .scalars import GaussianRational, I, ONE, ZERO, gauss_binomial, i_power, qint
 
 
-@dataclass(frozen=True)
-class QMod:
-    """A finite-dimensional weight-graded module at q = i."""
+class QMod(Record):
+    """A finite-dimensional weight-graded module at q = i.
 
-    weights: tuple[int, ...]
-    e: QMatrix
-    f: QMatrix
-    e2: QMatrix
-    f2: QMatrix
+    ``weights`` is a tuple of ints; ``e``, ``f``, ``e2``, ``f2`` are the
+    square ``QMatrix`` operators on it.
+    """
+
+    __slots__ = ("weights", "e", "f", "e2", "f2")
 
     def __post_init__(self):
         d = len(self.weights)

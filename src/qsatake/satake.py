@@ -12,7 +12,6 @@ convention L(-1) = 0 is applied throughout.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .characters import (
     MINUS,
@@ -28,6 +27,7 @@ from .characters import (
     standard_char,
 )
 from .errors import DomainError, InternalInconsistencyError
+from .record import Record
 
 STANDARD = "standard"
 COSTANDARD = "costandard"
@@ -48,16 +48,18 @@ def format_multiset(multiset: Counter) -> str:
     return ", ".join(parts)
 
 
-@dataclass
-class FormalPerv:
-    """Character-level stand-in for one object of the geometric category."""
+class FormalPerv(Record):
+    """Character-level stand-in for one object of the geometric category.
 
-    kind: str
-    n: int
-    sign: str
-    character: SignedCharacter
-    jh: Counter
-    standard_filtration: tuple | None = None
+    ``character`` is a ``SignedCharacter``, ``jh`` a Counter of simple
+    labels and ``standard_filtration`` a tuple of standard labels or None.
+    The constructor checks that they agree, so the fields cannot change.
+    """
+
+    __slots__ = ("kind", "n", "sign", "character", "jh", "standard_filtration")
+
+    def __init__(self, kind, n, sign, character, jh, standard_filtration=None):
+        super().__init__(kind, n, sign, character, jh, standard_filtration)
 
     def __post_init__(self):
         if simple_char_sum(self.jh) != self.character:

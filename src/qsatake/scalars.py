@@ -6,15 +6,20 @@ here.  It stores three plain ints ``a``, ``b``, ``d`` for the value
 gcd, and none at all while every denominator is 1 (the intertwiner systems
 start integral).  ``fractions.Fraction`` appears only at its edges: it is
 accepted as input and returned by the ``re``/``im`` parts of a non-integral
-value.  Quantum integers and Gaussian binomials are evaluated at the fourth
+value.  So ``fractions`` is imported there, on first use, and not with the
+package: in the constructor for a value whose type is not exactly ``int``,
+and in ``re``/``im`` when ``d != 1``, which ``hash`` and ``str`` of a
+non-integral value go through.  Operands of mixed arithmetic are checked
+against ``numbers.Rational``, which ``int``, ``bool`` and ``Fraction`` all
+are.  Quantum integers and Gaussian binomials are evaluated at the fourth
 root of unity ``i`` directly; no polynomial in a formal ``q`` is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 
 from .errors import DomainError
 
@@ -29,6 +34,10 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _make(re, im, 1)
+        from fractions import Fraction
+
         re, im = Fraction(re), Fraction(im)
         return _make(
             re.numerator * im.denominator,
@@ -42,18 +51,18 @@ class GaussianRational:
     @property
     def re(self):
         """The real part: an ``int``, or a ``Fraction`` when ``d != 1``."""
-        return self.a if self.d == 1 else Fraction(self.a, self.d)
+        return self.a if self.d == 1 else _fraction(self.a, self.d)
 
     @property
     def im(self):
         """The imaginary part: an ``int``, or a ``Fraction`` when ``d != 1``."""
-        return self.b if self.d == 1 else Fraction(self.b, self.d)
+        return self.b if self.d == 1 else _fraction(self.b, self.d)
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, Rational):
             return _make(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
@@ -63,8 +72,8 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.re == other
+        if isinstance(other, Rational):
+            return not self.b and self.a * other.denominator == other.numerator * self.d
         return NotImplemented
 
     def __hash__(self):
@@ -74,7 +83,7 @@ class GaussianRational:
 
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = GaussianRational.coerce(other)
         d1, d2 = self.d, other.d
@@ -86,7 +95,7 @@ class GaussianRational:
 
     def __sub__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = GaussianRational.coerce(other)
         d1, d2 = self.d, other.d
@@ -102,7 +111,7 @@ class GaussianRational:
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
                 return NotImplemented
             other = GaussianRational.coerce(other)
         a, b, c, e = self.a, self.b, other.a, other.b
@@ -118,7 +127,7 @@ class GaussianRational:
         return _make(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = GaussianRational.coerce(other)
         if isinstance(other, GaussianRational):
             return self * other.inverse()
@@ -134,6 +143,12 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
     __repr__ = __str__
+
+
+def _fraction(numerator: int, denominator: int):
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 _new = object.__new__

@@ -12,9 +12,8 @@ by the relations are zero.  Coefficients are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
+from .record import Record
 
 Label = tuple[str, int]
 Element = dict[Label, int]
@@ -48,13 +47,14 @@ def element_str(elem: Element) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ZigzagAlgebra:
-    """Truncation with vertices 0..n; dimension 4n + 2."""
+class ZigzagAlgebra(Record):
+    """Truncation with vertices 0..n; dimension 4n + 2.
 
-    n: int
-    basis: tuple[Label, ...]
-    mult: dict  # (u, v) -> {w: coeff} for u, v in basis
+    ``basis`` is a tuple of labels and ``mult`` maps each pair (u, v) of
+    them to the product {w: coeff}.
+    """
+
+    __slots__ = ("n", "basis", "mult")
 
     @property
     def dim(self) -> int:

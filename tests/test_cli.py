@@ -322,6 +322,25 @@ class TestProcessLevel:
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"zigzag: 42 checks, 0 failures\n")
 
+    def test_start_up_imports_no_unneeded_stdlib_module(self):
+        # -S keeps the host's .pth files, which may import typing themselves,
+        # from hiding a regression.
+        script = "\n".join(
+            [
+                "import sys",
+                "import qsatake.cli",
+                "unneeded = ('dataclasses', 'fractions', 'decimal', 'inspect', 'typing')",
+                "print(sorted(set(unneeded) & set(sys.modules)))",
+                "qsatake.cli.main(['homdim', '2', '4'])",
+                "qsatake.cli.main(['homdim', '24', '22'])",
+                "print('fractions' in sys.modules)",
+            ]
+        )
+        env = {"PYTHONPATH": str(REPO_ROOT / "src")}
+        cmd = [sys.executable, "-S", "-c", script]
+        done = subprocess.run(cmd, capture_output=True, env=env, check=True)
+        assert done.stdout == b"[]\n1\n1\nFalse\n"
+
     def test_benchmark_traced_run_resolves_every_layer(self, tmp_path):
         # perfbench/traced.py exits 3 if a function it wraps is renamed or moved.
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}

@@ -162,7 +162,7 @@ class TestAgainstFractionPairModel:
             with pytest.raises(ZeroDivisionError):
                 g / h
 
-    @given(wide_gaussians, wide_fractions)
+    @given(wide_gaussians, st.one_of(wide_fractions, st.booleans()))
     def test_mixed_with_rationals(self, x, q):
         x = (Fraction(x[0]), Fraction(x[1]))
         g = GaussianRational(*x)
@@ -192,6 +192,20 @@ class TestAgainstFractionPairModel:
     )
     def test_constructor_reduces_any_triple(self, a, b, d):
         assert_matches(_make(a, b, d), (Fraction(a, d), Fraction(b, d)))
+
+    @pytest.mark.parametrize(
+        "value, stored",
+        [(True, 1), (False, 0), (Fraction(3, 1), 3), (Fraction(-4, 2), -2), (7, 7)],
+    )
+    def test_integral_rationals_store_plain_ints(self, value, stored):
+        for g, parts in [
+            (GaussianRational(value), (stored, 0)),
+            (GaussianRational(0, value), (0, stored)),
+            (GaussianRational(value, value), (stored, stored)),
+        ]:
+            assert_matches(g, parts)
+            assert (g.a, g.b, g.d) == (*parts, 1)
+        assert str(GaussianRational(value)) == str(stored)
 
     def test_zero(self):
         assert_canonical(ZERO)
