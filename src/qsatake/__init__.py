@@ -16,7 +16,7 @@ from .characters import (
     standard_char,
     standard_char_from_cells,
 )
-from .linalg import QMatrix, image, kernel, rank
+from .linalg import QMatrix, kernel, rank
 from .qsl2 import QMod, canonical_map, char, dual_weyl, frobenius_simple, simple, tensor, weyl
 from .scalars import GaussianRational, gauss_binomial, qint
 
@@ -33,7 +33,6 @@ __all__ = [
     "dual_weyl",
     "frobenius_simple",
     "gauss_binomial",
-    "image",
     "intersection_cells",
     "jh_decompose",
     "kernel",

@@ -6,7 +6,7 @@ alone; module operators shift weight, so almost all of their entries are 0.
 Everything is deterministic: pivoting always takes the first nonzero entry,
 so reduced row echelon form (and therefore every reported basis) is canonical.
 Equality of row spaces can be tested as equality of ``reduce_rows`` outputs,
-and ``kernel``/``image`` bases are reproducible across runs.
+and ``kernel`` bases are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -96,24 +96,6 @@ class QMatrix:
         n = len(values)
         return cls.from_row_dicts(n, n, {k: {k: v} for k, v in enumerate(values)})
 
-    @classmethod
-    def hstack(cls, columns: Iterable["QMatrix"]) -> "QMatrix":
-        cols = list(columns)
-        if not cols:
-            return cls.zeros(0, 0)
-        nrows = cols[0].rows
-        data: dict[int, dict] = {}
-        offset = 0
-        for c in cols:
-            if c.rows != nrows:
-                raise ValueError("hstack: mismatched row counts")
-            for i, row in c._data.items():
-                out = data.setdefault(i, {})
-                for j, v in row.items():
-                    out[offset + j] = v
-            offset += c.cols
-        return cls._wrap(nrows, offset, data)
-
     @property
     def entries(self) -> tuple:
         """Dense row-major view, built on each access."""
@@ -133,18 +115,6 @@ class QMatrix:
     def row(self, i: int) -> Mapping[int, GaussianRational]:
         """The nonzero entries of row i as a read-only {col: value} mapping."""
         return MappingProxyType(self._data.get(i, _EMPTY_ROW))
-
-    def reshape(self, rows: int, cols: int) -> "QMatrix":
-        """The same row-major sequence of entries in a rows x cols shape."""
-        if rows * cols != self.rows * self.cols:
-            raise ValueError("reshape must keep the entry count")
-        data: dict[int, dict] = {}
-        for i, row in self._data.items():
-            base = i * self.cols
-            for j, v in row.items():
-                r, c = divmod(base + j, cols)
-                data.setdefault(r, {})[c] = v
-        return QMatrix._wrap(rows, cols, data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -373,15 +343,6 @@ def kernel(m: QMatrix) -> list[QMatrix]:
             if f != c:
                 vectors[f][c] = {0: -w}
     return [QMatrix._wrap(m.cols, 1, vectors[f]) for f in sorted(vectors)]
-
-
-def image(m: QMatrix) -> list[QMatrix]:
-    """Canonical basis of the column space (reduced column echelon form)."""
-    pivots = reduce_rows(_matrix_rows(m.transpose()))
-    return [
-        QMatrix._wrap(m.rows, 1, {j: {0: v} for j, v in pivots[c].items()})
-        for c in sorted(pivots)
-    ]
 
 
 def solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -1,6 +1,6 @@
 """Module-theoretic analysis: Hom spaces, projectives, Jordan-Holder data,
-submodule closures, socles, and the radical of an End algebra from its trace
-form, which decides whether End is local.
+socles, and the radical of an End algebra from its trace form, which decides
+whether End is local.
 
 Modules are immutable values, so ``hom`` and ``projective`` are memoized
 with ``functools.lru_cache`` keyed by the modules and labels themselves: a
@@ -56,43 +56,9 @@ def jh(m: QMod) -> Counter:
     return jh_weight_character(qsl2.char(m))
 
 
-def _split_by_weight(m: QMod, vec: QMatrix) -> list[tuple[int, dict]]:
-    parts: dict[int, dict] = {}
-    for i, _, v in vec.nonzero_entries():
-        parts.setdefault(m.weights[i], {})[i] = v
-    return sorted(parts.items())
-
-
-def submodule_closure(m: QMod, vectors: list[QMatrix]) -> QMod:
-    """Smallest operator-stable graded subspace containing the vectors.
-
-    Seeds are split into weight components and spun up under the four
-    operators (``qsl2.Spin``, the spin ``intertwiner_basis`` replays): the
-    closure is that spin with no target.  The span's columns are kept in
-    echelon form with lead 1 (``linalg.insert_row``, not back-substituted)
-    and taken in order of their leads, so the result is deterministic.
-    """
-    spin = qsl2.Spin(m)
-    spin.add([col for vec in vectors for _, col in _split_by_weight(m, vec)])
-    cols = [
-        QMatrix.from_row_dicts(m.dim, 1, {i: {0: v} for i, v in spin.pivots[lead].items()})
-        for lead in sorted(spin.pivots)
-    ]
-    return qsl2.restrict_to_span(m, cols)
-
-
 def socle_dims(m: QMod, upto: int) -> dict[int, int]:
     """dim Hom(simple(n), m) for 0 <= n <= upto: the socle isotypic dimensions."""
     return {n: hom(qsl2.simple(n), m).dim for n in range(upto + 1)}
-
-
-def _vec(m: QMatrix) -> QMatrix:
-    """m as one column, row-major."""
-    return m.reshape(m.rows * m.cols, 1)
-
-
-def _flatten(mats: list[QMatrix]) -> QMatrix:
-    return QMatrix.hstack([_vec(m) for m in mats])
 
 
 def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
@@ -101,9 +67,17 @@ def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
         if not target.is_zero():
             raise NoSolutionError("nonzero element of a zero-dimensional space")
         return ()
-    a = _flatten(list(basis))
-    x = solve_matrix(a, _vec(target))
-    return tuple(x[i, 0] for i in range(x.rows))
+    # One equation per entry (i, j) of the matrices, at row i * cols + j.
+    cols, size = target.cols, target.rows * target.cols
+    a: dict[int, dict] = {}
+    for k, m in enumerate(basis):
+        for i, j, v in m.nonzero_entries():
+            a.setdefault(i * cols + j, {})[k] = v
+    b = {i * cols + j: {0: v} for i, j, v in target.nonzero_entries()}
+    x = solve_matrix(
+        QMatrix.from_row_dicts(size, len(basis), a), QMatrix.from_row_dicts(size, 1, b)
+    )
+    return tuple(x[k, 0] for k in range(x.rows))
 
 
 def radical(basis) -> list[QMatrix]:
@@ -122,7 +96,9 @@ def radical(basis) -> list[QMatrix]:
     )
     out = []
     for v in kernel(gram):
-        x = (_flatten(list(basis)) @ v).reshape(basis[0].rows, basis[0].cols)
+        x = QMatrix.zeros(basis[0].rows, basis[0].cols)
+        for k, _, w in v.nonzero_entries():
+            x = x + basis[k].scale(w)
         _, _, lead = next(x.nonzero_entries())
         out.append(x.scale(lead.inverse()))
     return out

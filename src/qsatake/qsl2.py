@@ -19,16 +19,14 @@ from .errors import DomainError, InternalInconsistencyError
 from .linalg import (
     QMatrix,
     block_diag,
-    image,
     insert_row,
     kernel,
     kronecker,
     rank,
     reduce_rows,
-    solve_matrix,
 )
 from .record import Record
-from .scalars import GaussianRational, I, ONE, ZERO, gauss_binomial, i_power, qint
+from .scalars import GaussianRational, I, ONE, gauss_binomial, i_power, qint
 
 
 class QMod(Record):
@@ -118,25 +116,15 @@ def weyl(n: int) -> QMod:
     if n < 0:
         raise DomainError(f"weyl requires n >= 0, got {n}")
     d = n + 1
-    e = [ZERO] * (d * d)
-    f = [ZERO] * (d * d)
-    e2 = [ZERO] * (d * d)
-    f2 = [ZERO] * (d * d)
-    for j in range(d):
-        if j >= 1:
-            e[(j - 1) * d + j] = gauss_binomial(n - j + 1, 1)
-        if j >= 2:
-            e2[(j - 2) * d + j] = gauss_binomial(n - j + 2, 2)
-        if j + 1 < d:
-            f[(j + 1) * d + j] = gauss_binomial(j + 1, 1)
-        if j + 2 < d:
-            f2[(j + 2) * d + j] = gauss_binomial(j + 2, 2)
+    ops = (
+        {j - 1: {j: gauss_binomial(n - j + 1, 1)} for j in range(1, d)},
+        {j + 1: {j: gauss_binomial(j + 1, 1)} for j in range(d - 1)},
+        {j - 2: {j: gauss_binomial(n - j + 2, 2)} for j in range(2, d)},
+        {j + 2: {j: gauss_binomial(j + 2, 2)} for j in range(d - 2)},
+    )
     return QMod(
         tuple(n - 2 * j for j in range(d)),
-        QMatrix(d, d, e),
-        QMatrix(d, d, f),
-        QMatrix(d, d, e2),
-        QMatrix(d, d, f2),
+        *(QMatrix.from_row_dicts(d, d, op) for op in ops),
     )
 
 
@@ -224,6 +212,28 @@ class Spin:
         queue.append(lead)
         self.words.append((source, op, steps, lead, scale))
         return True
+
+    def module(self, m: QMod) -> QMod:
+        """The spun subspace of m as a module, on the pivot columns in order
+        of lead, with each operator read off the words: operator ``op`` sends
+        the column led by ``source`` to the sum of f * (column led by c) over
+        ``steps``, plus (column led by ``lead``) / ``scale`` when the column
+        was kept.  Stored columns never change, so these are exact."""
+        index = {lead: k for k, lead in enumerate(sorted(self.pivots))}
+        ops: list[dict[int, dict]] = [{} for _ in self._ops]
+        for source, op, steps, lead, scale in self.words:
+            if source is None:
+                continue
+            j = index[source]
+            for c, f in steps:
+                ops[op].setdefault(index[c], {})[j] = f
+            if lead is not None:
+                ops[op].setdefault(index[lead], {})[j] = scale.inverse()
+        d = len(index)
+        return QMod(
+            tuple(m.weights[lead] for lead in index),
+            *(QMatrix.from_row_dicts(d, d, op) for op in ops),
+        )
 
 
 def _generating_spin(m: QMod) -> Spin:
@@ -384,23 +394,16 @@ def canonical_map(n: int) -> QMatrix:
     return x.scale(top.inverse())
 
 
-def restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
-    """The submodule of m spanned by the given (weight-homogeneous,
-    operator-stable) column vectors, with operators in the new basis."""
-    if not columns:
-        z = QMatrix.zeros(0, 0)
-        return QMod((), z, z, z, z)
-    weights = []
-    for col in columns:
-        seen = {m.weights[i] for i, _, v in col.nonzero_entries() if v}
-        if len(seen) != 1:
-            raise InternalInconsistencyError(
-                "submodule basis vector is not weight-homogeneous"
-            )
-        weights.append(seen.pop())
-    b = QMatrix.hstack(columns)
-    ops = [solve_matrix(b, op @ b) for _, op in m.operators()]
-    return QMod(tuple(weights), *ops)
+def submodule(m: QMod, x: QMatrix) -> QMod:
+    """The smallest submodule of m containing the columns of x, on the
+    columns of its spin (``Spin.module``).  Each column of x is split into
+    its weight components, in increasing order of weight, to seed the spin."""
+    columns: dict[int, dict[int, dict]] = {}
+    for i, j, v in x.nonzero_entries():
+        columns.setdefault(j, {}).setdefault(m.weights[i], {})[i] = v
+    spin = Spin(m)
+    spin.add([col[w] for _, col in sorted(columns.items()) for w in sorted(col)])
+    return spin.module(m)
 
 
 @lru_cache(maxsize=None)
@@ -408,15 +411,16 @@ def simple(n: int) -> QMod:
     """Simple module of highest weight n: the image of the canonical map.
 
     For odd n the canonical map is invertible and the Weyl module itself is
-    returned; for even n = 2m the image inside dual_weyl(n) has dimension
-    m + 1 with weights 2m, 2m-4, ..., -2m.
+    returned; for even n = 2m the image is the submodule of dual_weyl(n)
+    spun up from the columns of the map, of dimension m + 1 with weights
+    2m, 2m-4, ..., -2m.
     """
     if n < 0:
         raise DomainError(f"simple requires n >= 0, got {n}")
     x = canonical_map(n)
     if rank(x) == n + 1:
         return weyl(n)
-    return restrict_to_span(dual_weyl(n), image(x))
+    return submodule(dual_weyl(n), x)
 
 
 @lru_cache(maxsize=None)
@@ -427,19 +431,12 @@ def frobenius_simple(m: int) -> QMod:
         raise DomainError(f"frobenius_simple requires m >= 0, got {m}")
     d = m + 1
     zero = QMatrix.zeros(d, d)
-    e2 = [ZERO] * (d * d)
-    f2 = [ZERO] * (d * d)
-    for j in range(d):
-        if j >= 1:
-            e2[(j - 1) * d + j] = GaussianRational(m - j + 1)
-        if j + 1 < d:
-            f2[(j + 1) * d + j] = GaussianRational(j + 1)
     return QMod(
         tuple(2 * m - 4 * j for j in range(d)),
         zero,
         zero,
-        QMatrix(d, d, e2),
-        QMatrix(d, d, f2),
+        QMatrix.from_row_dicts(d, d, {j - 1: {j: m - j + 1} for j in range(1, d)}),
+        QMatrix.from_row_dicts(d, d, {j + 1: {j: j + 1} for j in range(d - 1)}),
     )
 
 

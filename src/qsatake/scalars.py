@@ -8,15 +8,17 @@ start integral).  ``fractions.Fraction`` appears only at its edges: it is
 accepted as input and returned by the ``re``/``im`` parts of a non-integral
 value.  So ``fractions`` is imported there, on first use, and not with the
 package: in the constructor for a value whose type is not exactly ``int``,
-and in ``re``/``im`` when ``d != 1``, which ``hash`` and ``str`` of a
-non-integral value go through.  Operands of mixed arithmetic are checked
-against ``numbers.Rational``, which ``int``, ``bool`` and ``Fraction`` all
-are.  Quantum integers and Gaussian binomials are evaluated at the fourth
-root of unity ``i`` directly; no polynomial in a formal ``q`` is built.
+and in ``re``/``im`` when ``d != 1``, which ``str`` of a non-integral value
+goes through; ``hash`` computes what ``Fraction.__hash__`` would from the
+ints.  Operands of mixed arithmetic are checked against ``numbers.Rational``,
+which ``int``, ``bool`` and ``Fraction`` all are.  Quantum integers and
+Gaussian binomials are evaluated at the fourth root of unity ``i`` directly;
+no polynomial in a formal ``q`` is built.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import gcd
 from numbers import Rational
@@ -77,9 +79,11 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        """hash(re) for a real value, else hash((re, im)), as for the ``int``
+        or ``Fraction`` parts."""
         if not self.b:
-            return hash(self.re)
-        return hash((self.re, self.im))
+            return _rational_hash(self.a, self.d)
+        return hash((_rational_hash(self.a, self.d), _rational_hash(self.b, self.d)))
 
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
@@ -143,6 +147,26 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
     __repr__ = __str__
+
+
+_MODULUS = sys.hash_info.modulus
+_INF = sys.hash_info.inf
+
+
+def _rational_hash(numerator: int, denominator: int) -> int:
+    """hash(Fraction(numerator, denominator)) for denominator > 0, computed
+    as ``Fraction.__hash__`` does: |n| / d modulo the hash prime, signed."""
+    if denominator == 1:
+        return hash(numerator)
+    g = gcd(numerator, denominator)
+    n, d = numerator // g, denominator // g
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS))
+    except ValueError:  # d is a multiple of the prime
+        h = _INF
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 def _fraction(numerator: int, denominator: int):

@@ -242,8 +242,9 @@ class TestVerify:
 
 
 class TestReportBytes:
-    """Reports must not change by a byte; the zigzag and frobenius digests
-    were recorded from the dense-matrix implementation (the zigzag json one
+    """Reports must not change by a byte; the zigzag, frobenius and
+    ``verify all --max 12`` digests were recorded from the dense-matrix
+    implementation (the zigzag json one
     from the big intertwiner solve, before the spin-up; the zigzag --max 16
     one, the first above N = 8, from the suite that gauged and compared
     every truncation from scratch) and the relations
@@ -288,6 +289,10 @@ class TestReportBytes:
                 ("verify", "bgg", "--max", "16", "--format", "json"),
                 "b725a909e13ff6877d42f9f7de0178a54dcb2b0c1d06ef283271a889ac0cddf5",
             ),
+            (
+                ("verify", "all", "--max", "12", "--format", "json"),
+                "dac207f01c17845b65aa331c0c3f4299bda1f63276aa77c8c9ae7e14316cf41f",
+            ),
         ],
         ids=[
             "zigzag-text",
@@ -298,6 +303,7 @@ class TestReportBytes:
             "relations-json",
             "clebsch-gordan-json",
             "bgg-json",
+            "all-12-json",
         ],
     )
     def test_report_digest(self, capsys, argv, digest):
@@ -327,6 +333,7 @@ class TestProcessLevel:
         # from hiding a regression.
         script = "\n".join(
             [
+                "import io",
                 "import sys",
                 "import qsatake.cli",
                 "unneeded = ('dataclasses', 'fractions', 'decimal', 'inspect', 'typing')",
@@ -334,12 +341,20 @@ class TestProcessLevel:
                 "qsatake.cli.main(['homdim', '2', '4'])",
                 "qsatake.cli.main(['homdim', '24', '22'])",
                 "print('fractions' in sys.modules)",
+                # Non-integral values first appear at N = 2, and are hashed.
+                "out, sys.stdout = sys.stdout, io.StringIO()",
+                "qsatake.cli.main(['verify', 'zigzag', '--max', '2'])",
+                "report, sys.stdout = sys.stdout.getvalue(), out",
+                "print(report.splitlines()[-1])",
+                "print('fractions' in sys.modules)",
             ]
         )
         env = {"PYTHONPATH": str(REPO_ROOT / "src")}
         cmd = [sys.executable, "-S", "-c", script]
         done = subprocess.run(cmd, capture_output=True, env=env, check=True)
-        assert done.stdout == b"[]\n1\n1\nFalse\n"
+        assert done.stdout == (
+            b"[]\n1\n1\nFalse\nzigzag: 143 checks, 0 failures\nFalse\n"
+        )
 
     def test_benchmark_traced_run_resolves_every_layer(self, tmp_path):
         # perfbench/traced.py exits 3 if a function it wraps is renamed or moved.

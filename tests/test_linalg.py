@@ -7,7 +7,6 @@ from qsatake.errors import NoSolutionError
 from qsatake.linalg import (
     QMatrix,
     block_diag,
-    image,
     insert_row,
     kernel,
     kronecker,
@@ -135,7 +134,6 @@ class TestSparseStorage:
             block_diag(a, p),
             [row + [ZERO] * q for row in da] + [[ZERO] * k + row for row in dp],
         )
-        assert_matches(QMatrix.hstack([a, b]), [da[i] + db[i] for i in range(r)])
 
     @given(small_matrices(entries=sparse_entries))
     @settings(max_examples=40)
@@ -266,17 +264,3 @@ class TestSolveImage:
         b = a @ x
         y = solve_matrix(a, b)
         assert a @ y == b
-
-    def test_image_canonical(self):
-        a = mat([[1, 2, 1], [0, 0, 1]])
-        cols = image(a)
-        assert len(cols) == 2
-        stacked = QMatrix.hstack(cols)
-        # the column space contains each original column
-        for j in range(a.cols):
-            solve_matrix(stacked, column([a[i, j] for i in range(a.rows)]))
-
-    def test_image_of_diagonal_selects_unit_columns(self):
-        a = QMatrix.diagonal([1, 0, 2])
-        cols = image(a)
-        assert cols == [column([1, 0, 0]), column([0, 0, 1])]

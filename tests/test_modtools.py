@@ -17,7 +17,6 @@ from qsatake.modtools import (
     radical,
     radical_element,
     socle_dims,
-    submodule_closure,
 )
 from qsatake.qsl2 import (
     char,
@@ -25,6 +24,7 @@ from qsatake.qsl2 import (
     dual_weyl,
     frobenius_simple,
     simple,
+    submodule,
     tensor,
     weyl,
 )
@@ -172,14 +172,14 @@ class TestJh:
 class TestSubmoduleClosure:
     def test_highest_weight_vector_generates_weyl(self):
         w = weyl(2)
-        sub = submodule_closure(w, [unit_vector(3, 0)])
+        sub = submodule(w, unit_vector(3, 0))
         assert sub.dim == 3
 
     def test_lowest_weight_vector_of_dual_weyl_generates_simple(self):
         # The [2] = 0 degeneracy sits at the bottom of the dual Weyl module,
         # so its lowest weight vector generates only L(2).
         d = dual_weyl(2)
-        sub = submodule_closure(d, [unit_vector(3, 2)])
+        sub = submodule(d, unit_vector(3, 2))
         assert sub.dim == 2
         assert sorted(sub.weights) == [-2, 2]
         assert jh(sub) == Counter({2: 1})
@@ -187,23 +187,23 @@ class TestSubmoduleClosure:
     def test_lowest_weight_vector_of_weyl_generates_everything(self):
         # By the fixed action formulas E v_2 = [1] v_1 in weyl(2), so the
         # closure is the whole module (contrast with the dual above).
-        sub = submodule_closure(weyl(2), [unit_vector(3, 2)])
+        sub = submodule(weyl(2), unit_vector(3, 2))
         assert sub.dim == 3
 
     def test_zero_vector(self):
-        sub = submodule_closure(weyl(2), [QMatrix.zeros(3, 1)])
+        sub = submodule(weyl(2), QMatrix.zeros(3, 1))
         assert sub.dim == 0
 
     def test_non_homogeneous_seed_splits(self):
         w = weyl(2)
         seed = QMatrix(3, 1, [0, 1, 1])  # weight-0 plus weight-(-2) parts
-        sub = submodule_closure(w, [seed])
+        sub = submodule(w, seed)
         assert sub.dim == 3
 
     def test_closure_is_operator_stable(self):
         p = projective(2)
         seed = unit_vector(p.dim, p.dim - 1)
-        sub = submodule_closure(p, [seed])
+        sub = submodule(p, seed)
         assert 0 < sub.dim <= p.dim
         from qsatake.qsl2 import integrity_violations
 
@@ -222,7 +222,7 @@ class TestSubmoduleClosure:
             tensor(simple(3), simple(2)),
         ]
         dumps = [
-            submodule_closure(m, [unit_vector(m.dim, i)]).to_json_dict()
+            submodule(m, unit_vector(m.dim, i)).to_json_dict()
             for m in corpus
             for i in range(m.dim)
         ]

@@ -7,7 +7,7 @@ from laurent import LaurentPoly, gauss_binomial_poly, qint_poly
 from qsatake.characters import WeightCharacter, simple_weights
 from qsatake import qsl2
 from qsatake.errors import DomainError, InternalInconsistencyError
-from qsatake.linalg import QMatrix, kernel, rank
+from qsatake.linalg import QMatrix, kernel, rank, reduce_rows, solve_matrix
 from qsatake.modtools import projective
 from qsatake.qsl2 import (
     QMod,
@@ -20,10 +20,11 @@ from qsatake.qsl2 import (
     integrity_violations,
     intertwiner_basis,
     simple,
+    submodule,
     tensor,
     weyl,
 )
-from qsatake.scalars import ONE, ZERO
+from qsatake.scalars import ONE, ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
 # Generic-q oracle: the action formulas and the coproduct convention are
@@ -632,3 +633,80 @@ class TestSpin:
         spin.add([{2: ONE}])
         assert spin.seeds == [{0: ONE}]
         assert [w for w in spin.words if w[0] is None] == [(None, 0, [], 0, ONE)]
+
+
+def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
+    """The submodule of m on the given weight-homogeneous, operator-stable
+    columns, with each operator solved for in the new basis by
+    ``solve_matrix``: the read-out ``qsl2.submodule`` made before
+    ``Spin.module``."""
+    if not columns:
+        z = QMatrix.zeros(0, 0)
+        return QMod((), z, z, z, z)
+    weights = []
+    stacked: dict[int, dict] = {}
+    for k, col in enumerate(columns):
+        (w,) = {m.weights[i] for i, _, _ in col.nonzero_entries()}
+        weights.append(w)
+        for i, _, v in col.nonzero_entries():
+            stacked.setdefault(i, {})[k] = v
+    b = QMatrix.from_row_dicts(m.dim, len(columns), stacked)
+    return QMod(tuple(weights), *(solve_matrix(b, op @ b) for _, op in m.operators()))
+
+
+def reference_image(x: QMatrix) -> list[QMatrix]:
+    """Canonical basis of the column space of x, in reduced column echelon
+    form: the columns ``simple(2m)`` was built on before the spin."""
+    pivots = reduce_rows(x.transpose().row(j) for j in range(x.cols))
+    return [
+        QMatrix.from_row_dicts(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
+        for c in sorted(pivots)
+    ]
+
+
+def spun_columns(m: QMod, seeds: list[dict]) -> list[QMatrix]:
+    """The pivot columns of the spin of the seeds, in order of lead."""
+    spin = Spin(m)
+    spin.add(seeds)
+    return [
+        QMatrix.from_row_dicts(m.dim, 1, {i: {0: v} for i, v in col.items()})
+        for _, col in sorted(spin.pivots.items())
+    ]
+
+
+class TestSubmodule:
+    def test_matches_the_solved_restriction_on_unit_seeds(self):
+        # The corpus of the closure digest in test_modtools.py.
+        corpus = [
+            projective(0),
+            projective(2),
+            projective(4),
+            dual_weyl(6),
+            weyl(5),
+            tensor(simple(3), simple(2)),
+        ]
+        for m in corpus:
+            for i in range(m.dim):
+                unit = QMatrix.from_row_dicts(m.dim, 1, {i: {0: 1}})
+                want = reference_restrict_to_span(m, spun_columns(m, [{i: ONE}]))
+                assert submodule(m, unit) == want
+
+    def test_columns_split_into_weight_components(self):
+        # Column 0 has parts of weight 4 and 2, column 1 one of weight -4; the
+        # spin is seeded column by column, each in increasing order of weight
+        # (the reverse order spins up other columns here).
+        m = direct_sum(projective(2), dual_weyl(4))
+        assert (m.weights[0], m.weights[1], m.weights[12]) == (4, 2, -4)
+        x = QMatrix.from_row_dicts(m.dim, 2, {0: {0: 1}, 1: {0: 2}, 12: {1: 1}})
+        seeds = [{1: GaussianRational(2)}, {0: ONE}, {12: ONE}]
+        sub = submodule(m, x)
+        assert sub == reference_restrict_to_span(m, spun_columns(m, seeds))
+        swapped = [seeds[1], seeds[0], seeds[2]]
+        assert sub != reference_restrict_to_span(m, spun_columns(m, swapped))
+        assert integrity_violations(sub) == []
+
+    def test_even_simples_match_the_image_of_the_canonical_map(self):
+        for m in range(25):
+            n = 2 * m
+            image = reference_image(canonical_map(n))
+            assert simple(n) == reference_restrict_to_span(dual_weyl(n), image)

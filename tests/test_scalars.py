@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,18 @@ class TestAgainstFractionPairModel:
             assert_matches(g / q, (x[0] / q, x[1] / q))
         if any(x):
             assert_matches(q / g, model_mul((Fraction(q), Fraction(0)), model_inverse(x)))
+
+    def test_hash_at_denominators_divisible_by_the_hash_prime(self):
+        # Fraction hashes such a value as +-inf; a part that is not in lowest
+        # terms as a Fraction, here 1/2 stored as p/(2p), must not be.
+        p = sys.hash_info.modulus
+        for x in [
+            (Fraction(1, p), Fraction(0)),
+            (Fraction(-3, p), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(1, 2 * p)),
+            (Fraction(-p, 2 * p + 2), Fraction(1, p + 1)),
+        ]:
+            assert hash(GaussianRational(*x)) == model_hash(x)
 
     @given(wide_fractions)
     def test_real_values_hash_like_rationals(self, q):

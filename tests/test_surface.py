@@ -28,11 +28,6 @@ ALLOWED = {
     # Builds the decomposable modules the corruption tests feed to the
     # locality check and to the gauge fixing of `verify zigzag`.
     "qsl2.direct_sum",
-    # The spin-up with no target.  Its loop, `qsl2.Spin`, is the one
-    # `qsl2.intertwiner_basis` replays; the closure adds only the submodule
-    # built from the spun columns, which no verifier needs yet.  Its output is
-    # pinned by a digest in test_modtools.py.
-    "modtools.submodule_closure",
 }
 
 
