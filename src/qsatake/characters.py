@@ -14,6 +14,7 @@ table live here.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
@@ -299,8 +300,14 @@ def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
     return _signed(_checked(mults.items(), "sum of simple characters"))
 
 
+# Keyed by (n, sign); the character suites at --max 48 reach 147 keys.
+@lru_cache(maxsize=256)
 def simple_char(n: int, sign: str) -> SignedCharacter:
-    """Character of the simple object with leading weight n (see _simple_keys)."""
+    """Character of the simple object with leading weight n (see _simple_keys).
+
+    Cached by value: a ``SignedCharacter`` is immutable and its ``mults`` is
+    never written, so callers can share one.
+    """
     return simple_char_sum({(n, sign): 1})
 
 

@@ -43,7 +43,9 @@ def hom(m: QMod, n: QMod) -> HomBasis:
     return HomBasis(tuple(qsl2.intertwiner_basis(m, n)))
 
 
-@lru_cache(maxsize=None)
+# One entry per even label; 64 hold every label up to the homdim cap 48 and
+# every P(2a) of hom_quiver(N) for N <= 63, as ``hom`` does.
+@lru_cache(maxsize=64)
 def projective(two_n: int) -> QMod:
     """Indecomposable projective of the even block: simple(2n+1) tensor simple(1)."""
     if two_n < 0 or two_n % 2 != 0:

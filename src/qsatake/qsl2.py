@@ -106,7 +106,9 @@ def integrity_violations(m: QMod) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=None)
+# The module caches are keyed by highest weight.  Hom between projectives of
+# labels up to the homdim cap 48 reaches weights 0..49; 64 entries hold them.
+@lru_cache(maxsize=64)
 def weyl(n: int) -> QMod:
     """Weyl module with basis v_0 ... v_n generated by the highest weight vector.
 
@@ -128,7 +130,7 @@ def weyl(n: int) -> QMod:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def dual_weyl(n: int) -> QMod:
     """Contravariant dual of weyl(n): transpose and exchange E <-> F, E2 <-> F2."""
     if n < 0:
@@ -406,7 +408,7 @@ def submodule(m: QMod, x: QMatrix) -> QMod:
     return spin.module(m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def simple(n: int) -> QMod:
     """Simple module of highest weight n: the image of the canonical map.
 
@@ -423,7 +425,7 @@ def simple(n: int) -> QMod:
     return submodule(dual_weyl(n), x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def frobenius_simple(m: int) -> QMod:
     """Pullback of the classical (m+1)-dimensional irreducible along quantum
     Frobenius: weights doubled, E = F = 0, divided squares act classically."""

@@ -219,14 +219,8 @@ def verify_steinberg(n: int) -> list[dict]:
         raise DomainError(f"verify_steinberg requires n >= 0, got {n}")
     got = jh_decompose(conv(simple_char(1, PLUS), simple_char(2 * n, PLUS)))
     expected = Counter({(2 * n + 1, PLUS): 1})
-    return [
-        {
-            "relation": f"jh(ch L(1)+ * ch L({2 * n})+) == {{L({2 * n + 1})+}}",
-            "lhs": format_multiset(got),
-            "rhs": format_multiset(expected),
-            "pass": got == expected,
-        }
-    ]
+    relation = f"jh(ch L(1)+ * ch L({2 * n})+) == {{L({2 * n + 1})+}}"
+    return [_multiset_item(relation, got, expected)]
 
 
 def expected_clebsch_gordan(n: int, m: int) -> Counter:
@@ -240,11 +234,18 @@ def verify_clebsch_gordan(n: int, m: int) -> list[dict]:
         raise DomainError("verify_clebsch_gordan requires n, m >= 0")
     got = jh_decompose(conv(simple_char(2 * n, PLUS), simple_char(2 * m, PLUS)))
     expected = Counter({(k, PLUS): 1 for k in expected_clebsch_gordan(n, m)})
-    return [
-        {
-            "relation": f"clebsch-gordan({n},{m})",
-            "lhs": format_multiset(got),
-            "rhs": format_multiset(expected),
-            "pass": got == expected,
-        }
-    ]
+    return [_multiset_item(f"clebsch-gordan({n},{m})", got, expected)]
+
+
+def _multiset_item(relation: str, got: Counter, expected: Counter) -> dict:
+    """A report item comparing two Jordan-Holder multisets.  ``got`` is
+    formatted only when it differs: both hold positive counts only, so equal
+    multisets print alike."""
+    rhs = format_multiset(expected)
+    passed = got == expected
+    return {
+        "relation": relation,
+        "lhs": rhs if passed else format_multiset(got),
+        "rhs": rhs,
+        "pass": passed,
+    }

@@ -112,53 +112,81 @@ def _violation(relation: str, lhs: Element, rhs: Element) -> dict:
     }
 
 
-def _sum_terms(pairs) -> dict[int, int]:
-    """Sum of c * t over (c, t) pairs, t a tuple of (position, coeff); zeros dropped."""
-    out: dict[int, int] = {}
-    for c, terms in pairs:
-        for k, d in terms:
-            out[k] = out.get(k, 0) + c * d
-    return {k: s for k, s in out.items() if s}
-
-
 def _check_associativity(algebra: ZigzagAlgebra, violations: list[dict]) -> int:
     """Compare (uv)w with u(vw) for every basis triple; return the triple count.
 
-    ``table[i][j]`` copies ``algebra.mult[(basis[i], basis[j])]`` as a tuple
-    of (position, nonzero coeff).  When u·v is the empty sum, (uv)w is 0 for
-    every w, so only the w with v·w nonzero can give a nonzero u(vw).
+    With L(u) the left multiplication w -> uw and b_k the basis label at
+    position k, (uv)w = u(vw) for all w is the operator identity
+    L(uv) = L(u)·L(v), and L(uv) is the combination of the L(b_m) by the
+    coefficients of uv.  ``cols[j]`` lists the nonzero columns of L(b_j),
+    (k, terms of b_j·b_k) with terms (position, nonzero coeff), read once
+    from ``algebra.mult``.  For a pair (i, j) the left side is nonzero only
+    when b_i·b_j is, and the right side only when some column of L(b_j) has
+    a term at an m with b_i·b_m nonzero; every other pair has both sides 0
+    in every column.  A pair whose operators differ yields one violation
+    per differing column k, in ascending k.
     """
     basis = algebra.basis
+    mult = algebra.mult
     dim = len(basis)
     index = {label: k for k, label in enumerate(basis)}
-    table = [
-        [
-            tuple((index[w], c) for w, c in algebra.mult[(u, v)].items() if c)
-            for v in basis
-        ]
-        for u in basis
-    ]
-    nonzero = [[k for k in range(dim) if row[k]] for row in table]
+    cols = []
+    for u in basis:
+        col = []
+        for k, v in enumerate(basis):
+            prod = mult[(u, v)]
+            if prod:
+                terms = tuple((index[w], c) for w, c in prod.items() if c)
+                if terms:
+                    col.append((k, terms))
+        cols.append(col)
+    users: list[set[int]] = [set() for _ in range(dim)]
+    for j, col in enumerate(cols):
+        for _, terms in col:
+            for m, _ in terms:
+                users[m].add(j)
 
-    def labelled(elem: dict[int, int]) -> Element:
-        return {basis[k]: c for k, c in elem.items()}
-
-    for i, row_i in enumerate(table):
-        for j, uv in enumerate(row_i):
-            row_j = table[j]
-            for k in range(dim) if uv else nonzero[j]:
-                lhs = _sum_terms((c, table[m][k]) for m, c in uv)
-                rhs = _sum_terms((c, row_i[m]) for m, c in row_j[k])
-                if lhs != rhs:
-                    violations.append(
-                        _violation(
-                            f"assoc ({label_str(basis[i])}*{label_str(basis[j])})"
-                            f"*{label_str(basis[k])}",
-                            labelled(lhs),
-                            labelled(rhs),
-                        )
-                    )
+    for i, col_i in enumerate(cols):
+        row_i = dict(col_i)
+        pairs = set(row_i)
+        for m in row_i:
+            pairs |= users[m]
+        for j in sorted(pairs):
+            lhs: dict[tuple[int, int], int] = {}
+            for m, c in row_i.get(j, ()):
+                for k, terms in cols[m]:
+                    for p, d in terms:
+                        lhs[k, p] = lhs.get((k, p), 0) + c * d
+            rhs: dict[tuple[int, int], int] = {}
+            for k, terms in cols[j]:
+                for m, c in terms:
+                    for p, d in row_i.get(m, ()):
+                        rhs[k, p] = rhs.get((k, p), 0) + c * d
+            lhs = {kp: s for kp, s in lhs.items() if s}
+            rhs = {kp: s for kp, s in rhs.items() if s}
+            if lhs != rhs:
+                _column_violations(basis, i, j, lhs, rhs, violations)
     return dim**3
+
+
+def _column_violations(basis, i: int, j: int, lhs: dict, rhs: dict, violations):
+    """One violation per column k where the {(k, position): coeff} operators
+    ``lhs`` = L(b_i b_j) and ``rhs`` = L(b_i)·L(b_j) differ, in ascending k."""
+
+    def column(op: dict, k: int) -> Element:
+        return {basis[p]: c for (kk, p), c in op.items() if kk == k}
+
+    for k in sorted({k for k, _ in lhs.keys() | rhs.keys()}):
+        left, right = column(lhs, k), column(rhs, k)
+        if left != right:
+            violations.append(
+                _violation(
+                    f"assoc ({label_str(basis[i])}*{label_str(basis[j])})"
+                    f"*{label_str(basis[k])}",
+                    left,
+                    right,
+                )
+            )
 
 
 def verify_algebra(algebra: ZigzagAlgebra) -> dict:
@@ -168,20 +196,22 @@ def verify_algebra(algebra: ZigzagAlgebra) -> dict:
     the loop relations, vanishing of all paths between distant vertices, and
     associativity over every basis triple.
 
-    Associativity reads ``algebra.mult`` once into a table indexed by basis
-    position and evaluates both (uv)w and u(vw) exactly from it.  A triple
-    where u·v and v·w are both the empty sum has both sides 0 and needs no
-    sum.  Every one of the dim**3 triples is counted in ``checks``.
+    Each check formats its relation text only when it fails.  The gap >= 2
+    scan reads each label's source and target once and looks the product
+    up in ``algebra.mult``; its nonzero coefficients are what ``multiply``
+    returns for two labels.  Associativity compares L(uv) with L(u)·L(v)
+    over the nonzero columns of the table (see ``_check_associativity``);
+    every one of the dim**3 triples is counted in ``checks``.
     """
     n = algebra.n
     violations: list[dict] = []
     checks = 0
 
-    def expect(relation: str, lhs: Element, rhs: Element):
+    def expect(lhs: Element, rhs: Element, relation: str, *args):
         nonlocal checks
         checks += 1
         if lhs != rhs:
-            violations.append(_violation(relation, lhs, rhs))
+            violations.append(_violation(relation.format(*args), lhs, rhs))
 
     checks += 1
     if algebra.dim != 4 * n + 2:
@@ -197,48 +227,49 @@ def verify_algebra(algebra: ZigzagAlgebra) -> dict:
     for a in range(n + 1):
         for b in range(n + 1):
             want: Element = {("e", a): 1} if a == b else {}
-            expect(
-                f"e{a}*e{b}",
-                multiply(algebra, ("e", a), ("e", b)),
-                want,
-            )
+            expect(multiply(algebra, ("e", a), ("e", b)), want, "e{}*e{}", a, b)
     one: Element = {("e", a): 1 for a in range(n + 1)}
     for u in algebra.basis:
-        expect(f"1*{label_str(u)}", multiply(algebra, one, u), {u: 1})
-        expect(f"{label_str(u)}*1", multiply(algebra, u, one), {u: 1})
+        expect(multiply(algebra, one, u), {u: 1}, "1*{}{}", *u)
+        expect(multiply(algebra, u, one), {u: 1}, "{}{}*1", *u)
 
     for a in range(n + 1):
         z: Element = {("z", a): 1}
         if a >= 1:
-            expect(
-                f"x{a - 1}*y{a} == z{a}",
-                multiply(algebra, ("x", a - 1), ("y", a)),
-                z,
-            )
+            xy = multiply(algebra, ("x", a - 1), ("y", a))
+            expect(xy, z, "x{}*y{} == z{}", a - 1, a, a)
         if a <= n - 1:
-            expect(
-                f"y{a + 1}*x{a} == z{a}",
-                multiply(algebra, ("y", a + 1), ("x", a)),
-                z,
-            )
-        expect(f"z{a}*z{a}", multiply(algebra, ("z", a), ("z", a)), {})
+            yx = multiply(algebra, ("y", a + 1), ("x", a))
+            expect(yx, z, "y{}*x{} == z{}", a + 1, a, a)
+        expect(multiply(algebra, ("z", a), ("z", a)), {}, "z{}*z{}", a, a)
         if a <= n - 1:
-            expect(f"x{a}*z{a}", multiply(algebra, ("x", a), ("z", a)), {})
+            expect(multiply(algebra, ("x", a), ("z", a)), {}, "x{}*z{}", a, a)
         if a >= 1:
-            expect(f"y{a}*z{a}", multiply(algebra, ("y", a), ("z", a)), {})
+            expect(multiply(algebra, ("y", a), ("z", a)), {}, "y{}*z{}", a, a)
     for a in range(n - 1):
-        expect(f"x{a + 1}*x{a}", multiply(algebra, ("x", a + 1), ("x", a)), {})
+        expect(multiply(algebra, ("x", a + 1), ("x", a)), {}, "x{}*x{}", a + 1, a)
     for a in range(2, n + 1):
-        expect(f"y{a - 1}*y{a}", multiply(algebra, ("y", a - 1), ("y", a)), {})
+        expect(multiply(algebra, ("y", a - 1), ("y", a)), {}, "y{}*y{}", a - 1, a)
 
     # Distant vertices: every product landing across a gap >= 2 must vanish.
+    # far[t]: the labels, in basis order, whose source is 2 or more from t.
+    mult = algebra.mult
+    sources = [source(v) for v in algebra.basis]
+    far: dict[int, list[Label]] = {}
     for u in algebra.basis:
-        for v in algebra.basis:
-            if abs(target(u) - source(v)) >= 2:
-                expect(
-                    f"{label_str(u)}*{label_str(v)} (gap >= 2)",
-                    multiply(algebra, u, v),
-                    {},
+        t = target(u)
+        if t not in far:
+            far[t] = [v for v, s in zip(algebra.basis, sources) if abs(t - s) >= 2]
+        checks += len(far[t])
+        for v in far[t]:
+            prod = mult[(u, v)]
+            if prod and any(prod.values()):
+                violations.append(
+                    _violation(
+                        f"{label_str(u)}*{label_str(v)} (gap >= 2)",
+                        {w: c for w, c in prod.items() if c},
+                        {},
+                    )
                 )
 
     checks += _check_associativity(algebra, violations)

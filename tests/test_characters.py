@@ -282,6 +282,13 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             simple_char(1, "x")
 
+    def test_cache_keeps_values_and_not_errors(self):
+        assert simple_char.cache_info().maxsize is not None
+        assert simple_char(4, "+") is simple_char(4, "+")
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                simple_char(-1, "+")
+
 
 class TestSignTwist:
     def test_basic(self):

@@ -249,7 +249,8 @@ class TestReportBytes:
     one, the first above N = 8, from the suite that gauged and compared
     every truncation from scratch) and the relations
     digests from the associativity loop that called ``multiply`` four times
-    per triple, and the clebsch-gordan and bgg digests from the greedy
+    per triple (the relations --max 24 one from the position-indexed table
+    that followed it), and the clebsch-gordan and bgg digests from the greedy
     Jordan-Holder routine, the double-loop convolution and the per-n bgg
     verifier, so any change in a printed coefficient or in the order of items
     fails here."""
@@ -282,6 +283,10 @@ class TestReportBytes:
                 "2f5a3a0ac21c6b8784f61a2a2e8f5dc26ee4984a7a916c5983b1899b12cca49d",
             ),
             (
+                ("verify", "relations", "--max", "24", "--force", "--format", "json"),
+                "b9698db69468249415377959b3ad7b8a57286dc5fc77481b8e830dd3afb07feb",
+            ),
+            (
                 ("verify", "clebsch-gordan", "--max", "16", "--format", "json"),
                 "c48da33197186c721313cd5e95096ecddbb880725237a26f6dfed474cafc14db",
             ),
@@ -301,6 +306,7 @@ class TestReportBytes:
             "frobenius-json",
             "relations-text",
             "relations-json",
+            "relations-24-json",
             "clebsch-gordan-json",
             "bgg-json",
             "all-12-json",

@@ -291,6 +291,16 @@ class TestVerifierCorruptions:
         assert items[0]["lhs"] == "L(2)⁻"
         assert all_pass(verify_clebsch_gordan(0, 0))
 
+    def test_clebsch_gordan_with_wrong_expectation(self, monkeypatch):
+        # The failing item formats what was computed, not the expectation.
+        monkeypatch.setattr(satake, "expected_clebsch_gordan", lambda n, m: [6, 4])
+        items = verify_clebsch_gordan(2, 1)
+        assert failed(items) == ["clebsch-gordan(2,1)"]
+        got = Counter({(6, "+"): 1, (2, "+"): 1})
+        assert items[0]["lhs"] == format_multiset(got) == "L(6)⁺, L(2)⁺"
+        assert items[0]["rhs"] == "L(6)⁺, L(4)⁺"
+        assert items[0]["lhs"] != items[0]["rhs"]
+
 
 class TestFormatting:
     def test_multiset_rendering(self):

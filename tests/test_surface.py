@@ -7,12 +7,14 @@ no verifier, criterion or benchmark layer runs.  References are found by name
 (a bare name, an attribute, an imported name or a string constant, outside the
 definition itself); a method counts as referenced by an attribute or string of
 its name only, so it shares those with every same-named attribute.
-``__init__.py`` re-exports are not references.
+``__init__.py`` re-exports are not references.  The package also imports
+nothing outside the standard library, and every cache in it is bounded.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -121,3 +123,16 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == [], f"imports outside the standard library: {foreign}"
+
+
+def test_every_cache_is_bounded():
+    # Caches are keyed by value and hold a fixed number of entries.
+    unbounded = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"qsatake.{path.stem}")
+        for name, value in vars(module).items():
+            info = getattr(value, "cache_info", None)
+            if callable(info) and getattr(value, "__module__", None) == module.__name__:
+                if info().maxsize is None:
+                    unbounded.append(f"{path.stem}.{name}")
+    assert unbounded == [], f"caches without a maxsize: {unbounded}"

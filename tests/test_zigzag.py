@@ -223,3 +223,26 @@ class TestAssociativityTable:
         assert relations[0] == "assoc (z1*z1)*x0"
         assert report["checks"] == verify_algebra(a)["checks"]
         assert report == reference_report(bad)
+
+    def test_corruption_far_from_the_diagonal(self):
+        a = make(6)
+        bad = corrupted(a, (("x", 0), ("x", 5)), {("z", 3): 1})  # x0*x5 := z3
+        report = verify_algebra(bad)
+        assert report == reference_report(bad)
+        relations = [v["relation"] for v in report["violations"]]
+        assert "x0*x5 (gap >= 2)" in relations
+        assert "assoc (x0*x5)*e5" in relations
+
+    def test_gap_violation_text_and_position(self):
+        a = make(4)
+        # z0*e3 := 2*z0, with a stored zero that multiply drops as well
+        bad = corrupted(a, (("z", 0), ("e", 3)), {("z", 0): 2, ("x", 1): 0})
+        got = verify_algebra(bad)["violations"]
+        want = reference_report(bad)["violations"]
+        item = {"relation": "z0*e3 (gap >= 2)", "lhs": "2*z0", "rhs": "0"}
+        item["pass"] = False
+        assert got.index(item) == want.index(item)
+        assert got == want
+        # an entry of stored zeros is the empty product
+        zeros = corrupted(a, (("z", 0), ("e", 3)), {("x", 1): 0})
+        assert verify_algebra(zeros) == verify_algebra(a)
