@@ -4,31 +4,26 @@ Commands: ``char`` and ``jh`` print character-level data for one labelled
 object, ``homdim`` prints one quantum Hom dimension, and ``verify`` runs a
 named verification suite to a truncation bound.  Output is deterministic
 (byte-identical across runs); exit codes are 0 for success, 1 for a
-verification failure, 2 for usage errors.
+verification failure, 2 for usage errors.  ``verify`` writes each report item
+as its suite yields it, so no report is held whole in memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import equivalence, modtools, satake, zigzag
 from .characters import display_order
 from .errors import DomainError, VerificationError
 
 MAX_GUARD = 24
-SUITES = (
-    "zigzag",
-    "clebsch-gordan",
-    "steinberg",
-    "bgg",
-    "blocks",
-    "relations",
-    "frobenius",
-    "all",
-)
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,16 +80,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write the strings of ``chunks`` to stdout, or to the file ``output``.
+
+    The file is written under a temporary name beside the target and renamed
+    onto it at the end; if anything raises, the temporary file is removed, so
+    a failed run creates no file and leaves an existing target as it was.  An
+    unwritable target fails, naming ``output``, before ``chunks`` is read.
+    """
     if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+        sys.stdout.writelines(chunks)
+        return
+    if os.path.isdir(output):
+        raise IsADirectoryError(f"is a directory: {output!r}")
+    head, tail = os.path.split(output)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")  # the mode open(output, "w") gives
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, output) from None
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, output)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _jh_items(multiset: Counter) -> list[dict]:
@@ -105,22 +116,22 @@ def _jh_items(multiset: Counter) -> list[dict]:
 
 
 def cmd_char(args) -> int:
-    obj = satake.formal(args.kind, args.n, args.sign)
+    character = satake.formal(args.kind, args.n, args.sign).character
     if args.fmt == "json":
-        text = _json_dumps(obj.character.to_json_dict()) + "\n"
+        text = _JSON.encode(character.to_json_dict())
     else:
-        text = str(obj.character) + "\n"
-    _emit(text, args.output)
+        text = str(character)
+    _emit((text, "\n"), args.output)
     return 0
 
 
 def cmd_jh(args) -> int:
-    obj = satake.formal(args.kind, args.n, args.sign)
+    jh = satake.formal(args.kind, args.n, args.sign).jh
     if args.fmt == "json":
-        text = _json_dumps(_jh_items(obj.jh)) + "\n"
+        text = _JSON.encode(_jh_items(jh))
     else:
-        text = satake.format_multiset(obj.jh) + "\n"
-    _emit(text, args.output)
+        text = satake.format_multiset(jh)
+    _emit((text, "\n"), args.output)
     return 0
 
 
@@ -134,112 +145,99 @@ def cmd_homdim(args) -> int:
         modtools.projective(args.a), modtools.projective(args.b)
     ).dim
     if args.fmt == "json":
-        _emit(_json_dumps({"a": args.a, "b": args.b, "dim": dim}) + "\n", args.output)
+        text = _JSON.encode({"a": args.a, "b": args.b, "dim": dim})
     else:
-        _emit(f"{dim}\n", args.output)
+        text = str(dim)
+    _emit((text, "\n"), args.output)
     return 0
 
 
-def _suite_relations(max_n: int) -> list[dict]:
-    items = []
+def _suite_relations(max_n: int) -> Iterator[dict]:
     for n in range(max_n + 1):
         report = zigzag.verify_algebra(zigzag.make(n))
-        items.append(
-            {
-                "relation": f"zigzag algebra N={n} invariants ({report['checks']} checks)",
-                "lhs": f"{len(report['violations'])} violations",
-                "rhs": "0 violations",
-                "pass": not report["violations"],
-            }
-        )
-        items.extend(report["violations"])
-    return items
+        yield {
+            "relation": f"zigzag algebra N={n} invariants ({report['checks']} checks)",
+            "lhs": f"{len(report['violations'])} violations",
+            "rhs": "0 violations",
+            "pass": not report["violations"],
+        }
+        yield from report["violations"]
 
 
-def _suite_zigzag(max_n: int) -> list[dict]:
+def _suite_zigzag(max_n: int) -> Iterator[dict]:
     """Truncations N = 0..max_n in order; each gauge extends the one of N - 1
     when ``gauge_fix`` finds its quiver unchanged."""
-    items = []
     prev = None  # (quiver, gauge) of N - 1, if both were built
     for n in range(max_n + 1):
         try:
             hq = equivalence.hom_quiver(n)
         except VerificationError as exc:
-            items.append(_failed(f"N={n}: hom dimension pattern", exc, "2/1/0 pattern"))
+            yield _failed(f"N={n}: hom dimension pattern", exc, "2/1/0 pattern")
             prev = None
             continue
-        items.append(
-            {
-                "relation": f"N={n}: hom dimension pattern",
-                "lhs": str(hq.dim_matrix()),
-                "rhs": "2/1/0 pattern",
-                "pass": True,
-            }
-        )
+        yield {
+            "relation": f"N={n}: hom dimension pattern",
+            "lhs": str(hq.dim_matrix()),
+            "rhs": "2/1/0 pattern",
+            "pass": True,
+        }
         try:
             gauge = equivalence.gauge_fix(hq, prev)
             compared = equivalence.compare_zigzag(hq, gauge)
         except VerificationError as exc:
-            items.append(_failed(f"N={n}: gauge fixing", exc, "zigzag generators"))
+            yield _failed(f"N={n}: gauge fixing", exc, "zigzag generators")
             prev = None
             continue
         prev = (hq, gauge)
-        for item in compared:
-            items.append({**item, "relation": f"N={n}: {item['relation']}"})
-    return items
+        for item in compared:  # fresh dicts, relabelled in place
+            item["relation"] = f"N={n}: {item['relation']}"
+            yield item
 
 
 def _failed(relation: str, exc: VerificationError, rhs: str) -> dict:
     return {"relation": relation, "lhs": str(exc), "rhs": rhs, "pass": False}
 
 
-def _suite_clebsch(max_n: int) -> list[dict]:
-    items = []
+def _suite_clebsch(max_n: int) -> Iterator[dict]:
     for n in range(max_n + 1):
         for m in range(max_n + 1):
-            items.extend(satake.verify_clebsch_gordan(n, m))
-    return items
+            yield from satake.verify_clebsch_gordan(n, m)
 
 
-def _suite_steinberg(max_n: int) -> list[dict]:
-    items = []
+def _suite_steinberg(max_n: int) -> Iterator[dict]:
     for n in range(max_n + 1):
-        items.extend(satake.verify_steinberg(n))
-    return items
+        yield from satake.verify_steinberg(n)
 
 
-def _suite_bgg(max_n: int) -> list[dict]:
-    items = []
+def _suite_bgg(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
-        items.extend(satake.verify_odd_ses(n))
-    items.extend(satake.verify_bgg(max_n))
-    return items
+        yield from satake.verify_odd_ses(n)
+    yield from satake.verify_bgg(max_n)
 
 
-def _suite_blocks(max_n: int) -> list[dict]:
-    return satake.verify_block_split(max_n)
-
-
-def _suite_frobenius(max_n: int) -> list[dict]:
-    items = []
+def _suite_frobenius(max_n: int) -> Iterator[dict]:
     for n in range(max_n + 1):
         for m in range(max_n + 1):
-            items.extend(equivalence.frobenius_action_check(n, m))
-    return items
+            yield from equivalence.frobenius_action_check(n, m)
 
 
+# Each runner maps the truncation bound to an iterable of report items, in the
+# order ``verify all`` runs them.
 _SUITE_RUNNERS = {
-    "relations": _suite_relations,
     "zigzag": _suite_zigzag,
     "clebsch-gordan": _suite_clebsch,
     "steinberg": _suite_steinberg,
     "bgg": _suite_bgg,
-    "blocks": _suite_blocks,
+    "blocks": satake.verify_block_split,
+    "relations": _suite_relations,
     "frobenius": _suite_frobenius,
 }
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def cmd_verify(args) -> int:
+    """Write the report as the suites yield its items: PASS/FAIL lines and a
+    summary, or the bytes of ``json.dumps(items, separators=(",", ":"))``."""
     if args.max_n < 0:
         raise DomainError("--max must be >= 0")
     if args.max_n > MAX_GUARD and not args.force:
@@ -247,31 +245,38 @@ def cmd_verify(args) -> int:
             f"--max {args.max_n} exceeds the guard ({MAX_GUARD}); pass --force "
             "to override"
         )
-    if args.suite == "all":
-        names = [s for s in SUITES if s != "all"]
-    else:
-        names = [args.suite]
-    items: list[dict] = []
-    for name in names:
-        for item in _SUITE_RUNNERS[name](args.max_n):
-            items.append({**item, "relation": f"{name}: {item['relation']}"})
-    failures = [it for it in items if not it["pass"]]
-    if args.fmt == "json":
-        text = _json_dumps(items) + "\n"
-    else:
-        lines = []
-        for it in items:
-            if it["pass"]:
-                lines.append(f"PASS {it['relation']}")
-            else:
-                lines.append(
-                    f"FAIL {it['relation']}: lhs={it['lhs']} rhs={it['rhs']}"
-                )
-        lines.append(
-            f"{args.suite}: {len(items)} checks, {len(failures)} failures"
-        )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    names = _SUITE_RUNNERS if args.suite == "all" else (args.suite,)
+    as_json = args.fmt == "json"
+    checks = failures = 0
+
+    def report() -> Iterator[str]:
+        nonlocal checks, failures
+        sep = ""
+        if as_json:
+            yield "["
+        for name in names:
+            for item in _SUITE_RUNNERS[name](args.max_n):
+                checks += 1
+                ok = item["pass"]
+                failures += not ok
+                relation = f"{name}: {item['relation']}"
+                if as_json:
+                    yield (
+                        f'{sep}{{"relation":{_quote(relation)},'
+                        f'"lhs":{_quote(item["lhs"])},"rhs":{_quote(item["rhs"])},'
+                        f'"pass":{"true" if ok else "false"}}}'
+                    )
+                    sep = ","
+                elif ok:
+                    yield f"PASS {relation}\n"
+                else:
+                    yield f"FAIL {relation}: lhs={item['lhs']} rhs={item['rhs']}\n"
+        if as_json:
+            yield "]\n"
+        else:
+            yield f"{args.suite}: {checks} checks, {failures} failures\n"
+
+    _emit(report(), args.output)
     return 1 if failures else 0
 
 

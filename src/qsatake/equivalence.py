@@ -111,20 +111,20 @@ def gauge_fix(
 ) -> dict[Label, QMatrix]:
     """Choose based generators matching the zigzag presentation.
 
-    e_a is the identity of End P(2a) and x_a the solver's basis vector of
-    Hom(P(2a), P(2a+2)).  y_1 keeps its solver normalization and defines
-    z_0 = y_1 x_0; each later y_{a+1} is rescaled so that y_{a+1} x_a equals
-    x_{a-1} y_a, which then defines z_a.  At the top vertex z_N = x_{N-1} y_N;
-    at N = 0 the loop z_0 is the radical of End P(0), read from the quiver's
-    Hom basis; a radical of another dimension is a VerificationError.
+    Vertices a = 1..N are added in order, each with e_a (the identity of
+    End P(2a)), x_{a-1} (the solver's basis vector of Hom(P(2a-2), P(2a)))
+    and y_a.  y_1 keeps its solver normalization and defines z_0 = y_1 x_0;
+    each later y_a is rescaled so that y_a x_{a-1} equals z_{a-1}.  Then
+    z_a = x_{a-1} y_a, and the top loop z_N must be nonzero.  At N = 0 the
+    loop z_0 is the radical of End P(0), read from the quiver's Hom basis; a
+    radical of another dimension is a VerificationError.
 
     ``prev`` may hold the quiver of N - 1 and its gauge as ``gauge_fix``
     returned it.  For N >= 2, if that quiver's modules and Hom bases are
     those of ``hq`` (compared by value), its matrices are kept as they are,
-    the same objects, and only e_N, x_{N-1}, the loop step at vertex N - 1
-    (which gauges y_N and keeps the old top loop as z_{N-1}) and z_N are
-    added.  Otherwise the gauge is built from scratch; so is every N <= 1,
-    since z_0 at N = 0 is the radical, not y_1 x_0.
+    the same objects, and only vertex N is added, with y_N gauged against the
+    old top loop z_{N-1}.  Otherwise the gauge is built from scratch; so is
+    every N <= 1, since z_0 at N = 0 is the radical, not y_1 x_0.
     """
     n = hq.n
     if n == 0:
@@ -132,42 +132,37 @@ def gauge_fix(
             ("e", 0): QMatrix.identity(hq.modules[0].dim),
             ("z", 0): modtools.radical_element(hq.hom(0, 0).basis),
         }
-    reuse = _extends(hq, prev)
-    gauge: dict[Label, QMatrix] = dict(prev[1]) if reuse else {}
-    old = n if reuse else 0  # vertices 0..old-1 are already gauged
-    for a in range(old, n + 1):
+    if _extends(hq, prev):
+        gauge, start = dict(prev[1]), n
+    else:
+        gauge, start = {("e", 0): QMatrix.identity(hq.modules[0].dim)}, 1
+    for a in range(start, n + 1):  # add vertex a
         gauge[("e", a)] = QMatrix.identity(hq.modules[a].dim)
-    for a in range(max(old - 1, 0), n):
-        gauge[("x", a)] = hq.hom(a, a + 1).basis[0]
-    if not reuse:
-        gauge[("y", 1)] = hq.hom(1, 0).basis[0]
-        z0 = gauge[("y", 1)] @ gauge[("x", 0)]
-        if z0.is_zero():
-            raise VerificationError("composite y1*x0 vanishes; no loop at vertex 0")
-        gauge[("z", 0)] = z0
-    for a in range(max(old - 1, 1), n):
-        if ("z", a) in gauge:  # the top loop x_{a-1} y_a of the gauge of N - 1
-            fixed = gauge[("z", a)]
+        x = gauge[("x", a - 1)] = hq.hom(a - 1, a).basis[0]
+        raw = hq.hom(a, a - 1).basis[0]
+        if a == 1:
+            z0 = raw @ x
+            if z0.is_zero():
+                raise VerificationError("composite y1*x0 vanishes; no loop at vertex 0")
+            gauge[("y", 1)], gauge[("z", 0)] = raw, z0
         else:
-            fixed = gauge[("x", a - 1)] @ gauge[("y", a)]
-        raw = hq.hom(a + 1, a).basis[0]
-        unscaled = raw @ gauge[("x", a)]
-        if fixed.is_zero() or unscaled.is_zero():
-            raise VerificationError(
-                f"a loop composite at vertex {a} vanishes; cannot gauge y{a + 1}"
-            )
-        try:
-            (lam,) = coords_in_basis([unscaled], fixed)
-        except NoSolutionError:
-            raise VerificationError(
-                f"x{a - 1}*y{a} and y{a + 1}*x{a} are not proportional at vertex {a}"
-            )
-        gauge[("y", a + 1)] = raw.scale(lam)
-        gauge[("z", a)] = fixed
-    zn = gauge[("x", n - 1)] @ gauge[("y", n)]
-    if zn.is_zero():
+            fixed = gauge[("z", a - 1)]
+            unscaled = raw @ x
+            if fixed.is_zero() or unscaled.is_zero():
+                raise VerificationError(
+                    f"a loop composite at vertex {a - 1} vanishes; cannot gauge y{a}"
+                )
+            try:
+                (lam,) = coords_in_basis([unscaled], fixed)
+            except NoSolutionError:
+                raise VerificationError(
+                    f"x{a - 2}*y{a - 1} and y{a}*x{a - 1} are not proportional "
+                    f"at vertex {a - 1}"
+                )
+            gauge[("y", a)] = raw.scale(lam)
+        gauge[("z", a)] = x @ gauge[("y", a)]
+    if gauge[("z", n)].is_zero():
         raise VerificationError(f"composite x{n - 1}*y{n} vanishes at vertex {n}")
-    gauge[("z", n)] = zn
     return gauge
 
 

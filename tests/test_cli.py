@@ -148,15 +148,54 @@ class TestVerify:
         items = json.loads(path.read_text(encoding="utf-8"))
         assert all(it["pass"] for it in items)
 
-    def test_unwritable_output_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "report.txt"
-        code, out, err = run(
-            capsys, "verify", "relations", "--max", "1", "--output", str(path)
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert not path.exists()
+    def test_unwritable_output_exits_2(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "relations", calls.append)
+        for target in ("missing/report.txt", "missing/", "."):
+            path = os.path.join(tmp_path, target)
+            code, out, err = run(
+                capsys, "verify", "relations", "--max", "1", "--output", path
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert repr(path) in err  # the target, not a temporary name
+        assert calls == []  # no suite ran
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_run_leaves_the_output_as_it_was(
+        self, capsys, monkeypatch, tmp_path, existing
+    ):
+        def failing_midway(max_n):
+            yield {"relation": "first", "lhs": "1", "rhs": "1", "pass": True}
+            raise RuntimeError("suite broke")
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "blocks", failing_midway)
+        path = tmp_path / "report.txt"
+        if existing:
+            path.write_bytes(b"old report\n")
+        with pytest.raises(RuntimeError, match="suite broke"):
+            cli.main(["verify", "blocks", "--output", str(path)])
+        assert capsys.readouterr().out == ""
+        if existing:
+            assert path.read_bytes() == b"old report\n"
+        else:
+            assert not path.exists()
+        assert os.listdir(tmp_path) == (["report.txt"] if existing else [])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_file_equals_stdout(self, capsys, tmp_path, fmt):
+        argv = ("verify", "zigzag", "--max", "3", "--format", fmt)
+        _, out, _ = run(capsys, *argv)
+        path = tmp_path / "report"
+        code, nothing, _ = run(capsys, *argv, "--output", str(path))
+        assert (code, nothing) == (0, "")
+        assert path.read_bytes() == out.encode("utf-8")
+        assert os.listdir(tmp_path) == ["report"]
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
     def test_max_guard(self, capsys):
         code, _, err = run(capsys, "verify", "blocks", "--max", "25")
@@ -252,8 +291,9 @@ class TestReportBytes:
     per triple (the relations --max 24 one from the position-indexed table
     that followed it), and the clebsch-gordan and bgg digests from the greedy
     Jordan-Holder routine, the double-loop convolution and the per-n bgg
-    verifier, so any change in a printed coefficient or in the order of items
-    fails here."""
+    verifier (the ``verify all --max 24`` one from the report buffered whole
+    before it was streamed item by item), so any change in a printed
+    coefficient or in the order of items fails here."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -298,6 +338,10 @@ class TestReportBytes:
                 ("verify", "all", "--max", "12", "--format", "json"),
                 "dac207f01c17845b65aa331c0c3f4299bda1f63276aa77c8c9ae7e14316cf41f",
             ),
+            (
+                ("verify", "all", "--max", "24", "--force"),
+                "09b941de64cc5365e41588e5237964aceb1bf8cddd7b0741457a462fb13bbb7a",
+            ),
         ],
         ids=[
             "zigzag-text",
@@ -310,6 +354,7 @@ class TestReportBytes:
             "clebsch-gordan-json",
             "bgg-json",
             "all-12-json",
+            "all-24-text",
         ],
     )
     def test_report_digest(self, capsys, argv, digest):
