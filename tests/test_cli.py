@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -196,6 +198,78 @@ class TestVerify:
         with open(tmp_path / "plain", "w", encoding="utf-8"):
             pass
         assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_read_only_output_exits_2(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "relations", calls.append)
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"old report\n")
+        path.chmod(0o444)
+        if os.geteuid() == 0:
+            # Root may write a read-only file, as open() would let it; answer
+            # as the kernel does for any other user.
+            monkeypatch.setattr(
+                os, "access", lambda p, mode: os.stat(p).st_mode & 0o222 != 0
+            )
+        code, out, err = run(
+            capsys, "verify", "relations", "--max", "1", "--output", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and repr(str(path)) in err
+        assert calls == []
+        assert path.read_bytes() == b"old report\n"
+        assert os.listdir(tmp_path) == ["report.txt"]
+
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_output_writes_through_a_symlink(self, capsys, tmp_path, dangling):
+        argv = ("verify", "zigzag", "--max", "3")
+        _, out, _ = run(capsys, *argv)
+        report = tmp_path / "report"
+        if not dangling:
+            report.write_bytes(b"old report\n")
+        link = tmp_path / "link"
+        link.symlink_to("report")
+        code, nothing, _ = run(capsys, *argv, "--output", str(link))
+        assert (code, nothing) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == "report"
+        assert report.read_bytes() == out.encode("utf-8")
+        assert sorted(os.listdir(tmp_path)) == ["link", "report"]
+
+    def test_existing_output_keeps_its_inode(self, capsys, tmp_path):
+        argv = ("verify", "zigzag", "--max", "3", "--format", "json")
+        _, out, _ = run(capsys, *argv)
+        path = tmp_path / "report"
+        path.write_bytes(b"old report\n")
+        path.chmod(0o640)
+        os.link(path, tmp_path / "hard")
+        before = path.stat()
+        code, nothing, _ = run(capsys, *argv, "--output", str(path))
+        assert (code, nothing) == (0, "")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode, after.st_uid, after.st_nlink) == (
+            before.st_ino,
+            before.st_mode,
+            before.st_uid,
+            2,
+        )
+        assert (tmp_path / "hard").read_bytes() == out.encode("utf-8")
+
+    def test_output_to_a_fifo(self, capsys, tmp_path):
+        argv = ("verify", "zigzag", "--max", "3")
+        _, out, _ = run(capsys, *argv)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        code, nothing, _ = run(capsys, *argv, "--output", str(fifo))
+        reader.join(timeout=30)
+        assert (code, nothing) == (0, "")
+        assert received == [out.encode("utf-8")]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
 
     def test_max_guard(self, capsys):
         code, _, err = run(capsys, "verify", "blocks", "--max", "25")
@@ -398,13 +472,15 @@ class TestProcessLevel:
                 "report, sys.stdout = sys.stdout.getvalue(), out",
                 "print(report.splitlines()[-1])",
                 "print('fractions' in sys.modules)",
+                # Only --output onto an existing file stages it in a temporary file.
+                "print('tempfile' in sys.modules)",
             ]
         )
         env = {"PYTHONPATH": str(REPO_ROOT / "src")}
         cmd = [sys.executable, "-S", "-c", script]
         done = subprocess.run(cmd, capture_output=True, env=env, check=True)
         assert done.stdout == (
-            b"[]\n1\n1\nFalse\nzigzag: 143 checks, 0 failures\nFalse\n"
+            b"[]\n1\n1\nFalse\nzigzag: 143 checks, 0 failures\nFalse\nFalse\n"
         )
 
     def test_benchmark_traced_run_resolves_every_layer(self, tmp_path):
