@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import count
 from math import gcd
-from operator import itemgetter
 
 from .errors import DomainError, NotACharacterError
 from .record import Record
@@ -61,9 +61,10 @@ class SignedCharacter:
     """A finite-dimensional Z-graded Z/2-representation, up to isomorphism.
 
     ``mults`` maps ``(weight, sign)`` to a positive int and is not modified.
+    ``_packing`` is filled by the first product that reads it (see ``_packing``).
     """
 
-    __slots__ = ("mults",)
+    __slots__ = ("mults", "_packing")
 
     def __init__(self, plus=(), minus=()):
         """The character with ``plus[w]`` copies of k+ and ``minus[w]`` of k-
@@ -130,9 +131,10 @@ class WeightCharacter:
     """An ungraded weight-multiplicity character (classical or quantum side).
 
     ``mults`` maps each weight to a positive int and is not modified.
+    ``_packing`` is filled by the first product that reads it (see ``_packing``).
     """
 
-    __slots__ = ("mults",)
+    __slots__ = ("mults", "_packing")
 
     def __init__(self, mults=()):
         """The character with ``mults[w]`` copies of weight w; a mapping or
@@ -153,8 +155,11 @@ class WeightCharacter:
 
     def __mul__(self, other: "WeightCharacter") -> "WeightCharacter":
         """Weights add: the character of the tensor product."""
+        low, step, coeffs = _packed_product(self, other)
         c = object.__new__(WeightCharacter)
-        object.__setattr__(c, "mults", _packed_product(self.mults, other.mults))
+        object.__setattr__(
+            c, "mults", {e: m for e, m in zip(count(low, step), coeffs) if m}
+        )
         return c
 
     def __str__(self) -> str:
@@ -175,13 +180,11 @@ def classical_char(n: int) -> WeightCharacter:
     return WeightCharacter({n - 2 * j: 1 for j in range(n + 1)})
 
 
-def _chain_step(n: int) -> tuple[int, bool]:
-    """One step down the chain of keys of a simple character led at weight n.
-
-    The weight drops by 2 with the sign alternating for odd n, and by 4 with
-    the sign kept for even n.  Every key of the chain has the parity of n.
-    """
-    return (2, True) if n % 2 else (4, False)
+# The chain of keys of a simple character led at weight n, by the parity of n:
+# (step, turn).  Each step down the chain drops the weight by ``step`` and
+# maps the sign by ``turn``: by 2 with the sign alternating for odd n, by 4
+# with the sign kept for even n.  Every key of the chain has the parity of n.
+_CHAINS = ((4, {PLUS: PLUS, MINUS: MINUS}), (2, _OPPOSITE))
 
 
 def simple_weights(n: int) -> range:
@@ -192,58 +195,46 @@ def simple_weights(n: int) -> range:
     """
     if n < 0:
         raise DomainError(f"simple_weights requires n >= 0, got {n}")
-    return range(n, -n - 1, -_chain_step(n)[0])
+    return range(n, -n - 1, -_CHAINS[n & 1][0])
 
 
-def _slot_bytes(a: dict, b: dict) -> int:
-    """Bytes per slot that hold every coefficient of the product of a and b.
+class _Packing:
+    """A nonzero character as the polynomial {exponent: coefficient} that the
+    packed product multiplies, with what every product reads of it.
 
-    A coefficient of the product sums at most min(len a, len b) terms, each
-    at most max(a) * max(b).
+    ``low`` and ``top`` are the lowest and top exponent, ``step`` the gcd of
+    the offsets from ``low`` (0 for a single key) and ``peak`` the largest
+    coefficient.  ``packed`` is the polynomial as one int for the (step,
+    slot width) in ``layout``, the last one a product asked for.
     """
-    bound = min(len(a), len(b)) * max(a.values()) * max(b.values())
-    return (bound.bit_length() + 7) // 8
 
+    __slots__ = ("poly", "low", "top", "step", "peak", "layout", "packed")
 
-def _pack(poly: dict, low: int, step: int, width: int) -> int:
-    """``poly`` as one int, ``width`` bytes per slot, exponent low + step*i
-    in slot i."""
-    buf = bytearray(((max(poly) - low) // step + 1) * width)
-    if width == 1:
-        for e, c in poly.items():
-            buf[(e - low) // step] = c
-    else:
-        for e, c in poly.items():
-            i = (e - low) // step * width
-            buf[i : i + width] = c.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
+    def __init__(self, poly: dict):
+        self.poly = poly
+        self.low = low = min(poly)
+        self.top = max(poly)
+        self.step = gcd(*(e - low for e in poly))
+        self.peak = max(poly.values())
+        self.layout = None
+        self.packed = 0
 
-
-def _packed_product(a: dict, b: dict) -> dict:
-    """Product of two polynomials {int exponent: nonnegative int coefficient}.
-
-    Kronecker substitution: the exponents of a lie in min(a) + step*N and
-    those of b in min(b) + step*N, for ``step`` the gcd of all their offsets.
-    Each operand becomes one int with a slot of ``_slot_bytes`` per step, so
-    one C-level int product gives every coefficient, and no carry crosses a
-    slot.  The result lists the nonzero coefficients by ascending exponent.
-    """
-    if not a or not b:
-        return {}
-    low_a, low_b = min(a), min(b)
-    step = gcd(*(e - low_a for e in a), *(e - low_b for e in b)) or 1
-    width = _slot_bytes(a, b)
-    slots = (max(a) - low_a + max(b) - low_b) // step + 1
-    raw = (_pack(a, low_a, step, width) * _pack(b, low_b, step, width)).to_bytes(
-        slots * width, "little"
-    )
-    if width > 1:
-        raw = [
-            int.from_bytes(raw[i : i + width], "little")
-            for i in range(0, len(raw), width)
-        ]
-    low = low_a + low_b
-    return {low + step * i: c for i, c in enumerate(raw) if c}
+    def packed_as(self, step: int, width: int) -> int:
+        """The polynomial as one int, ``width`` bytes per slot, exponent
+        low + step*i in slot i."""
+        if self.layout != (step, width):
+            low = self.low
+            buf = bytearray(((self.top - low) // step + 1) * width)
+            if width == 1:
+                for e, c in self.poly.items():
+                    buf[(e - low) // step] = c
+            else:
+                for e, c in self.poly.items():
+                    i = (e - low) // step * width
+                    buf[i : i + width] = c.to_bytes(width, "little")
+            self.layout = (step, width)
+            self.packed = int.from_bytes(buf, "little")
+        return self.packed
 
 
 # The key (w, sign) is the exponent 3w + digit: a product of two keys lands at
@@ -252,20 +243,78 @@ _DIGIT = {PLUS: 0, MINUS: 1}
 _DIGIT_SIGN = (PLUS, MINUS, PLUS)
 
 
+def _packing(c) -> _Packing:
+    """The packing of a nonzero signed or weight character, made by its first
+    product and kept in its ``_packing`` slot: the character is immutable, so
+    its packing never goes stale."""
+    try:
+        return c._packing
+    except AttributeError:
+        pass
+    poly = c.mults
+    if isinstance(c, SignedCharacter):
+        poly = {3 * w + _DIGIT[s]: m for (w, s), m in poly.items()}
+    packing = _Packing(poly)
+    object.__setattr__(c, "_packing", packing)
+    return packing
+
+
+def _slot_bytes(a: _Packing, b: _Packing) -> int:
+    """Bytes per slot that hold every coefficient of the product of a and b.
+
+    A coefficient of the product sums at most min(len a, len b) terms, each
+    at most peak(a) * peak(b).
+    """
+    bound = min(len(a.poly), len(b.poly)) * a.peak * b.peak
+    return (bound.bit_length() + 7) // 8
+
+
+def _packed_product(a, b) -> tuple:
+    """The product of two characters of one kind as polynomials: (low, step,
+    coeffs), the coefficient of the exponent low + step*i being coeffs[i].
+
+    Kronecker substitution: the exponents of a lie in low(a) + step*N and
+    those of b in low(b) + step*N, for ``step`` the gcd of their steps.  Each
+    operand is one int with a slot of ``_slot_bytes`` per step, packed once
+    per layout on its ``_packing``, so one C-level int product gives every
+    coefficient, and no carry crosses a slot.  A zero operand gives none.
+    """
+    if not a.mults or not b.mults:
+        return 0, 1, ()
+    pa, pb = _packing(a), _packing(b)
+    step = gcd(pa.step, pb.step) or 1
+    width = _slot_bytes(pa, pb)
+    slots = (pa.top - pa.low + pb.top - pb.low) // step + 1
+    coeffs = (pa.packed_as(step, width) * pb.packed_as(step, width)).to_bytes(
+        slots * width, "little"
+    )
+    if width > 1:
+        coeffs = [
+            int.from_bytes(coeffs[i : i + width], "little")
+            for i in range(0, len(coeffs), width)
+        ]
+    return pa.low + pb.low, step, coeffs
+
+
 def conv(a: SignedCharacter, b: SignedCharacter) -> SignedCharacter:
     """Graded tensor product: k- tensor k- is k+, weights add.
 
-    One packed product over the exponents 3w + digit (see ``_DIGIT``).
+    One packed product over the exponents 3w + digit (see ``_DIGIT``).  When
+    its step is a multiple of 3, every exponent has the digit of the lowest,
+    so the keys all have one sign and no two exponents share a key.
     """
-    product = _packed_product(
-        {3 * w + _DIGIT[s]: c for (w, s), c in a.mults.items()},
-        {3 * w + _DIGIT[s]: c for (w, s), c in b.mults.items()},
-    )
+    low, step, coeffs = _packed_product(a, b)
+    if step % 3 == 0:
+        w, digit = divmod(low, 3)
+        sign = _DIGIT_SIGN[digit]
+        weights = count(w, step // 3)
+        return _signed({(v, sign): c for v, c in zip(weights, coeffs) if c})
     out: dict = {}
-    for e, c in product.items():
-        w, digit = divmod(e, 3)
-        key = (w, _DIGIT_SIGN[digit])
-        out[key] = out.get(key, 0) + c
+    for e, c in zip(count(low, step), coeffs):
+        if c:
+            w, digit = divmod(e, 3)
+            key = (w, _DIGIT_SIGN[digit])
+            out[key] = out.get(key, 0) + c
     return _signed(out)
 
 
@@ -280,12 +329,8 @@ def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
     Even n = 2m: k^sign in weights 2m, 2m-4, ..., -2m.  Odd n: one copy in
     every weight n, n-2, ..., -n with the sign alternating from the top.
     """
-    flips = _chain_step(n)[1]
-    other = _OPPOSITE[sign]
-    return [
-        (w, other if flips and k % 2 else sign)
-        for k, w in enumerate(simple_weights(n))
-    ]
+    turn = _CHAINS[n & 1][1]
+    return [(w, turn[sign] if k % 2 else sign) for k, w in enumerate(simple_weights(n))]
 
 
 def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
@@ -331,55 +376,69 @@ def standard_char(n: int, sign: str) -> SignedCharacter:
     return _signed(mults)
 
 
-def _triangular_jh(mults: dict, weight, chain) -> Counter:
+def _triangular_jh(mults: dict, signed: bool) -> Counter:
     """The one Jordan-Holder routine: invert the unitriangular matrix of
-    simple characters.
+    simple characters, over (weight, sign) keys if ``signed``, else weights.
 
-    ``chain(key)`` is (above, below, bottom) of a key on its chain of simple
-    keys (see ``_chain_step``).  The simple character led by K is
-    multiplicity-free on K, below(K), ..., bottom(K), and bottom(K) has
-    weight -weight(K).  So the multiplicity of the simple led by a key K of
-    weight >= 0 is mults[K] - mults[above(K)], and a key of negative weight
-    must have mults[bottom(K)].  Only the keys of ``mults`` and the below and
-    bottom of each of weight >= 0 can break either rule.  They are scanned
-    from the largest down, and the first negative multiplicity, or nonzero
-    residual at negative weight, raises: the key and residual at which
-    leading-key elimination would stop first.
+    The simple character led by a key K is multiplicity-free on its chain K,
+    below(K), ..., bottom(K) (see ``_CHAINS``), and bottom(K), its mirror,
+    has weight -weight(K).  So the simple led by a key K of weight >= 0 has
+    multiplicity mults[K] - mults[above(K)], and a key of negative weight
+    must have the multiplicity of its mirror.  Leading-key elimination breaks
+    at the largest link (a key of ``mults``, or the below or bottom of one of
+    weight >= 0) where this residual is negative, or nonzero at negative
+    weight; that link and residual raise.
+
+    Only the keys of weight >= 0 are scanned, from the largest down.  Each
+    one K of weight > 0 also checks its below and bottom: either, if absent,
+    breaks with residual -mults[K], and the bottom B, if present, has
+    residual mults[B] - mults[K].  (The below of a key of weight 0 is the
+    bottom of the key above it if that is a key, and holds otherwise.)
+    Bottoms are distinct, so when nothing breaks and there are as many keys
+    of negative weight as bottoms, each of them is a bottom that holds.
+    Otherwise a key of negative weight that is no bottom has no mirror, and
+    its multiplicity is its residual.
     """
-    links = dict.fromkeys(mults)
-    for key in mults:
-        if weight(key) >= 0:
-            _, below, bottom = links[key] = chain(key)
-            links.setdefault(below)
-            links.setdefault(bottom)
     get = mults.get
     out: Counter = Counter()
-    for key in sorted(links, reverse=True):
-        above, _, bottom = links[key] or chain(key)
-        if weight(key) >= 0:
-            mult = get(key, 0) - get(above, 0)
-            if mult > 0:
-                out[key] = mult
-                continue
+    broken = {}  # link: residual, for each link that breaks its rule
+    bottoms = []
+    keys = sorted(mults, reverse=True)
+    nonnegative = 0
+    for key in keys:
+        if signed:
+            w, sign = key
+            step, turn = _CHAINS[w & 1]
+            sign = turn[sign]
+            above, below, bottom = (w + step, sign), (w - step, sign), (-w, sign)
         else:
-            mult = get(key, 0) - get(bottom, 0)
-        if mult:
-            raise NotACharacterError(f"multiplicity {mult} at {key}: not a character")
-    return out
-
-
-def _signed_chain(key: tuple[int, str]) -> tuple:
-    """(above, below, bottom) of a (weight, sign) key; all three have the sign
-    one step turns, as bottom is an odd number of steps away for odd weights."""
-    w, sign = key
-    step, flips = _chain_step(w)
-    turned = _OPPOSITE[sign] if flips else sign
-    return (w + step, turned), (w - step, turned), (-w, turned)
-
-
-def _weight_chain(w: int) -> tuple[int, int, int]:
-    step = _chain_step(w)[0]
-    return w + step, w - step, -w
+            w = key
+            step = _CHAINS[w & 1][0]
+            above, below, bottom = w + step, w - step, -w
+        if w < 0:
+            break
+        nonnegative += 1
+        c = mults[key]
+        mult = c - get(above, 0)
+        if mult > 0:
+            out[key] = mult
+        elif mult:
+            broken[key] = mult
+        if w:
+            bottoms.append(bottom)
+            if below not in mults:
+                broken[below] = -c
+            residual = get(bottom, 0) - c
+            if residual:
+                broken[bottom] = residual
+    if not broken and len(keys) - nonnegative == len(bottoms):
+        return out
+    mirrored = set(bottoms)
+    for key in keys[nonnegative:]:
+        if key not in mirrored:
+            broken[key] = mults[key]
+    key = max(broken)
+    raise NotACharacterError(f"multiplicity {broken[key]} at {key}: not a character")
 
 
 def jh_decompose(c: SignedCharacter) -> Counter:
@@ -388,12 +447,12 @@ def jh_decompose(c: SignedCharacter) -> Counter:
     The two signs at one weight do not interact: a simple character's top
     weight lies in one part only.
     """
-    return _triangular_jh(c.mults, itemgetter(0), _signed_chain)
+    return _triangular_jh(c.mults, True)
 
 
 def jh_weight_character(wc: WeightCharacter) -> Counter:
     """Multiplicities in wc of the quantum simple characters, by highest weight."""
-    return _triangular_jh(wc.mults, lambda w: w, _weight_chain)
+    return _triangular_jh(wc.mults, False)
 
 
 def psi_double(wc: WeightCharacter) -> SignedCharacter:

@@ -218,9 +218,9 @@ def verify_steinberg(n: int) -> list[dict]:
     if n < 0:
         raise DomainError(f"verify_steinberg requires n >= 0, got {n}")
     got = jh_decompose(conv(simple_char(1, PLUS), simple_char(2 * n, PLUS)))
-    expected = Counter({(2 * n + 1, PLUS): 1})
+    expected = {(2 * n + 1, PLUS): 1}
     relation = f"jh(ch L(1)+ * ch L({2 * n})+) == {{L({2 * n + 1})+}}"
-    return [_multiset_item(relation, got, expected)]
+    return [_multiset_item(relation, got, expected, format_multiset(expected))]
 
 
 def expected_clebsch_gordan(n: int, m: int) -> Counter:
@@ -233,16 +233,19 @@ def verify_clebsch_gordan(n: int, m: int) -> list[dict]:
     if n < 0 or m < 0:
         raise DomainError("verify_clebsch_gordan requires n, m >= 0")
     got = jh_decompose(conv(simple_char(2 * n, PLUS), simple_char(2 * m, PLUS)))
-    expected = Counter({(k, PLUS): 1 for k in expected_clebsch_gordan(n, m)})
-    return [_multiset_item(f"clebsch-gordan({n},{m})", got, expected)]
+    labels = expected_clebsch_gordan(n, m)
+    expected = {(k, PLUS): 1 for k in labels}
+    # format_multiset(expected): the labels descend and each has multiplicity 1.
+    rhs = ", ".join([f"L({k}){SUPERSCRIPT[PLUS]}" for k in labels])
+    return [_multiset_item(f"clebsch-gordan({n},{m})", got, expected, rhs)]
 
 
-def _multiset_item(relation: str, got: Counter, expected: Counter) -> dict:
-    """A report item comparing two Jordan-Holder multisets.  ``got`` is
-    formatted only when it differs: both hold positive counts only, so equal
-    multisets print alike."""
-    rhs = format_multiset(expected)
-    passed = got == expected
+def _multiset_item(relation: str, got: Counter, expected: dict, rhs: str) -> dict:
+    """A report item comparing two Jordan-Holder multisets, ``rhs`` being
+    ``format_multiset(expected)``.  Both hold positive counts only, so they
+    compare as plain dicts, and ``got`` is formatted only when it differs, as
+    equal multisets print alike."""
+    passed = dict.__eq__(got, expected)
     return {
         "relation": relation,
         "lhs": rhs if passed else format_multiset(got),

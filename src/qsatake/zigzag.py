@@ -70,20 +70,22 @@ def make(n: int) -> ZigzagAlgebra:
     basis.extend(("z", a) for a in range(n + 1))
     basis.extend(("x", a) for a in range(n))
     basis.extend(("y", a) for a in range(1, n + 1))
-    mult: dict = {}
+    # Each product is its own dict, and only pairs where u starts at the end
+    # of v can be nonzero.
+    mult: dict = {(u, v): {} for u in basis for v in basis}
+    ending_at: dict = {}
+    for v in basis:
+        ending_at.setdefault(target(v), []).append(v)
     for u in basis:
-        for v in basis:
-            prod: Element = {}
-            if source(u) == target(v):
-                if u[0] == "e":
-                    prod = {v: 1}
-                elif v[0] == "e":
-                    prod = {u: 1}
-                elif u[0] == "y" and v[0] == "x" and u[1] == v[1] + 1:
-                    prod = {("z", v[1]): 1}
-                elif u[0] == "x" and v[0] == "y" and u[1] == v[1] - 1:
-                    prod = {("z", v[1]): 1}
-            mult[(u, v)] = prod
+        for v in ending_at[source(u)]:
+            if u[0] == "e":
+                mult[(u, v)] = {v: 1}
+            elif v[0] == "e":
+                mult[(u, v)] = {u: 1}
+            elif u[0] == "y" and v[0] == "x" and u[1] == v[1] + 1:
+                mult[(u, v)] = {("z", v[1]): 1}
+            elif u[0] == "x" and v[0] == "y" and u[1] == v[1] - 1:
+                mult[(u, v)] = {("z", v[1]): 1}
     return ZigzagAlgebra(n, tuple(basis), mult)
 
 

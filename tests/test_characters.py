@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsatake.characters import (
+    _packing,
     _slot_bytes,
     AFFINE_SPACE,
     COMPLEMENT_PAIR,
@@ -206,7 +208,7 @@ class TestConv:
         big = 2 ** (4 * width - 1)
         a = SignedCharacter({-3: big})
         b = SignedCharacter({5: big, -1: big - 1}, {-7: big})
-        assert _slot_bytes(a.mults, b.mults) == width
+        assert _slot_bytes(_packing(a), _packing(b)) == width
         assert conv(a, b).mults == reference_conv(a.mults, b.mults, add_signed)
         assert conv(b, a) == conv(a, b)
 
@@ -232,6 +234,61 @@ class TestConv:
     @settings(max_examples=40)
     def test_associative(self, a, b, c):
         assert conv(conv(a, b), c) == conv(a, conv(b, c))
+
+    @given(
+        st.dictionaries(
+            st.integers(-5, 5), st.integers(1, 3), min_size=1, max_size=4
+        ),
+        st.integers(-8, 8),
+    )
+    @settings(max_examples=60)
+    def test_packing_serves_every_later_layout(self, part, w):
+        # a sits on exponents 12Z: with simple_char(2, "+") the step is 12
+        # and slots take a byte, with the single wide key the slots take 6
+        # bytes, and with the mixed signs the step drops to 1.
+        a = SignedCharacter({4 * k: c for k, c in part.items()})
+        partners = [
+            simple_char(2, "+"),
+            SignedCharacter({w: 2**40}),
+            SignedCharacter({w: 1}, {w - 1: 2}),
+            SignedCharacter.zero(),
+            a,
+        ]
+        conv(a, a)
+        packing, layouts = a._packing, set()
+        for b in partners * 2:
+            assert conv(a, b).mults == reference_conv(a.mults, b.mults, add_signed)
+            assert conv(b, a).mults == reference_conv(b.mults, a.mults, add_signed)
+            layouts.add(a._packing.layout)
+        assert a._packing is packing
+        assert len({step for step, _ in layouts}) > 1
+        assert len({width for _, width in layouts}) > 1
+        wide = WeightCharacter({w: 2**40})
+        for b in [WeightCharacter({0: 1, 3: 2}), wide, WeightCharacter(), wide]:
+            got = WeightCharacter(part) * b
+            assert got.mults == reference_conv(part, b.mults, lambda v, u: v + u)
+
+    @given(characters)
+    def test_packing_leaves_the_value_alone(self, c):
+        twin = SignedCharacter(
+            {w: m for (w, s), m in c.mults.items() if s == "+"},
+            {w: m for (w, s), m in c.mults.items() if s == "-"},
+        )
+        items, digest = list(c.mults.items()), hash(c)
+        conv(c, simple_char(3, "+"))
+        conv(simple_char(2, "+"), c)
+        assert list(c.mults.items()) == items
+        assert c == twin and hash(c) == digest == hash(twin)
+        for name in ("mults", "_packing"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+        wc = WeightCharacter({w: m for (w, _), m in c.mults.items()})
+        items, digest = list(wc.mults.items()), hash(wc)
+        assert wc * WeightCharacter({1: 1}) == WeightCharacter({1: 1}) * wc
+        assert list(wc.mults.items()) == items and hash(wc) == digest
+        assert wc == WeightCharacter(dict(items))
+        with pytest.raises(AttributeError):
+            wc._packing = None
 
     def test_square_of_odd_simple(self):
         # ch L(1)+ = k+(1) + k-(-1); expanding the 2x2 product by hand gives
@@ -380,6 +437,73 @@ class TestJhDecompose:
         assert outcome(jh_weight_character, WeightCharacter(mults)) == outcome(
             reference_greedy_jh, dict(mults), closed_form_weights, lambda w: w
         )
+
+    # Characters broken so that one neighbour rule of the scan catches them:
+    # (signed or not, mults, the error the full elimination raises).
+    @pytest.mark.parametrize(
+        "signed, mults, error",
+        [
+            # L(4)+ without k+(0), L(8) without 4 and -4: the below of the
+            # top key is missing.
+            (True, {(4, "+"): 1, (-4, "+"): 1}, "multiplicity -1 at (0, '+')"),
+            (False, {8: 1, 0: 1, -8: 1}, "multiplicity -1 at 4"),
+            # L(6)+ without k+(-6): the bottom of (6, +) is missing.
+            (
+                True,
+                {(6, "+"): 1, (2, "+"): 1, (-2, "+"): 1},
+                "multiplicity -1 at (-6, '+')",
+            ),
+            (False, {6: 1, 2: 1, -2: 1}, "multiplicity -1 at -6"),
+            # L(2)+ with a second k+(-2): a residual at negative weight.
+            (True, {(2, "+"): 1, (-2, "+"): 2}, "multiplicity 1 at (-2, '+')"),
+            (False, {2: 1, -2: 2}, "multiplicity 1 at -2"),
+            # L(1)- beside a stray k+(-5), which mirrors no key.
+            (
+                True,
+                {(1, "-"): 1, (-1, "+"): 1, (-5, "+"): 1},
+                "multiplicity 1 at (-5, '+')",
+            ),
+            (False, {1: 1, -1: 1, -5: 1}, "multiplicity 1 at -5"),
+        ],
+        ids=[
+            "below-signed",
+            "below-weight",
+            "bottom-signed",
+            "bottom-weight",
+            "residual-signed",
+            "residual-weight",
+            "no-mirror-signed",
+            "no-mirror-weight",
+        ],
+    )
+    def test_each_neighbour_rule_names_the_greedy_error(self, signed, mults, error):
+        if signed:
+            c = SignedCharacter(
+                {w: m for (w, s), m in mults.items() if s == "+"},
+                {w: m for (w, s), m in mults.items() if s == "-"},
+            )
+            got = outcome(jh_decompose, c)
+            want = outcome(
+                reference_greedy_jh, dict(mults), closed_form_keys, itemgetter(0)
+            )
+        else:
+            got = outcome(jh_weight_character, WeightCharacter(mults))
+            want = outcome(
+                reference_greedy_jh, dict(mults), closed_form_weights, lambda w: w
+            )
+        assert got == want == f"{error}: not a character"
+
+    def test_absent_below_of_weight_zero(self):
+        # The below of a weight-0 key, at weight -4, is no key of L(0): its
+        # rule compares it with its mirror at 4, absent too.
+        assert jh_decompose(simple_char(0, "+")) == Counter({(0, "+"): 1})
+        assert jh_weight_character(WeightCharacter({0: 2})) == Counter({0: 2})
+        both = simple_char(8, "-") + simple_char(0, "-") + simple_char(0, "+")
+        assert list(jh_decompose(both).items()) == [
+            ((8, "-"), 1),
+            ((0, "-"), 1),
+            ((0, "+"), 1),
+        ]
 
     def test_error_names_the_first_key_greedy_stops_at(self):
         # L(3)+ with its k-(1) missing: the residual -1 shows at (1, "-")

@@ -366,8 +366,11 @@ class TestReportBytes:
     that followed it), and the clebsch-gordan and bgg digests from the greedy
     Jordan-Holder routine, the double-loop convolution and the per-n bgg
     verifier (the ``verify all --max 24`` one from the report buffered whole
-    before it was streamed item by item), so any change in a printed
-    coefficient or in the order of items fails here."""
+    before it was streamed item by item; the clebsch-gordan and bgg --max 40
+    ones, the benchmark's own invocations, from the convolution that packed
+    both operands afresh and the Jordan-Holder scan that built every link),
+    so any change in a printed coefficient or in the order of items fails
+    here."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -409,6 +412,14 @@ class TestReportBytes:
                 "b725a909e13ff6877d42f9f7de0178a54dcb2b0c1d06ef283271a889ac0cddf5",
             ),
             (
+                ("verify", "clebsch-gordan", "--max", "40", "--force", "--format", "json"),
+                "8c74f91d0a089c5e006cd3631aadaeb80a3576db9aa43979b487e9dd84f54167",
+            ),
+            (
+                ("verify", "bgg", "--max", "40", "--force", "--format", "json"),
+                "0c117eadffa995e576291d0366f122aa1e91754abd666193776e0172fc634e66",
+            ),
+            (
                 ("verify", "all", "--max", "12", "--format", "json"),
                 "dac207f01c17845b65aa331c0c3f4299bda1f63276aa77c8c9ae7e14316cf41f",
             ),
@@ -427,6 +438,8 @@ class TestReportBytes:
             "relations-24-json",
             "clebsch-gordan-json",
             "bgg-json",
+            "clebsch-gordan-40-json",
+            "bgg-40-json",
             "all-12-json",
             "all-24-text",
         ],

@@ -18,6 +18,27 @@ from qsatake.zigzag import (
 )
 
 
+def reference_table(basis) -> dict:
+    """The product of every pair (u, v) of basis labels, in basis order, by
+    the rule for composable paths (u starts where v ends); the double loop
+    ``make`` once ran."""
+    mult = {}
+    for u in basis:
+        for v in basis:
+            prod = {}
+            if source(u) == target(v):
+                if u[0] == "e":
+                    prod = {v: 1}
+                elif v[0] == "e":
+                    prod = {u: 1}
+                elif u[0] == "y" and v[0] == "x" and u[1] == v[1] + 1:
+                    prod = {("z", v[1]): 1}
+                elif u[0] == "x" and v[0] == "y" and u[1] == v[1] - 1:
+                    prod = {("z", v[1]): 1}
+            mult[(u, v)] = prod
+    return mult
+
+
 class TestMake:
     def test_dimension(self):
         for n in range(8):
@@ -54,6 +75,13 @@ class TestMake:
         first, second = make(3), make(3)
         assert first.basis == second.basis
         assert list(first.mult.items()) == list(second.mult.items())
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_table_matches_the_pairwise_rule(self, n):
+        a = make(n)
+        assert list(a.mult.items()) == list(reference_table(a.basis).items())
+        # Each product is its own dict, zero products included.
+        assert len({id(prod) for prod in a.mult.values()}) == len(a.mult)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
