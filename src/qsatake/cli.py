@@ -85,12 +85,11 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
     """Write the strings of ``chunks`` to stdout, or to the file ``output``.
 
     A target that cannot be written fails, naming ``output``, before
-    ``chunks`` is read.  Nothing reaches ``output`` until ``chunks`` is
-    exhausted, so a run that raises creates no file and leaves an existing
-    target as it was.  A new file is renamed into place from beside it; an
-    existing target (file, symlink, device or pipe) is staged in an anonymous
-    temporary file and written through ``open(output, "w")``, which keeps
-    its inode, mode, owner and links.
+    ``chunks`` is read.  The report is staged in an anonymous temporary file
+    and copied through ``open(output, "w")`` once ``chunks`` is exhausted, so
+    a run that raises or is killed before then leaves ``output`` as it was,
+    and a file, symlink, device or pipe is written as ``open`` writes it.
+    The copy is not atomic: if it fails, ``output`` may be partly written.
     """
     if output is None:
         sys.stdout.writelines(chunks)
@@ -98,32 +97,26 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
     if os.path.isdir(output):
         raise IsADirectoryError(f"is a directory: {output!r}")
     if os.path.exists(output):
-        if not os.access(output, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), output)
-        import shutil  # here only, to keep both off every other start-up
-        import tempfile
+        fault = 0 if os.access(output, os.W_OK) else errno.EACCES
+    else:
+        # A dangling symlink stays: the new file is made where it points.
+        target = os.path.realpath(output) if os.path.islink(output) else output
+        head = os.path.dirname(target) or "."
+        if not os.path.isdir(head):
+            fault = errno.ENOTDIR if os.path.exists(head) else errno.ENOENT
+        else:
+            fault = 0 if os.access(head, os.W_OK | os.X_OK) else errno.EACCES
+    if fault:
+        raise OSError(fault, os.strerror(fault), output)
+    import shutil  # here only, to keep both off every other start-up
+    import tempfile
 
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as stage:
-            stage.writelines(chunks)
-            stage.seek(0)
-            with open(output, "w", encoding="utf-8") as fh:
-                shutil.copyfileobj(stage, fh)
-        return
-    # A dangling symlink is kept: the new file is made where it points.
-    target = os.path.realpath(output) if os.path.islink(output) else output
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        fh = open(tmp, "x", encoding="utf-8")  # the mode open(output, "w") gives
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, output) from None
-    try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    # newline="" reads a "\r" of the report back as it was written.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as stage:
+        stage.writelines(chunks)
+        stage.seek(0)
+        with open(output, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(stage, fh)
 
 
 def _jh_items(multiset: Counter) -> list[dict]:
@@ -133,24 +126,20 @@ def _jh_items(multiset: Counter) -> list[dict]:
     ]
 
 
+def _emit_one(args, value, text: str) -> int:
+    """Write one result: ``value`` as compact JSON, or ``text``."""
+    _emit((_JSON.encode(value) if args.fmt == "json" else text, "\n"), args.output)
+    return 0
+
+
 def cmd_char(args) -> int:
     character = satake.formal(args.kind, args.n, args.sign).character
-    if args.fmt == "json":
-        text = _JSON.encode(character.to_json_dict())
-    else:
-        text = str(character)
-    _emit((text, "\n"), args.output)
-    return 0
+    return _emit_one(args, character.to_json_dict(), str(character))
 
 
 def cmd_jh(args) -> int:
     jh = satake.formal(args.kind, args.n, args.sign).jh
-    if args.fmt == "json":
-        text = _JSON.encode(_jh_items(jh))
-    else:
-        text = satake.format_multiset(jh)
-    _emit((text, "\n"), args.output)
-    return 0
+    return _emit_one(args, _jh_items(jh), satake.format_multiset(jh))
 
 
 def cmd_homdim(args) -> int:
@@ -162,12 +151,7 @@ def cmd_homdim(args) -> int:
     dim = modtools.hom(
         modtools.projective(args.a), modtools.projective(args.b)
     ).dim
-    if args.fmt == "json":
-        text = _JSON.encode({"a": args.a, "b": args.b, "dim": dim})
-    else:
-        text = str(dim)
-    _emit((text, "\n"), args.output)
-    return 0
+    return _emit_one(args, {"a": args.a, "b": args.b, "dim": dim}, str(dim))
 
 
 def _suite_relations(max_n: int) -> Iterator[dict]:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -153,7 +155,8 @@ class TestVerify:
     def test_unwritable_output_exits_2(self, capsys, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setitem(cli._SUITE_RUNNERS, "relations", calls.append)
-        for target in ("missing/report.txt", "missing/", "."):
+        (tmp_path / "file").write_bytes(b"")
+        for target in ("missing/report.txt", "missing/", ".", "file/report.txt"):
             path = os.path.join(tmp_path, target)
             code, out, err = run(
                 capsys, "verify", "relations", "--max", "1", "--output", path
@@ -163,7 +166,96 @@ class TestVerify:
             assert err.startswith("error: ")
             assert repr(path) in err  # the target, not a temporary name
         assert calls == []  # no suite ran
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_new_output_in_a_read_only_directory_exits_2(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        calls = []
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "relations", calls.append)
+        folder = tmp_path / "folder"
+        folder.mkdir(mode=0o555)
+        if os.geteuid() == 0:
+            # As in test_read_only_output_exits_2: answer as for any other user.
+            monkeypatch.setattr(
+                os, "access", lambda p, mode: os.stat(p).st_mode & 0o222 != 0
+            )
+        path = str(folder / "report.txt")
+        code, out, err = run(
+            capsys, "verify", "relations", "--max", "1", "--output", path
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and repr(path) in err
+        assert calls == []
+        assert os.listdir(folder) == []
+
+    def test_failed_copy_exits_2(self, capsys, monkeypatch, tmp_path):
+        import shutil
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(shutil, "copyfileobj", disk_full)
+        path = tmp_path / "report.txt"
+        code, out, err = run(
+            capsys, "verify", "blocks", "--max", "1", "--output", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+
+    def test_output_with_a_long_name(self, capsys, tmp_path):
+        # Any name open() accepts will do, however little room it leaves.
+        argv = ("verify", "zigzag", "--max", "2")
+        _, out, _ = run(capsys, *argv)
+        path = tmp_path / ("r" * 250)
+        code, nothing, _ = run(capsys, *argv, "--output", str(path))
+        assert (code, nothing) == (0, "")
+        assert path.read_bytes() == out.encode("utf-8")
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_killed_run_leaves_no_file(self, tmp_path):
+        script = "\n".join(
+            [
+                "import os, signal, sys",
+                "from qsatake import cli",
+                "def dies_midway(max_n):",
+                "    yield {'relation': 'first', 'lhs': '1', 'rhs': '1', 'pass': True}",
+                "    os.kill(os.getpid(), signal.SIGKILL)",
+                "cli._SUITE_RUNNERS['blocks'] = dies_midway",
+                "cli.main(['verify', 'blocks', '--output', sys.argv[1]])",
+            ]
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        cmd = [sys.executable, "-c", script, str(tmp_path / "report.txt")]
+        done = subprocess.run(cmd, capture_output=True, env=env)
+        assert done.returncode == -signal.SIGKILL
         assert os.listdir(tmp_path) == []
+
+    def test_output_beside_a_stale_temporary_file(self, capsys, tmp_path):
+        # A name another run may have left, built from this process's pid.
+        stale = tmp_path / f".report.txt.{os.getpid()}.tmp"
+        stale.write_bytes(b"stale\n")
+        argv = ("verify", "zigzag", "--max", "2")
+        _, out, _ = run(capsys, *argv)
+        path = tmp_path / "report.txt"
+        code, nothing, _ = run(capsys, *argv, "--output", str(path))
+        assert (code, nothing) == (0, "")
+        assert path.read_bytes() == out.encode("utf-8")
+        assert stale.read_bytes() == b"stale\n"
+
+    def test_existing_output_keeps_a_carriage_return(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def with_return(max_n):
+            yield {"relation": "cr", "lhs": "a\rb", "rhs": "a\r\nb", "pass": False}
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "blocks", with_return)
+        _, out, _ = run(capsys, "verify", "blocks")
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"old report\n")
+        code, nothing, _ = run(capsys, "verify", "blocks", "--output", str(path))
+        assert (code, nothing) == (1, "")
+        assert path.read_bytes() == out.encode("utf-8")
 
     @pytest.mark.parametrize("existing", [True, False])
     def test_failed_run_leaves_the_output_as_it_was(
@@ -485,7 +577,7 @@ class TestProcessLevel:
                 "report, sys.stdout = sys.stdout.getvalue(), out",
                 "print(report.splitlines()[-1])",
                 "print('fractions' in sys.modules)",
-                # Only --output onto an existing file stages it in a temporary file.
+                # Only --output stages the report in a temporary file.
                 "print('tempfile' in sys.modules)",
             ]
         )
