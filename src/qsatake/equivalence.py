@@ -232,13 +232,17 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
     algebra = zigzag.make(n)
     if gauge is None:
         gauge = gauge_fix(hq)
+    basis = algebra.basis
+    names = [label_str(u) for u in basis]
+    sources = [zigzag.source(u) for u in basis]
+    targets = [zigzag.target(u) for u in basis]
     items = []
-    for u in algebra.basis:
-        for v in algebra.basis:
+    for u, u_name, u_source, u_target in zip(basis, names, sources, targets):
+        for v, v_name, v_source, v_target in zip(basis, names, sources, targets):
             expected = algebra.mult[(u, v)]
             rhs = zigzag.element_str(expected)
-            relation = f"{label_str(u)}*{label_str(v)}"
-            if zigzag.source(u) != zigzag.target(v):
+            relation = f"{u_name}*{v_name}"
+            if u_source != v_target:
                 items.append(
                     {
                         "relation": relation,
@@ -248,7 +252,7 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
                     }
                 )
                 continue
-            labels, mats = _gauge_basis(gauge, zigzag.source(v), zigzag.target(u))
+            labels, mats = _gauge_basis(gauge, v_source, u_target)
             terms = tuple((gauge[w], c) for w, c in expected.items())
             ok = _product_matches(gauge[u], gauge[v], terms)
             if ok and _independent(mats):

@@ -2,6 +2,8 @@
 
 Matrices keep only their nonzero entries, and every operation walks those
 alone; module operators shift weight, so almost all of their entries are 0.
+Products, sums, scalings and elimination steps all accumulate a row at a time
+through the one update loop ``scalars.axpy``.
 
 Everything is deterministic: pivoting always takes the first nonzero entry,
 so reduced row echelon form (and therefore every reported basis) is canonical.
@@ -15,7 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
 from .errors import NoSolutionError
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO, axpy
 
 
 class QMatrix:
@@ -135,12 +137,12 @@ class QMatrix:
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in +")
-        return _combine(self, other, False)
+        return _combine(self, other, ONE)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in -")
-        return _combine(self, other, True)
+        return _combine(self, other, _MINUS_ONE)
 
     def __neg__(self) -> "QMatrix":
         return QMatrix._wrap(
@@ -153,11 +155,11 @@ class QMatrix:
         c = GaussianRational.coerce(c)
         if not c:
             return QMatrix.zeros(self.rows, self.cols)
-        return QMatrix._wrap(
-            self.rows,
-            self.cols,
-            {i: {j: c * v for j, v in row.items()} for i, row in self._data.items()},
-        )
+        data: dict[int, dict] = {}
+        for i, row in self._data.items():
+            data[i] = scaled = {}
+            axpy(scaled, c, row)
+        return QMatrix._wrap(self.rows, self.cols, data)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -168,12 +170,8 @@ class QMatrix:
             acc: dict = {}
             for k, a in row.items():
                 brow = rhs.get(k)
-                if brow is None:
-                    continue
-                for j, b in brow.items():
-                    cur = acc.get(j)
-                    acc[j] = a * b if cur is None else cur + a * b
-            acc = {j: v for j, v in acc.items() if v}
+                if brow is not None:
+                    axpy(acc, a, brow)
             if acc:
                 data[i] = acc
         return QMatrix._wrap(self.rows, other.cols, data)
@@ -207,6 +205,7 @@ class QMatrix:
 
 
 _EMPTY_ROW: dict = {}
+_MINUS_ONE = GaussianRational(-1)
 
 
 def _init(m: QMatrix, rows: int, cols: int, data: dict) -> None:
@@ -216,25 +215,15 @@ def _init(m: QMatrix, rows: int, cols: int, data: dict) -> None:
     object.__setattr__(m, "_hash", None)
 
 
-def _combine(a: QMatrix, b: QMatrix, subtract: bool) -> QMatrix:
-    """a + b, or a - b when ``subtract``; rows only in a are shared."""
+def _combine(a: QMatrix, b: QMatrix, f: GaussianRational) -> QMatrix:
+    """a + f * b; rows only in a, and for f = 1 rows only in b, are shared."""
     data = dict(a._data)
     for i, brow in b._data.items():
-        row = data.get(i)
-        if row is None:
-            data[i] = {j: -v for j, v in brow.items()} if subtract else brow
+        if i not in data and f is ONE:
+            data[i] = brow
             continue
-        row = dict(row)
-        for j, v in brow.items():
-            cur = row.get(j)
-            if cur is None:
-                row[j] = -v if subtract else v
-                continue
-            s = cur - v if subtract else cur + v
-            if s:
-                row[j] = s
-            else:
-                del row[j]
+        row = dict(data.get(i, _EMPTY_ROW))
+        axpy(row, f, brow)
         if row:
             data[i] = row
         else:
@@ -262,19 +251,6 @@ def kronecker(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix._wrap(a.rows * b.rows, a.cols * b.cols, data)
 
 
-def _subtract_multiple(row: dict, f, piv: dict, c: int) -> None:
-    """row -= f * piv in place, outside the pivot column c; zeros are dropped."""
-    for cc, vv in piv.items():
-        if cc == c:
-            continue
-        cur = row.get(cc)
-        nv = cur - f * vv if cur is not None else -(f * vv)
-        if nv:
-            row[cc] = nv
-        else:
-            row.pop(cc, None)
-
-
 def insert_row(pivots: dict, row: Mapping, steps: list | None = None) -> dict | None:
     """One forward elimination step against echelon rows {pivot column: row}.
 
@@ -293,13 +269,13 @@ def insert_row(pivots: dict, row: Mapping, steps: list | None = None) -> dict | 
             inv = row[c].inverse()
             if steps is not None:
                 steps.append((c, inv))
-            row = {cc: inv * vv for cc, vv in row.items()}
-            pivots[c] = row
-            return row
+            pivots[c] = scaled = {}
+            axpy(scaled, inv, row)
+            return scaled
         f = row.pop(c)
         if steps is not None:
             steps.append((c, f))
-        _subtract_multiple(row, f, piv, c)
+        axpy(row, -f, piv, c)
     return None
 
 
@@ -317,7 +293,7 @@ def reduce_rows(rows: Iterable[Mapping]) -> dict:
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for cc in sorted(k for k in row if k != c and k in pivots):
-            _subtract_multiple(row, row.pop(cc), pivots[cc], cc)
+            axpy(row, -row.pop(cc), pivots[cc], cc)
     return pivots
 
 

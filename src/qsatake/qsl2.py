@@ -26,7 +26,7 @@ from .linalg import (
     reduce_rows,
 )
 from .record import Record
-from .scalars import GaussianRational, I, ONE, gauss_binomial, i_power, qint
+from .scalars import GaussianRational, I, ONE, axpy, gauss_binomial, i_power, qint
 
 
 class QMod(Record):
@@ -145,25 +145,24 @@ def dual_weyl(n: int) -> QMod:
     )
 
 
-def _add_multiple(out: dict, f: GaussianRational, vec: Mapping) -> None:
-    """out += f * vec in place for f != 0; entries that cancel are dropped."""
-    for i, v in vec.items():
-        cur = out.get(i)
-        if cur is None:
-            out[i] = f * v
-        else:
-            s = cur + f * v
-            if s:
-                out[i] = s
-            else:
-                del out[i]
+# Keyed by every module that is spun up (Spin) or replayed onto (the target
+# of intertwiner_basis).  verify all --max M meets 5 M + 3 of them (243 at
+# --max 48 --force); 320 entries cover M = 63.
+@lru_cache(maxsize=320)
+def _columns(m: QMod) -> tuple:
+    """The columns of m's operators, in ``m.operators()`` order: entry j of
+    each is column j, read-only {row: value}, as row j of the transpose."""
+    return tuple(
+        tuple(op_t.row(j) for j in range(m.dim))
+        for op_t in (op.transpose() for _, op in m.operators())
+    )
 
 
-def _apply(op_t: QMatrix, col: Mapping) -> dict:
-    """op @ col for a sparse column {index: value}, given op's transpose."""
+def _apply(columns: tuple, col: Mapping) -> dict:
+    """op @ col for a sparse column {index: value}, given op's columns."""
     out: dict[int, GaussianRational] = {}
     for j, v in col.items():
-        _add_multiple(out, v, op_t.row(j))
+        axpy(out, v, columns[j])
     return out
 
 
@@ -188,8 +187,7 @@ class Spin:
         self.pivots: dict[int, dict] = {}
         self.seeds: list[dict] = []
         self.words: list[tuple] = []
-        # Row j of an operator's transpose holds the nonzeros of its column j.
-        self._ops = [op.transpose() for _, op in m.operators()]
+        self._ops = _columns(m)
 
     def add(self, seeds) -> None:
         """Insert the seed columns, then apply the operators to every new
@@ -201,8 +199,8 @@ class Spin:
         while queue:
             source = queue.pop()
             col = self.pivots[source]
-            for op, op_t in enumerate(self._ops):
-                self._insert(source, op, _apply(op_t, col), queue)
+            for op, columns in enumerate(self._ops):
+                self._insert(source, op, _apply(columns, col), queue)
 
     def _insert(self, source, op, col, queue) -> bool:
         steps: list = []
@@ -296,7 +294,7 @@ def _standard_map(back: tuple, image: dict, dim: int) -> dict:
     x: dict[int, GaussianRational] = {}
     for b, column in enumerate(back):
         for lead, c in column.items():
-            _add_multiple(x, c, {i * dim + b: v for i, v in image[lead].items()})
+            axpy(x, c, {i * dim + b: v for i, v in image[lead].items()})
     return x
 
 
@@ -324,12 +322,13 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     ]
     if not unknowns:
         return []
-    ops = [op.transpose() for _, op in n.operators()]
+    ops = _columns(n)
     # images[k][lead]: the image of the spun column ``lead`` when unknown k is
     # 1 and the others are 0.
     images: list[dict[int, dict]] = [{} for _ in unknowns]
     equations: dict[int, dict] = {}
     for source, op, steps, lead, scale in words:
+        negated = [(c, -f) for c, f in steps]
         rows: dict[int, dict] = {}
         for k, (g, a) in enumerate(unknowns):
             image = images[k]
@@ -337,10 +336,11 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
                 out = {a: ONE} if op == g else {}
             else:
                 out = _apply(ops[op], image[source])
-            for c, f in steps:
-                _add_multiple(out, -f, image[c])
+            for c, f in negated:
+                axpy(out, f, image[c])
             if lead is not None:
-                image[lead] = {i: scale * v for i, v in out.items()}
+                image[lead] = scaled = {}
+                axpy(scaled, scale, out)
             else:
                 for i, v in out.items():
                     rows.setdefault(i, {})[k] = v
@@ -360,7 +360,7 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
                 # Negated positions: reduce_rows pivots on the last entry.
                 x = _standard_map(back, images[k], m.dim)
                 maps[k] = {-p: v for p, v in x.items()}
-            _add_multiple(row, t, maps[k])
+            axpy(row, t, maps[k])
         solutions.append(row)
     reduced = reduce_rows(solutions)
     basis = []

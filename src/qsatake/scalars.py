@@ -198,6 +198,54 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return self
 
 
+def axpy(out: dict, f: GaussianRational, vec, skip=None) -> None:
+    """out[k] += f * vec[k] in place for every key k != skip of the sparse
+    vector ``vec`` ({key: nonzero value}); entries that cancel are dropped.
+
+    This is the one update loop of sparse linear algebra here: matrix
+    products, row elimination and the spin replay all accumulate through it.
+    It works on the stored ints and makes at most one value per entry
+    written, with no gcd while both denominators are 1, so the stored values
+    stay canonical and nonzero.  For f = 1 a new entry is vec's own value.
+    """
+    fa, fb, fd = f.a, f.b, f.d
+    if not (fa or fb):
+        return
+    unit = fa == 1 and not fb and fd == 1
+    get = out.get
+    for k, v in vec.items():
+        if k == skip:
+            continue
+        cur = get(k)
+        if cur is None and unit:
+            out[k] = v
+            continue
+        va, vb = v.a, v.b
+        a = fa * va - fb * vb
+        b = fa * vb + fb * va
+        d = fd * v.d
+        if cur is not None:
+            cd = cur.d
+            if d == 1 and cd == 1:
+                a += cur.a
+                b += cur.b
+            else:
+                a = a * cd + cur.a * d
+                b = b * cd + cur.b * d
+                d *= cd
+            if not (a or b):
+                del out[k]
+                continue
+        if d == 1:
+            new = _new(GaussianRational)
+            _set_a(new, a)
+            _set_b(new, b)
+            _set_d(new, 1)
+            out[k] = new
+        else:
+            out[k] = _make(a, b, d)
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -89,19 +89,17 @@ def make(n: int) -> ZigzagAlgebra:
     return ZigzagAlgebra(n, tuple(basis), mult)
 
 
-def multiply(algebra: ZigzagAlgebra, u, v) -> Element:
-    """Bilinear extension of the table; accepts labels or {label: coeff} dicts."""
-    ue: Element = {u: 1} if isinstance(u, tuple) else dict(u)
-    ve: Element = {v: 1} if isinstance(v, tuple) else dict(v)
+def _table_sum(mult: dict, pairs) -> Element:
+    """The sum of the products ``mult[(u, v)]`` over ``pairs`` of labels with
+    zero coefficients dropped: the bilinear extension of the table."""
     out: Element = {}
-    for lu, cu in ue.items():
-        for lv, cv in ve.items():
-            for w, cw in algebra.mult[(lu, lv)].items():
-                s = out.get(w, 0) + cu * cv * cw
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+    for pair in pairs:
+        for w, c in mult[pair].items():
+            s = out.get(w, 0) + c
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
     return out
 
 
@@ -191,22 +189,18 @@ def _column_violations(basis, i: int, j: int, lhs: dict, rhs: dict, violations):
             )
 
 
-def verify_algebra(algebra: ZigzagAlgebra) -> dict:
-    """Exhaustively check the type invariants; violations are report content.
+def _check_relations(algebra: ZigzagAlgebra, violations: list[dict]) -> int:
+    """Check the fixed relations, reading every product from ``algebra.mult``;
+    return the check count.
 
-    Covers: dimension count, orthogonal idempotents summing to the identity,
-    the loop relations, vanishing of all paths between distant vertices, and
-    associativity over every basis triple.
-
-    Each check formats its relation text only when it fails.  The gap >= 2
-    scan reads each label's source and target once and looks the product
-    up in ``algebra.mult``; its nonzero coefficients are what ``multiply``
-    returns for two labels.  Associativity compares L(uv) with L(u)·L(v)
-    over the nonzero columns of the table (see ``_check_associativity``);
-    every one of the dim**3 triples is counted in ``checks``.
+    They are the orthogonal idempotents e_a·e_b, the unit 1·u and u·1 with
+    1 = e_0 + ... + e_N (a sum of N + 1 table entries, ``_table_sum``), the
+    loop factorizations x·y = z and y·x = z, and the vanishing products z·z,
+    x·z, y·z, x·x and y·y.  A product of two labels is its table entry
+    without zero coefficients.  A relation text is formatted only on failure.
     """
     n = algebra.n
-    violations: list[dict] = []
+    mult = algebra.mult
     checks = 0
 
     def expect(lhs: Element, rhs: Element, relation: str, *args):
@@ -215,7 +209,55 @@ def verify_algebra(algebra: ZigzagAlgebra) -> dict:
         if lhs != rhs:
             violations.append(_violation(relation.format(*args), lhs, rhs))
 
-    checks += 1
+    def product(u: Label, v: Label) -> Element:
+        return _table_sum(mult, ((u, v),))
+
+    for a in range(n + 1):
+        for b in range(n + 1):
+            want: Element = {("e", a): 1} if a == b else {}
+            expect(product(("e", a), ("e", b)), want, "e{}*e{}", a, b)
+    units = [("e", a) for a in range(n + 1)]
+    for u in algebra.basis:
+        expect(_table_sum(mult, [(e, u) for e in units]), {u: 1}, "1*{}{}", *u)
+        expect(_table_sum(mult, [(u, e) for e in units]), {u: 1}, "{}{}*1", *u)
+
+    for a in range(n + 1):
+        z: Element = {("z", a): 1}
+        if a >= 1:
+            xy = product(("x", a - 1), ("y", a))
+            expect(xy, z, "x{}*y{} == z{}", a - 1, a, a)
+        if a <= n - 1:
+            yx = product(("y", a + 1), ("x", a))
+            expect(yx, z, "y{}*x{} == z{}", a + 1, a, a)
+        expect(product(("z", a), ("z", a)), {}, "z{}*z{}", a, a)
+        if a <= n - 1:
+            expect(product(("x", a), ("z", a)), {}, "x{}*z{}", a, a)
+        if a >= 1:
+            expect(product(("y", a), ("z", a)), {}, "y{}*z{}", a, a)
+    for a in range(n - 1):
+        expect(product(("x", a + 1), ("x", a)), {}, "x{}*x{}", a + 1, a)
+    for a in range(2, n + 1):
+        expect(product(("y", a - 1), ("y", a)), {}, "y{}*y{}", a - 1, a)
+    return checks
+
+
+def verify_algebra(algebra: ZigzagAlgebra) -> dict:
+    """Exhaustively check the type invariants; violations are report content.
+
+    Covers: dimension count, orthogonal idempotents summing to the identity,
+    the loop relations, vanishing of all paths between distant vertices, and
+    associativity over every basis triple.
+
+    Each check formats its relation text only when it fails, and reads its
+    products from ``algebra.mult``.  The fixed relations are checked by
+    ``_check_relations``.  The gap >= 2 scan reads each label's source and
+    target once.  Associativity compares L(uv) with L(u)·L(v) over the
+    nonzero columns of the table (see ``_check_associativity``); every one of
+    the dim**3 triples is counted in ``checks``.
+    """
+    n = algebra.n
+    violations: list[dict] = []
+    checks = 1  # the dimension count
     if algebra.dim != 4 * n + 2:
         violations.append(
             {
@@ -225,33 +267,7 @@ def verify_algebra(algebra: ZigzagAlgebra) -> dict:
                 "pass": False,
             }
         )
-
-    for a in range(n + 1):
-        for b in range(n + 1):
-            want: Element = {("e", a): 1} if a == b else {}
-            expect(multiply(algebra, ("e", a), ("e", b)), want, "e{}*e{}", a, b)
-    one: Element = {("e", a): 1 for a in range(n + 1)}
-    for u in algebra.basis:
-        expect(multiply(algebra, one, u), {u: 1}, "1*{}{}", *u)
-        expect(multiply(algebra, u, one), {u: 1}, "{}{}*1", *u)
-
-    for a in range(n + 1):
-        z: Element = {("z", a): 1}
-        if a >= 1:
-            xy = multiply(algebra, ("x", a - 1), ("y", a))
-            expect(xy, z, "x{}*y{} == z{}", a - 1, a, a)
-        if a <= n - 1:
-            yx = multiply(algebra, ("y", a + 1), ("x", a))
-            expect(yx, z, "y{}*x{} == z{}", a + 1, a, a)
-        expect(multiply(algebra, ("z", a), ("z", a)), {}, "z{}*z{}", a, a)
-        if a <= n - 1:
-            expect(multiply(algebra, ("x", a), ("z", a)), {}, "x{}*z{}", a, a)
-        if a >= 1:
-            expect(multiply(algebra, ("y", a), ("z", a)), {}, "y{}*z{}", a, a)
-    for a in range(n - 1):
-        expect(multiply(algebra, ("x", a + 1), ("x", a)), {}, "x{}*x{}", a + 1, a)
-    for a in range(2, n + 1):
-        expect(multiply(algebra, ("y", a - 1), ("y", a)), {}, "y{}*y{}", a - 1, a)
+    checks += _check_relations(algebra, violations)
 
     # Distant vertices: every product landing across a gap >= 2 must vanish.
     # far[t]: the labels, in basis order, whose source is 2 or more from t.

@@ -608,7 +608,7 @@ class TestSpin:
         m = direct_sum(projective(2), simple(2))
         spin = Spin(m)
         spin.add([{0: ONE}, {m.dim - 1: ONE}])
-        ops = [op.transpose() for _, op in m.operators()]
+        ops = qsl2._columns(m)
         cols: dict[int, dict] = {}
         for source, op, steps, lead, scale in spin.words:
             if source is None:

@@ -15,6 +15,7 @@ from qsatake.scalars import (
     I,
     ONE,
     ZERO,
+    axpy,
     gauss_binomial,
     i_power,
     qint,
@@ -233,6 +234,66 @@ class TestAgainstFractionPairModel:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ONE.d = 2
+
+
+# axpy against the plain operator loop it replaces: out[k] = out[k] + f * v,
+# dropped when zero, for every k of vec other than skip.
+
+
+def reference_axpy(out: dict, f, vec: dict, skip=None) -> dict:
+    want = dict(out)
+    for k, v in vec.items():
+        if k == skip:
+            continue
+        s = want.get(k, ZERO) + f * v
+        if s:
+            want[k] = s
+        else:
+            want.pop(k, None)
+    return want
+
+
+integral_gaussians = st.builds(
+    GaussianRational, st.integers(-6, 6), st.integers(-6, 6)
+)
+entries = st.one_of(integral_gaussians, gaussians).filter(bool)
+sparse_vectors = st.dictionaries(st.integers(0, 7), entries, max_size=8)
+
+
+@st.composite
+def axpy_cases(draw):
+    """(out, f, vec, skip), with some entries of out set to -f * vec[k] so
+    that they cancel; f may be 0 or 1, and skip may be a key of vec."""
+    f = draw(st.one_of(st.just(ONE), st.just(ZERO), integral_gaussians, gaussians))
+    vec = draw(sparse_vectors)
+    out = draw(sparse_vectors)
+    if vec and f:
+        for k in draw(st.sets(st.sampled_from(sorted(vec)))):
+            out[k] = -(f * vec[k])
+    skip = draw(st.one_of(st.none(), st.integers(0, 7)))
+    return out, f, vec, skip
+
+
+class TestAxpy:
+    @given(axpy_cases())
+    def test_matches_the_operator_loop(self, case):
+        out, f, vec, skip = case
+        vec_before = dict(vec)
+        want = reference_axpy(out, f, vec, skip)
+        axpy(out, f, vec, skip)
+        assert out == want
+        assert vec == vec_before
+        for k, g in out.items():
+            assert_canonical(g)
+            assert g
+            assert hash(g) == hash(want[k])
+
+    def test_cancellation_reduction_and_skip(self):
+        half = GaussianRational(Fraction(1, 2))
+        out = {0: half, 1: GaussianRational(-1), 3: GaussianRational(0, Fraction(1, 3))}
+        vec = {0: half, 1: ONE, 2: I, 3: GaussianRational(0, Fraction(2, 3))}
+        axpy(out, ONE, vec, skip=2)
+        assert out == {0: ONE, 3: I}
 
 
 class TestQint:

@@ -11,11 +11,28 @@ from qsatake.zigzag import (
     element_str,
     label_str,
     make,
-    multiply,
     source,
     target,
     verify_algebra,
 )
+
+
+def multiply(algebra: ZigzagAlgebra, u, v) -> dict:
+    """Bilinear extension of the table; accepts labels or {label: coeff}
+    dicts.  The reference product of these tests: ``verify_algebra`` reads
+    the same sums from ``algebra.mult`` itself."""
+    ue = {u: 1} if isinstance(u, tuple) else dict(u)
+    ve = {v: 1} if isinstance(v, tuple) else dict(v)
+    out = {}
+    for lu, cu in ue.items():
+        for lv, cv in ve.items():
+            for w, cw in algebra.mult[(lu, lv)].items():
+                s = out.get(w, 0) + cu * cv * cw
+                if s:
+                    out[w] = s
+                else:
+                    out.pop(w, None)
+    return out
 
 
 def reference_table(basis) -> dict:
@@ -190,8 +207,55 @@ def reference_associativity(algebra, violations):
     return checks
 
 
+def reference_relations(algebra, violations):
+    """The fixed relations by ``multiply``, with the unit 1 as an element:
+    the checks that ``zigzag._check_relations`` must agree with exactly."""
+    n = algebra.n
+    checks = 0
+
+    def expect(lhs, rhs, relation):
+        nonlocal checks
+        checks += 1
+        if lhs != rhs:
+            violations.append(
+                {
+                    "relation": relation,
+                    "lhs": element_str(lhs),
+                    "rhs": element_str(rhs),
+                    "pass": False,
+                }
+            )
+
+    for a in range(n + 1):
+        for b in range(n + 1):
+            want = {("e", a): 1} if a == b else {}
+            expect(multiply(algebra, ("e", a), ("e", b)), want, f"e{a}*e{b}")
+    one = {("e", a): 1 for a in range(n + 1)}
+    for u in algebra.basis:
+        expect(multiply(algebra, one, u), {u: 1}, f"1*{label_str(u)}")
+        expect(multiply(algebra, u, one), {u: 1}, f"{label_str(u)}*1")
+    for a in range(n + 1):
+        z = {("z", a): 1}
+        if a >= 1:
+            expect(multiply(algebra, ("x", a - 1), ("y", a)), z, f"x{a - 1}*y{a} == z{a}")
+        if a <= n - 1:
+            expect(multiply(algebra, ("y", a + 1), ("x", a)), z, f"y{a + 1}*x{a} == z{a}")
+        expect(multiply(algebra, ("z", a), ("z", a)), {}, f"z{a}*z{a}")
+        if a <= n - 1:
+            expect(multiply(algebra, ("x", a), ("z", a)), {}, f"x{a}*z{a}")
+        if a >= 1:
+            expect(multiply(algebra, ("y", a), ("z", a)), {}, f"y{a}*z{a}")
+    for a in range(n - 1):
+        expect(multiply(algebra, ("x", a + 1), ("x", a)), {}, f"x{a + 1}*x{a}")
+    for a in range(2, n + 1):
+        expect(multiply(algebra, ("y", a - 1), ("y", a)), {}, f"y{a - 1}*y{a}")
+    return checks
+
+
 def reference_report(algebra):
-    with mock.patch.object(zigzag, "_check_associativity", reference_associativity):
+    with mock.patch.object(
+        zigzag, "_check_associativity", reference_associativity
+    ), mock.patch.object(zigzag, "_check_relations", reference_relations):
         return verify_algebra(algebra)
 
 
@@ -237,6 +301,21 @@ class TestAssociativityTable:
             got, want = [], []
             checks = zigzag._check_associativity(bad, got)
             assert checks == reference_associativity(bad, want), (key, entry)
+            assert got == want, (key, entry)
+            failing += bool(got)
+        assert failing > 0
+
+    @pytest.mark.parametrize("n, graded_only", [(1, False), (2, True)])
+    def test_relations_match_reference_on_single_entry_corruptions(
+        self, n, graded_only
+    ):
+        a = make(n)
+        failing = 0
+        for key, entry in single_entry_corruptions(a, graded_only):
+            bad = corrupted(a, key, entry)
+            got, want = [], []
+            checks = zigzag._check_relations(bad, got)
+            assert checks == reference_relations(bad, want), (key, entry)
             assert got == want, (key, entry)
             failing += bool(got)
         assert failing > 0
