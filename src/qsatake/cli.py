@@ -167,12 +167,14 @@ def _suite_relations(max_n: int) -> Iterator[dict]:
 
 
 def _suite_zigzag(max_n: int) -> Iterator[dict]:
-    """Truncations N = 0..max_n in order; each gauge extends the one of N - 1
-    when ``gauge_fix`` finds its quiver unchanged."""
+    """Truncations N = 0..max_n in order.  Each quiver extends the one of
+    N - 1, so every Hom space is solved once, and each gauge extends the one
+    of N - 1 when ``gauge_fix`` finds its quiver unchanged.  After a failure
+    the next truncation starts from scratch."""
     prev = None  # (quiver, gauge) of N - 1, if both were built
     for n in range(max_n + 1):
         try:
-            hq = equivalence.hom_quiver(n)
+            hq = equivalence.hom_quiver(n, prev[0] if prev else None)
         except VerificationError as exc:
             yield _failed(f"N={n}: hom dimension pattern", exc, "2/1/0 pattern")
             prev = None

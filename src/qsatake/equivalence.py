@@ -1,8 +1,9 @@
 """Truncated comparison between the Hom algebra of the quantum projectives
 P(0), P(2), ..., P(2N) and the presented zigzag algebra on vertices 0..N.
 
-``hom_quiver`` solves every pairwise Hom space exactly and checks the
-2/1/0 dimension pattern.  ``gauge_fix`` rescales generators so the
+``hom_quiver`` solves every pairwise Hom space exactly, extending the
+quiver of N - 1 by the 2N + 1 pairs that involve P(2N) when it is given, and
+checks the 2/1/0 dimension pattern.  ``gauge_fix`` rescales generators so the
 two-step composites through neighbouring vertices agree, extending the gauge
 of N - 1 when it is given and its quiver is unchanged, and
 ``compare_zigzag`` then demands exact equality of every product of
@@ -67,19 +68,26 @@ def _expected_dim(a: int, b: int) -> int:
     return 0
 
 
-def hom_quiver(n: int) -> HomQuiver:
-    """Solve all (N+1)^2 intertwiner systems among P(0) ... P(2N).
+def hom_quiver(n: int, prev: HomQuiver | None = None) -> HomQuiver:
+    """The Hom bases among P(0) ... P(2N).
 
-    Raises VerificationError unless dim Hom(P(2a), P(2b)) is 2 for a = b,
-    1 for |a - b| = 1 and 0 otherwise.
+    Without ``prev`` all (N+1)^2 intertwiner systems are solved.  ``prev``
+    may be the quiver of N - 1: its modules and ``HomBasis`` objects are
+    kept, the same objects, and only the 2N + 1 pairs that involve P(2N) are
+    solved.  Raises VerificationError unless dim Hom(P(2a), P(2b)) is 2 for
+    a = b, 1 for |a - b| = 1 and 0 otherwise, and DomainError when ``prev``
+    is not of N - 1.
     """
     if n < 0:
         raise DomainError(f"hom_quiver requires N >= 0, got {n}")
-    modules = tuple(modtools.projective(2 * a) for a in range(n + 1))
-    homs = tuple(
-        tuple(modtools.hom(modules[a], modules[b]) for b in range(n + 1))
-        for a in range(n + 1)
-    )
+    if prev is not None and prev.n != n - 1:
+        raise DomainError(f"hom_quiver({n}) cannot extend the quiver of N = {prev.n}")
+    modules, homs = (prev.modules, list(prev.homs)) if prev else ((), [])
+    for c in range(len(modules), n + 1):  # add P(2c) and its 2c + 1 new pairs
+        modules += (modtools.projective(2 * c),)
+        top = modules[c]
+        homs = [row + (modtools.hom(m, top),) for row, m in zip(homs, modules)]
+        homs.append(tuple(modtools.hom(top, m) for m in modules))
     for a in range(n + 1):
         for b in range(n + 1):
             got = homs[a][b].dim
@@ -88,7 +96,7 @@ def hom_quiver(n: int) -> HomQuiver:
                 raise VerificationError(
                     f"dim Hom(P({2 * a}), P({2 * b})) = {got}, expected {want}"
                 )
-    return HomQuiver(n, modules, homs)
+    return HomQuiver(n, modules, tuple(homs))
 
 
 def _extends(hq: HomQuiver, prev) -> bool:
@@ -180,9 +188,10 @@ def _gauge_basis(gauge: dict[Label, QMatrix], src: int, tgt: int):
 
 
 # The memos below are keyed by matrices, never by labels, so a corrupted
-# quiver or gauge can only meet its own entries.  The suite over N = 0..M
-# meets 3 M + 3 distinct gauge bases and 16 M + 5 distinct products; both
-# bounds cover M = 63.
+# quiver or gauge can only meet its own entries.  The zigzag sweep reads at N
+# every gauge basis and product of the gauge it extended from N - 1, so the
+# LRU must hold one truncation: at --max M that needs 3 M + 2 bases and
+# 16 M - 2 products, and 1024 and 4096 entries cover --max 340 and 256.
 @lru_cache(maxsize=1024)
 def _independent(mats: tuple[QMatrix, ...]) -> bool:
     """Whether the matrices are linearly independent."""

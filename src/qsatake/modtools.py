@@ -2,10 +2,10 @@
 socles, and the radical of an End algebra from its trace form, which decides
 whether End is local.
 
-Modules are immutable values, so ``hom`` and ``projective`` are memoized
-with ``functools.lru_cache`` keyed by the modules and labels themselves: a
-projective's Hom spaces are solved once and reused by every later truncation,
-and equal modules built separately share one entry.
+``hom`` solves its Hom space at every call; it keeps no memo.  The zigzag
+suite asks for each pair once, since ``equivalence.hom_quiver`` extends the
+quiver of N - 1 by the pairs that involve the new projective.
+``projective`` is memoized by label.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class HomBasis(Record):
         return len(self.basis)
 
 
-# hom_quiver(N) asks for all (N+1)^2 pairs row-major, N = 0, 1, ...; an LRU
-# smaller than one cycle evicts each pair before its reuse at N+1.  4096
-# entries cover every N <= 63, well above the --max guard of 24.
-@lru_cache(maxsize=4096)
 def hom(m: QMod, n: QMod) -> HomBasis:
     """All weight-preserving maps m -> n commuting with E, F, E2, F2, from
     ``qsl2.intertwiner_basis``: the spin of m from its generators replayed on
@@ -43,8 +39,10 @@ def hom(m: QMod, n: QMod) -> HomBasis:
     return HomBasis(tuple(qsl2.intertwiner_basis(m, n)))
 
 
-# One entry per even label; 64 hold every label up to the homdim cap 48 and
-# every P(2a) of hom_quiver(N) for N <= 63, as ``hom`` does.
+# One entry per even label.  The zigzag sweep builds each P(2a) once and
+# keeps it in its quiver, so the memo serves a quiver built from scratch
+# (after a failed truncation, or by a caller without ``prev``), which asks
+# again for every label up to 2N: 64 entries cover --max 63.
 @lru_cache(maxsize=64)
 def projective(two_n: int) -> QMod:
     """Indecomposable projective of the even block: simple(2n+1) tensor simple(1)."""

@@ -106,8 +106,9 @@ def integrity_violations(m: QMod) -> list[str]:
     return out
 
 
-# The module caches are keyed by highest weight.  Hom between projectives of
-# labels up to the homdim cap 48 reaches weights 0..49; 64 entries hold them.
+# Keyed by highest weight.  Every sweep reads weyl(n) and dual_weyl(n) again
+# only inside the simple(n) that builds them (canonical_map, then the rank
+# test), with no other label in between, so 64 entries cover every --max.
 @lru_cache(maxsize=64)
 def weyl(n: int) -> QMod:
     """Weyl module with basis v_0 ... v_n generated by the highest weight vector.
@@ -146,9 +147,12 @@ def dual_weyl(n: int) -> QMod:
 
 
 # Keyed by every module that is spun up (Spin) or replayed onto (the target
-# of intertwiner_basis).  verify all --max M meets 5 M + 3 of them (243 at
-# --max 48 --force); 320 entries cover M = 63.
-@lru_cache(maxsize=320)
+# of intertwiner_basis, which reads it only when the pair has unknowns).  The
+# zigzag sweep reads at most three other modules between two reads of one:
+# weyl(2N + 1) and dual_weyl(2N + 1) for simple(2N + 1), then the targets
+# near P(2N).  The frobenius sweep reads each module once.  So 16 entries
+# cover every --max.
+@lru_cache(maxsize=16)
 def _columns(m: QMod) -> tuple:
     """The columns of m's operators, in ``m.operators()`` order: entry j of
     each is column j, read-only {row: value}, as row j of the transpose."""
@@ -260,13 +264,17 @@ def _generating_spin(m: QMod) -> Spin:
 
 
 # Every Hom solve out of a source replays its spin, so the spin is kept per
-# source module.  hom_quiver(N) reuses every P(2a), a <= N, at each N, and each
-# N also spins one weyl(2N + 1) for canonical_map; --max 36 --force needs 74.
+# source module.  The zigzag sweep replays every P(2a), a < N, into P(2N) at
+# each N, after spinning weyl(2N + 1) for simple(2N + 1) and P(2N) itself, so
+# at most N other sources come between two reads of one: 256 entries cover
+# --max 255.
 @lru_cache(maxsize=256)
 def _spun_source(m: QMod) -> tuple:
     """The spin of m from its generators, independent of any target:
-    (generator weights, words, back) where ``back[c]`` writes basis vector c
-    as {pivot lead: coefficient} over the spun columns.
+    (generator weights, words, back).  ``words`` are those of ``Spin.words``
+    with each step's factor negated, (pivot lead, -factor), as the replay
+    adds them; ``back[c]`` writes basis vector c as {pivot lead: coefficient}
+    over the spun columns.
 
     Raises InternalInconsistencyError when the generators do not span m.
     """
@@ -285,7 +293,11 @@ def _spun_source(m: QMod) -> tuple:
         for c in range(m.dim)
     )
     weights = tuple(m.weights[min(seed)] for seed in spin.seeds)
-    return weights, tuple(spin.words), back
+    words = tuple(
+        (source, op, tuple((c, -f) for c, f in steps), lead, scale)
+        for source, op, steps, lead, scale in spin.words
+    )
+    return weights, words, back
 
 
 def _standard_map(back: tuple, image: dict, dim: int) -> dict:
@@ -327,8 +339,7 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     # 1 and the others are 0.
     images: list[dict[int, dict]] = [{} for _ in unknowns]
     equations: dict[int, dict] = {}
-    for source, op, steps, lead, scale in words:
-        negated = [(c, -f) for c, f in steps]
+    for source, op, negated, lead, scale in words:
         rows: dict[int, dict] = {}
         for k, (g, a) in enumerate(unknowns):
             image = images[k]
@@ -408,7 +419,10 @@ def submodule(m: QMod, x: QMatrix) -> QMod:
     return spin.module(m)
 
 
-@lru_cache(maxsize=64)
+# Keyed by highest weight.  The frobenius sweep reads simple(2m), m = 0..M,
+# once for each n, so M + 1 labels cycle: 256 entries cover --max 255.  The
+# zigzag sweep reads simple(1) and one new odd label at each N.
+@lru_cache(maxsize=256)
 def simple(n: int) -> QMod:
     """Simple module of highest weight n: the image of the canonical map.
 

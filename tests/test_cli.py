@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qsatake import cli, equivalence
+from qsatake import cli, equivalence, modtools, qsl2
 from qsatake.modtools import hom
 from qsatake.qsl2 import direct_sum, simple
 
@@ -396,7 +396,9 @@ class TestVerify:
         monkeypatch.setattr(
             equivalence,
             "hom_quiver",
-            lambda n: with_doubled_arrow(real(n)) if n == 2 else real(n),
+            lambda n, prev: (
+                with_doubled_arrow(real(n, prev)) if n == 2 else real(n, prev)
+            ),
         )
         code, out, _ = run(capsys, "verify", "zigzag", "--max", "2")
         assert code == 1
@@ -415,7 +417,9 @@ class TestVerify:
         monkeypatch.setattr(
             equivalence,
             "hom_quiver",
-            lambda n: with_doubled_arrow(real(n)) if n == 2 else real(n),
+            lambda n, prev: (
+                with_doubled_arrow(real(n, prev)) if n == 2 else real(n, prev)
+            ),
         )
         code, out, _ = run(capsys, "verify", "zigzag", "--max", "3")
         assert code == 1
@@ -432,7 +436,7 @@ class TestVerify:
         monkeypatch.setattr(
             equivalence,
             "hom_quiver",
-            lambda n: equivalence.HomQuiver(0, (s,), ((hom(s, s),),)),
+            lambda n, prev: equivalence.HomQuiver(0, (s,), ((hom(s, s),),)),
         )
         code, out, _ = run(capsys, "verify", "zigzag", "--max", "0")
         assert code == 1
@@ -444,6 +448,33 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
+
+
+class TestSweepReuse:
+    """What each sweep computes once, counted over its truncations."""
+
+    def test_zigzag_solves_each_hom_space_once(self, monkeypatch):
+        # Each quiver extends the one of N - 1 by the pairs with P(2N).  P(2a)
+        # is the only module of dimension 4a + 4 that the suite solves with.
+        solves = []
+        real = modtools.hom
+        monkeypatch.setattr(
+            modtools, "hom", lambda m, n: solves.append((m.dim, n.dim)) or real(m, n)
+        )
+        assert all(item["pass"] for item in cli._suite_zigzag(6))
+        dims = [4 * a + 4 for a in range(7)]
+        assert sorted(solves) == [(m, n) for m in dims for n in dims]
+
+    def test_frobenius_builds_each_simple_once_at_max_64(self, monkeypatch):
+        # simple(2m), m = 0..64, is read once per n: 65 labels cycle.
+        maps = []
+        real = qsl2.canonical_map
+        monkeypatch.setattr(
+            qsl2, "canonical_map", lambda n: maps.append(n) or real(n)
+        )
+        qsl2.simple.cache_clear()
+        assert all(item["pass"] for item in cli._suite_frobenius(64))
+        assert maps == [2 * m for m in range(65)]
 
 
 class TestReportBytes:

@@ -155,6 +155,28 @@ class TestHomQuiver:
         with pytest.raises(DomainError):
             hom_quiver(-1)
 
+    def test_extension_keeps_prev_and_equals_a_fresh_quiver(self):
+        prev = hom_quiver(0)
+        for n in range(1, 5):
+            hq = hom_quiver(n, prev)
+            assert hq == hom_quiver(n)
+            assert all(hq.modules[a] is m for a, m in enumerate(prev.modules))
+            for a, row in enumerate(prev.homs):
+                assert all(hq.homs[a][b] is h for b, h in enumerate(row))
+            prev = hq
+
+    def test_prev_of_another_truncation_is_an_error(self):
+        with pytest.raises(DomainError, match="cannot extend the quiver of N = 1"):
+            hom_quiver(3, hom_quiver(1))
+
+    def test_extension_checks_the_kept_pairs(self):
+        # A kept Hom basis with the wrong dimension still fails the pattern.
+        prev = hom_quiver(1)
+        homs = ((HomBasis(()), prev.homs[0][1]), prev.homs[1])
+        bad = HomQuiver(1, prev.modules, homs)
+        with pytest.raises(VerificationError, match=r"Hom\(P\(0\), P\(0\)\) = 0"):
+            hom_quiver(2, bad)
+
 
 class TestGaugeFix:
     def test_identity_laws(self):

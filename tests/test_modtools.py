@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 
-from qsatake import qsl2
 from qsatake.errors import DomainError, NotACharacterError
 from qsatake.linalg import QMatrix
 from qsatake.modtools import (
@@ -53,28 +52,6 @@ class TestHom:
         x = hb.basis[0]
         for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
             assert x @ op_m == op_n @ x
-
-    def test_cache_returns_same_object(self):
-        a, b = weyl(2), weyl(3)
-        assert hom(a, b) is hom(a, b)
-
-    def test_equal_modules_share_one_solve(self, monkeypatch):
-        p2 = projective(2)
-        first = hom(p2, p2)
-        rebuilt = tensor(simple(3), simple(1))
-        assert rebuilt is not p2 and rebuilt == p2
-        solves = []
-        real = qsl2.intertwiner_basis
-        monkeypatch.setattr(
-            qsl2, "intertwiner_basis", lambda m, n: solves.append(1) or real(m, n)
-        )
-        assert hom(rebuilt, p2) is first
-        assert solves == []
-
-    def test_cache_is_bounded(self):
-        # Finite, and large enough for every pair of hom_quiver(N), N <= 63.
-        assert hom.cache_info().maxsize is not None
-        assert hom.cache_info().maxsize >= 64 * 64
 
     def test_zigzag_dimension_pattern(self):
         for a in range(7):
