@@ -90,8 +90,11 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
     a run that raises or is killed before then leaves ``output`` as it was,
     and a file, symlink, device or pipe is written as ``open`` writes it.
     The copy is not atomic: if it fails, ``output`` may be partly written.
+    A closed stdout fails the same way, before ``chunks`` is read.
     """
     if output is None:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.writelines(chunks)
         return
     if os.path.isdir(output):

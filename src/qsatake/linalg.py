@@ -75,17 +75,6 @@ class QMatrix:
         raise AttributeError("QMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("rows have varying lengths")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls._wrap(rows, cols, {})
 
@@ -297,51 +286,42 @@ def reduce_rows(rows: Iterable[Mapping]) -> dict:
     return pivots
 
 
-def _matrix_rows(m: QMatrix) -> list[dict]:
-    """Every row of m in order, empty rows included."""
-    return [m._data.get(i, _EMPTY_ROW) for i in range(m.rows)]
-
-
 def rank(m: QMatrix) -> int:
-    return len(reduce_rows(_matrix_rows(m)))
+    return len(reduce_rows(list(m._data.values())))
 
 
-def kernel(m: QMatrix) -> list[QMatrix]:
-    """Canonical basis of the right null space, as column vectors.
+def kernel(rows: Iterable[Mapping], cols: int) -> list[dict]:
+    """Canonical basis of the right null space of the sparse rows ``rows``
+    over columns 0..cols-1, as {column: value} vectors.
 
     One vector per free column f: coefficient 1 at f, zero at the other free
-    columns, pivot coordinates determined by the RREF.
+    columns, pivot coordinates determined by the RREF.  Each vector's keys
+    are in increasing order, since a pivot row holds entries only after its
+    pivot.
     """
-    pivots = reduce_rows(_matrix_rows(m))
-    vectors = {f: {f: {0: ONE}} for f in range(m.cols) if f not in pivots}
-    for c, row in pivots.items():
-        for f, w in row.items():
+    pivots = reduce_rows(list(rows))
+    vectors = {f: {} for f in range(cols) if f not in pivots}
+    for c in sorted(pivots):
+        for f, w in pivots[c].items():
             if f != c:
-                vectors[f][c] = {0: -w}
-    return [QMatrix._wrap(m.cols, 1, vectors[f]) for f in sorted(vectors)]
+                vectors[f][c] = -w
+    for f, vector in vectors.items():
+        vector[f] = ONE
+    return list(vectors.values())
 
 
-def solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
-    """The unique echelon solution X of a @ X = b (free variables set to 0).
+def solve_matrix(rows: list[Mapping], n: int) -> dict:
+    """The echelon solution {unknown: value} of the augmented sparse rows
+    ``rows`` over unknowns 0..n-1, whose right-hand side is column n; free
+    unknowns are 0, and unknowns at 0 are left out.
 
-    Raises NoSolutionError if any column of b is outside the column space.
+    Raises NoSolutionError if the right-hand side is outside the column space.
     """
-    if a.rows != b.rows:
-        raise ValueError("shape mismatch in solve")
-    n = a.cols
-    rows = []
-    for i in sorted(a._data.keys() | b._data.keys()):
-        row = dict(a._data.get(i, _EMPTY_ROW))
-        for j, v in b._data.get(i, _EMPTY_ROW).items():
-            row[n + j] = v
-        if row:
-            rows.append(row)
-    pivots = reduce_rows(rows)
-    data = {}
-    for c, row in pivots.items():
+    solution = {}
+    for c, row in reduce_rows(rows).items():
         if c >= n:
             raise NoSolutionError("inconsistent linear system")
-        sol = {j - n: v for j, v in row.items() if j >= n}
-        if sol:
-            data[c] = sol
-    return QMatrix._wrap(n, b.cols, data)
+        v = row.get(n)
+        if v is not None:
+            solution[c] = v
+    return solution

@@ -19,6 +19,7 @@ from .errors import DomainError, NoSolutionError, VerificationError
 from .linalg import QMatrix, kernel, solve_matrix
 from .qsl2 import QMod
 from .record import Record
+from .scalars import ZERO
 
 
 class HomBasis(Record):
@@ -67,17 +68,15 @@ def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
         if not target.is_zero():
             raise NoSolutionError("nonzero element of a zero-dimensional space")
         return ()
-    # One equation per entry (i, j) of the matrices, at row i * cols + j.
-    cols, size = target.cols, target.rows * target.cols
-    a: dict[int, dict] = {}
-    for k, m in enumerate(basis):
+    # One equation per entry (i, j) of the matrices, at row i * cols + j,
+    # with target in column n.
+    cols, n = target.cols, len(basis)
+    rows: dict[int, dict] = {}
+    for k, m in enumerate((*basis, target)):
         for i, j, v in m.nonzero_entries():
-            a.setdefault(i * cols + j, {})[k] = v
-    b = {i * cols + j: {0: v} for i, j, v in target.nonzero_entries()}
-    x = solve_matrix(
-        QMatrix.from_row_dicts(size, len(basis), a), QMatrix.from_row_dicts(size, 1, b)
-    )
-    return tuple(x[k, 0] for k in range(x.rows))
+            rows.setdefault(i * cols + j, {})[k] = v
+    x = solve_matrix([rows[p] for p in sorted(rows)], n)
+    return tuple(x.get(k, ZERO) for k in range(n))
 
 
 def radical(basis) -> list[QMatrix]:
@@ -91,13 +90,14 @@ def radical(basis) -> list[QMatrix]:
     d = len(basis)
     c = [[coords_in_basis(list(basis), bi @ bj) for bj in basis] for bi in basis]
     t = [sum(c[k][j][j] for j in range(d)) for k in range(d)]
-    gram = QMatrix.from_rows(
-        [[sum(c[i][j][k] * t[k] for k in range(d)) for j in range(d)] for i in range(d)]
-    )
+    gram = [
+        {j: v for j in range(d) if (v := sum(c[i][j][k] * t[k] for k in range(d)))}
+        for i in range(d)
+    ]
     out = []
-    for v in kernel(gram):
+    for v in kernel(gram, d):
         x = QMatrix.zeros(basis[0].rows, basis[0].cols)
-        for k, _, w in v.nonzero_entries():
+        for k, w in v.items():
             x = x + basis[k].scale(w)
         _, _, lead = next(x.nonzero_entries())
         out.append(x.scale(lead.inverse()))

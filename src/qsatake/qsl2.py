@@ -359,14 +359,11 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
             insert_row(equations, row)
         if len(equations) == len(unknowns):
             return []
-    system = QMatrix.from_row_dicts(
-        len(equations), len(unknowns), dict(enumerate(equations.values()))
-    )
     maps: dict[int, dict] = {}  # unknown k -> its X as {a * m.dim + b: value}
     solutions = []
-    for sol in kernel(system):
+    for sol in kernel(equations.values(), len(unknowns)):
         row: dict[int, GaussianRational] = {}
-        for k, _, t in sol.nonzero_entries():
+        for k, t in sol.items():
             if k not in maps:
                 # Negated positions: reduce_rows pivots on the last entry.
                 x = _standard_map(back, images[k], m.dim)
@@ -439,6 +436,9 @@ def simple(n: int) -> QMod:
     return submodule(dual_weyl(n), x)
 
 
+# Keyed by label.  The frobenius sweep reads frobenius_simple(n) once for
+# each m = 0..M, in a row with no other label in between (at --max 9, 90 hits
+# and 10 misses), so each label is built once and 64 entries cover every --max.
 @lru_cache(maxsize=64)
 def frobenius_simple(m: int) -> QMod:
     """Pullback of the classical (m+1)-dimensional irreducible along quantum

@@ -619,6 +619,17 @@ class TestProcessLevel:
             b"[]\n1\n1\nFalse\nzigzag: 143 checks, 0 failures\nFalse\nFalse\n"
         )
 
+    def test_closed_stdout_exits_2(self):
+        # As a broken pipe does: one error line, no traceback.
+        cmd = [sys.executable, "-m", "qsatake.cli", "verify", "zigzag", "--max", "3"]
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run(
+            cmd, capture_output=True, env=env, preexec_fn=lambda: os.close(1)
+        )
+        assert done.returncode == 2
+        assert done.stderr == b"error: [Errno 9] standard output is closed\n"
+        assert done.stdout == b""
+
     def test_benchmark_traced_run_resolves_every_layer(self, tmp_path):
         # perfbench/traced.py exits 3 if a function it wraps is renamed or moved.
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}

@@ -20,7 +20,7 @@ MI = GaussianRational(0, -1)  # -i
 
 
 def mat(rows):
-    return QMatrix.from_rows(rows)
+    return QMatrix(len(rows), len(rows[0]) if rows else 0, [v for r in rows for v in r])
 
 
 def column(values):
@@ -29,6 +29,62 @@ def column(values):
 
 def rows_of(m):
     return [dict(m.row(i)) for i in range(m.rows)]
+
+
+def augmented(a, rhs):
+    """The sparse rows of [a | rhs], the right-hand side in column a.cols."""
+    rows = rows_of(a)
+    for i, v in enumerate(rhs):
+        if v:
+            rows[i][a.cols] = GaussianRational.coerce(v)
+    return rows
+
+
+def as_column(vector, n):
+    """A {row: value} vector as an n x 1 QMatrix."""
+    return QMatrix.from_row_dicts(n, 1, {i: {0: v} for i, v in vector.items()})
+
+
+def as_vector(col):
+    """The {row: value} entries of a column QMatrix."""
+    return {i: v for i, _, v in col.nonzero_entries()}
+
+
+# The QMatrix-based solvers linalg had before ``kernel`` and ``solve_matrix``
+# took sparse rows, kept as references for them.
+def reference_kernel(m: QMatrix) -> list[QMatrix]:
+    """Canonical basis of the right null space, as column vectors."""
+    pivots = reduce_rows(rows_of(m))
+    vectors = {f: {f: {0: ONE}} for f in range(m.cols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, w in row.items():
+            if f != c:
+                vectors[f][c] = {0: -w}
+    return [QMatrix.from_row_dicts(m.cols, 1, vectors[f]) for f in sorted(vectors)]
+
+
+def reference_solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The unique echelon solution X of a @ X = b (free variables set to 0);
+    NoSolutionError if any column of b is outside the column space."""
+    if a.rows != b.rows:
+        raise ValueError("shape mismatch in solve")
+    n = a.cols
+    rows = []
+    for i in sorted(a._data.keys() | b._data.keys()):
+        row = dict(a._data.get(i, {}))
+        for j, v in b._data.get(i, {}).items():
+            row[n + j] = v
+        if row:
+            rows.append(row)
+    pivots = reduce_rows(rows)
+    data = {}
+    for c, row in pivots.items():
+        if c >= n:
+            raise NoSolutionError("inconsistent linear system")
+        sol = {j - n: v for j, v in row.items() if j >= n}
+        if sol:
+            data[c] = sol
+    return QMatrix.from_row_dicts(n, b.cols, data)
 
 
 small_entries = st.builds(
@@ -171,28 +227,25 @@ class TestSparseStorage:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert kernel(QMatrix.identity(2)) == []
+        assert kernel(rows_of(QMatrix.identity(2)), 2) == []
 
     def test_zero_row_matrix(self):
-        vecs = kernel(QMatrix.zeros(1, 2))
-        assert len(vecs) == 2
-        assert vecs[0] == column([1, 0])
-        assert vecs[1] == column([0, 1])
+        assert kernel([{}], 2) == [{0: ONE}, {1: ONE}]
 
     def test_rank_one_gaussian_matrix(self):
         # row2 = -i * row1, so the kernel is spanned by (-i, 1).
         a = mat([[1, I], [MI, 1]])
-        vecs = kernel(a)
-        assert len(vecs) == 1
-        assert vecs[0] == column([MI, 1])
-        assert (a @ vecs[0]).is_zero()
+        vecs = kernel(rows_of(a), 2)
+        assert vecs == [{0: MI, 1: ONE}]
+        assert (a @ as_column(vecs[0], 2)).is_zero()
 
     @given(small_matrices())
     @settings(max_examples=60)
     def test_rank_nullity(self, a):
-        assert rank(a) + len(kernel(a)) == a.cols
-        for v in kernel(a):
-            assert (a @ v).is_zero()
+        vecs = kernel(rows_of(a), a.cols)
+        assert rank(a) + len(vecs) == a.cols
+        for v in vecs:
+            assert (a @ as_column(v, a.cols)).is_zero()
 
 
 class TestRankRref:
@@ -241,26 +294,53 @@ class TestRankRref:
 class TestSolveImage:
     def test_solve_unique(self):
         a = mat([[1, 1], [0, 1]])
-        b = column([3, 1])
-        x = solve_matrix(a, b)
-        assert a @ x == b
-        assert x == column([2, 1])
+        x = solve_matrix(augmented(a, [3, 1]), 2)
+        assert x == {0: GaussianRational(2), 1: ONE}
+        assert a @ as_column(x, 2) == column([3, 1])
 
     def test_solve_inconsistent(self):
         a = mat([[1, 1], [1, 1]])
         with pytest.raises(NoSolutionError):
-            solve_matrix(a, column([1, 2]))
+            solve_matrix(augmented(a, [1, 2]), 2)
 
     def test_solve_underdetermined_sets_free_to_zero(self):
-        a = mat([[1, 1]])
-        x = solve_matrix(a, column([5]))
-        assert x == column([5, 0])
+        x = solve_matrix(augmented(mat([[1, 1]]), [5]), 2)
+        assert x == {0: GaussianRational(5)}
 
-    @given(small_matrices(), small_matrices())
+    @given(small_matrices(), st.data())
     @settings(max_examples=40)
-    def test_solve_matrix_round_trip(self, a, x):
-        if a.cols != x.rows:
-            return
+    def test_solve_matrix_round_trip(self, a, data):
+        x = data.draw(small_matrices(rows=a.cols, cols=1))
         b = a @ x
-        y = solve_matrix(a, b)
-        assert a @ y == b
+        y = solve_matrix(augmented(a, [b[i, 0] for i in range(b.rows)]), a.cols)
+        assert a @ as_column(y, a.cols) == b
+
+
+class TestAgainstReference:
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_row_solvers_match_the_matrix_solvers(self, r, c, consistent, data):
+        a = data.draw(small_matrices(rows=r, cols=c, entries=sparse_entries))
+        if consistent and c:
+            b = a @ data.draw(small_matrices(rows=c, cols=1, entries=sparse_entries))
+        else:
+            # Random right-hand sides: inconsistent unless a has full row rank.
+            b = data.draw(small_matrices(rows=r, cols=1, entries=sparse_entries))
+        rows = rows_of(a)
+        vecs = kernel(rows, c)
+        assert vecs == [as_vector(v) for v in reference_kernel(a)]
+        assert all(list(v) == sorted(v) for v in vecs)
+        assert rows == rows_of(a)
+        system = augmented(a, [b[i, 0] for i in range(r)])
+        try:
+            want = reference_solve_matrix(a, b)
+        except NoSolutionError:
+            with pytest.raises(NoSolutionError):
+                solve_matrix(system, c)
+        else:
+            assert solve_matrix(system, c) == as_vector(want)

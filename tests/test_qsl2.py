@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laurent import LaurentPoly, gauss_binomial_poly, qint_poly
+from test_linalg import reference_solve_matrix
 from qsatake.characters import WeightCharacter, simple_weights
 from qsatake import qsl2
 from qsatake.errors import DomainError, InternalInconsistencyError
-from qsatake.linalg import QMatrix, kernel, rank, reduce_rows, solve_matrix
+from qsatake.linalg import QMatrix, kernel, rank, reduce_rows
 from qsatake.modtools import projective
 from qsatake.qsl2 import (
     QMod,
@@ -282,8 +283,8 @@ class TestSimple:
         s = simple(2)
         assert s.weights == (2, -2)
         assert s.e.is_zero() and s.f.is_zero()
-        assert s.e2 == QMatrix.from_rows([[0, 1], [0, 0]])
-        assert s.f2 == QMatrix.from_rows([[0, 0], [1, 0]])
+        assert s.e2 == QMatrix(2, 2, [0, 1, 0, 0])
+        assert s.f2 == QMatrix(2, 2, [0, 0, 1, 0])
 
     def test_even_dimensions_and_weights(self):
         for m in range(7):
@@ -441,11 +442,10 @@ def reference_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
             row = {k: v for k, v in eqs[key].items() if v}
             if row:
                 rows.append(row)
-    system = QMatrix.from_row_dicts(len(rows), len(positions), dict(enumerate(rows)))
     basis = []
-    for vec in kernel(system):
+    for vec in kernel(rows, len(positions)):
         x: dict[int, dict] = {}
-        for k, _, v in vec.nonzero_entries():
+        for k, v in vec.items():
             a, b = positions[k]
             x.setdefault(a, {})[b] = v
         basis.append(QMatrix.from_row_dicts(n.dim, m.dim, x))
@@ -471,10 +471,12 @@ def dense_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
         for b in range(m.dim):
             if n.weights[a] != m.weights[b]:
                 row = [ZERO] * size
-                row[a * m.dim + b] = 1
+                row[a * m.dim + b] = ONE
                 rows.append(row)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     return [
-        QMatrix(n.dim, m.dim, list(v.entries)) for v in kernel(QMatrix.from_rows(rows))
+        QMatrix(n.dim, m.dim, [v.get(j, ZERO) for j in range(size)])
+        for v in kernel(sparse, size)
     ]
 
 
@@ -638,7 +640,7 @@ class TestSpin:
 def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
     """The submodule of m on the given weight-homogeneous, operator-stable
     columns, with each operator solved for in the new basis by
-    ``solve_matrix``: the read-out ``qsl2.submodule`` made before
+    ``reference_solve_matrix``: the read-out ``qsl2.submodule`` made before
     ``Spin.module``."""
     if not columns:
         z = QMatrix.zeros(0, 0)
@@ -651,7 +653,10 @@ def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
         for i, _, v in col.nonzero_entries():
             stacked.setdefault(i, {})[k] = v
     b = QMatrix.from_row_dicts(m.dim, len(columns), stacked)
-    return QMod(tuple(weights), *(solve_matrix(b, op @ b) for _, op in m.operators()))
+    return QMod(
+        tuple(weights),
+        *(reference_solve_matrix(b, op @ b) for _, op in m.operators()),
+    )
 
 
 def reference_image(x: QMatrix) -> list[QMatrix]:
