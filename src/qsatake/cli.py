@@ -6,6 +6,9 @@ named verification suite to a truncation bound.  Output is deterministic
 (byte-identical across runs); exit codes are 0 for success, 1 for a
 verification failure, 2 for usage errors.  ``verify`` writes each report item
 as its suite yields it, so no report is held whole in memory.
+
+``main`` returns the exit code and never ends the process; ``run``, the
+process entry point, ends it with ``os._exit`` once the output is flushed.
 """
 
 from __future__ import annotations
@@ -90,12 +93,15 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
     a run that raises or is killed before then leaves ``output`` as it was,
     and a file, symlink, device or pipe is written as ``open`` writes it.
     The copy is not atomic: if it fails, ``output`` may be partly written.
-    A closed stdout fails the same way, before ``chunks`` is read.
+    A closed stdout fails the same way, before ``chunks`` is read.  Stdout is
+    flushed before returning, so a failed write of the report's tail raises
+    here too.
     """
     if output is None:
         if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
         return
     if os.path.isdir(output):
         raise IsADirectoryError(f"is a directory: {output!r}")
@@ -310,9 +316,34 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (DomainError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        try:
+            sys.stderr.write(f"error: {exc}\n")
+        except (AttributeError, OSError):  # stderr is closed (None) or unwritable
+            pass
         return 2
 
 
+def run() -> None:
+    """Process entry point: exit with ``main()``'s code, skipping the
+    interpreter's teardown of modules and caches.
+
+    ``main`` has written the report and closed any ``--output`` file; what
+    is left buffered (argparse's help, or the tail of a write that ``main``
+    already reported as failed) is flushed, with errors ignored as argparse
+    ignores them, and the process ends through ``os._exit``.  Under a
+    profiler or tracer the interpreter exits normally, so that it can write
+    its results.  An exception from ``main`` propagates as usual.
+    """
+    code = main()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # closed, or already reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

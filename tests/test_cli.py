@@ -19,6 +19,14 @@ from qsatake.modtools import hom
 from qsatake.qsl2 import direct_sum, simple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# Child processes get what the benchmark gives its children: PATH and
+# PYTHONPATH only.  A setting of the host such as PYTHONUNBUFFERED=1 would
+# leave stdout unbuffered and hide a failed write of its buffer at exit.
+PROCESS_ENV = {
+    "PATH": os.environ.get("PATH", os.defpath),
+    "PYTHONPATH": str(REPO_ROOT / "src"),
+}
+CLI = (sys.executable, "-m", "qsatake.cli")
 
 
 def run(capsys, *argv):
@@ -225,9 +233,8 @@ class TestVerify:
                 "cli.main(['verify', 'blocks', '--output', sys.argv[1]])",
             ]
         )
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         cmd = [sys.executable, "-c", script, str(tmp_path / "report.txt")]
-        done = subprocess.run(cmd, capture_output=True, env=env)
+        done = subprocess.run(cmd, capture_output=True, env=PROCESS_ENV)
         assert done.returncode == -signal.SIGKILL
         assert os.listdir(tmp_path) == []
 
@@ -583,9 +590,9 @@ class TestUsage:
 
 class TestProcessLevel:
     def test_byte_identical_across_processes(self):
-        cmd = [sys.executable, "-m", "qsatake.cli", "verify", "zigzag", "--max", "1"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        cmd = [*CLI, "verify", "zigzag", "--max", "1"]
+        first = subprocess.run(cmd, capture_output=True, env=PROCESS_ENV, check=True)
+        second = subprocess.run(cmd, capture_output=True, env=PROCESS_ENV, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"zigzag: 42 checks, 0 failures\n")
 
@@ -621,18 +628,90 @@ class TestProcessLevel:
 
     def test_closed_stdout_exits_2(self):
         # As a broken pipe does: one error line, no traceback.
-        cmd = [sys.executable, "-m", "qsatake.cli", "verify", "zigzag", "--max", "3"]
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        cmd = [*CLI, "verify", "zigzag", "--max", "3"]
         done = subprocess.run(
-            cmd, capture_output=True, env=env, preexec_fn=lambda: os.close(1)
+            cmd, capture_output=True, env=PROCESS_ENV, preexec_fn=lambda: os.close(1)
         )
         assert done.returncode == 2
         assert done.stderr == b"error: [Errno 9] standard output is closed\n"
         assert done.stdout == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_2(self):
+        # The report fits in stdout's buffer, so only the flush fails.
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [*CLI, "homdim", "2", "2"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=PROCESS_ENV,
+            )
+        assert done.returncode == 2
+        assert done.stderr == b"error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "stderr_fault",
+        [lambda: os.close(2), lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)],
+        ids=["closed", "read-only"],
+    )
+    def test_unwritable_stderr_still_exits_2(self, stderr_fault):
+        # A bad label is exit 2 even when its error line cannot be written.
+        done = subprocess.run(
+            [*CLI, "homdim", "1", "2"],
+            capture_output=True,
+            env=PROCESS_ENV,
+            preexec_fn=stderr_fault,
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+
+    def test_output_is_complete_after_the_process_exits(self, capsys, tmp_path):
+        argv = ("verify", "zigzag", "--max", "3")
+        _, out, _ = run(capsys, *argv)
+        path = tmp_path / "report.txt"
+        done = subprocess.run(
+            [*CLI, *argv, "--output", str(path)], capture_output=True, env=PROCESS_ENV
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_help_reaches_a_pipe(self):
+        # argparse's help is still buffered when main returns.
+        done = subprocess.run([*CLI, "--help"], capture_output=True, env=PROCESS_ENV)
+        assert done.returncode == 0
+        assert done.stdout.startswith(b"usage: qsatake ")
+
+    def test_profiler_still_reports(self):
+        # Under a profiler the interpreter exits normally, so cProfile prints.
+        cmd = [sys.executable, "-m", "cProfile", "-m", "qsatake.cli", "homdim", "2", "2"]
+        done = subprocess.run(cmd, capture_output=True, env=PROCESS_ENV)
+        assert done.returncode == 0, done.stderr
+        first, rest = done.stdout.split(b"\n", 1)
+        assert first == b"2"
+        assert b"function calls" in rest and b"Ordered by:" in rest
+
+    def test_uncaught_exception_prints_its_traceback(self):
+        script = "\n".join(
+            [
+                "import sys",
+                "from qsatake import cli",
+                "def fails(max_n):",
+                "    raise RuntimeError('boom')",
+                "    yield",
+                "cli._SUITE_RUNNERS['blocks'] = fails",
+                "sys.argv[1:] = ['verify', 'blocks']",
+                "cli.run()",
+            ]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=PROCESS_ENV
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(b"Traceback")
+        assert done.stderr.endswith(b"RuntimeError: boom\n")
+
     def test_benchmark_traced_run_resolves_every_layer(self, tmp_path):
         # perfbench/traced.py exits 3 if a function it wraps is renamed or moved.
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         cmd = [
             sys.executable,
             str(REPO_ROOT / "perfbench" / "traced.py"),
@@ -641,6 +720,6 @@ class TestProcessLevel:
             "0",
             "0",
         ]
-        done = subprocess.run(cmd, capture_output=True, env=env, cwd=REPO_ROOT)
+        done = subprocess.run(cmd, capture_output=True, env=PROCESS_ENV, cwd=REPO_ROOT)
         assert done.returncode == 0, done.stderr
         assert done.stdout == b"2\n"

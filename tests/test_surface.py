@@ -8,7 +8,9 @@ no verifier, criterion or benchmark layer runs.  References are found by name
 definition itself); a method counts as referenced by an attribute or string of
 its name only, so it shares those with every same-named attribute.
 ``__init__.py`` re-exports are not references.  The package also imports
-nothing outside the standard library, and every cache in it is bounded.
+nothing outside the standard library, and every cache in it is bounded.  The
+installed command is ``cli.run``, as for ``python -m qsatake.cli``, and since
+``run`` ends the process with ``os._exit``, nothing registers ``atexit`` work.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import ast
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "qsatake"
@@ -136,3 +140,23 @@ def test_every_cache_is_bounded():
                 if info().maxsize is None:
                     unbounded.append(f"{path.stem}.{name}")
     assert unbounded == [], f"caches without a maxsize: {unbounded}"
+
+
+def test_installed_command_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"qsatake": "qsatake.cli:run"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    guard = tree.body[-1]  # if __name__ == "__main__": run()
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == ["run()"]
+
+
+def test_package_registers_no_exit_handler():
+    # os._exit skips atexit handlers, so none may hold work to finish.
+    users = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "atexit" in _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert users == [], f"modules that use atexit: {users}"
