@@ -157,9 +157,7 @@ def cmd_homdim(args) -> int:
             raise DomainError(
                 f"homdim labels must be even in 0..{2 * MAX_GUARD}, got {label}"
             )
-    dim = modtools.hom(
-        modtools.projective(args.a), modtools.projective(args.b)
-    ).dim
+    dim = len(modtools.hom(modtools.projective(args.a), modtools.projective(args.b)))
     return _emit_one(args, {"a": args.a, "b": args.b, "dim": dim}, str(dim))
 
 

@@ -7,10 +7,11 @@ checks the 2/1/0 dimension pattern.  ``gauge_fix`` rescales generators so the
 two-step composites through neighbouring vertices agree, extending the gauge
 of N - 1 when it is given and its quiver is unchanged, and
 ``compare_zigzag`` then demands exact equality of every product of
-gauge-fixed generators with the zigzag multiplication table, computing each
-product once per value of the matrices it reads.  Everything
-is exact arithmetic over Q(i); a failed relation is report content, while a
-wrong Hom dimension pattern is a hard verification error.
+gauge-fixed generators with the zigzag algebra's nonzero products (0 for a
+pair that has none), computing each product once per value of the matrices
+it reads.  Everything is exact arithmetic over Q(i); a failed relation is
+report content, while a wrong Hom dimension pattern is a hard verification
+error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import QMatrix, reduce_rows
-from .modtools import HomBasis, coords_in_basis
+from .modtools import coords_in_basis
 from .record import Record
 from .satake import expected_clebsch_gordan
 from .zigzag import Label, label_str
@@ -44,19 +45,19 @@ from .zigzag import Label, label_str
 class HomQuiver(Record):
     """All Hom bases among P(0) ... P(2N).
 
-    ``modules`` is P(0), P(2), ..., P(2N) and ``homs[a][b]`` the
-    ``HomBasis`` of P(2a) -> P(2b).  Composites are not stored:
+    ``modules`` is P(0), P(2), ..., P(2N) and ``homs[a][b]`` the tuple of
+    basis matrices of Hom(P(2a), P(2b)).  Composites are not stored:
     ``compare_zigzag`` multiplies the gauge-fixed generators itself.
     """
 
     __slots__ = ("n", "modules", "homs")
 
-    def hom(self, a: int, b: int) -> HomBasis:
+    def hom(self, a: int, b: int) -> tuple[QMatrix, ...]:
         return self.homs[a][b]
 
     def dim_matrix(self) -> list[list[int]]:
         return [
-            [self.homs[a][b].dim for b in range(self.n + 1)] for a in range(self.n + 1)
+            [len(self.homs[a][b]) for b in range(self.n + 1)] for a in range(self.n + 1)
         ]
 
 
@@ -72,11 +73,11 @@ def hom_quiver(n: int, prev: HomQuiver | None = None) -> HomQuiver:
     """The Hom bases among P(0) ... P(2N).
 
     Without ``prev`` all (N+1)^2 intertwiner systems are solved.  ``prev``
-    may be the quiver of N - 1: its modules and ``HomBasis`` objects are
-    kept, the same objects, and only the 2N + 1 pairs that involve P(2N) are
-    solved.  Raises VerificationError unless dim Hom(P(2a), P(2b)) is 2 for
-    a = b, 1 for |a - b| = 1 and 0 otherwise, and DomainError when ``prev``
-    is not of N - 1.
+    may be the quiver of N - 1: its modules and Hom bases are kept, the same
+    objects, and only the 2N + 1 pairs that involve P(2N) are solved.
+    Raises VerificationError unless dim Hom(P(2a), P(2b)) is 2 for a = b, 1
+    for |a - b| = 1 and 0 otherwise, and DomainError when ``prev`` is not of
+    N - 1.
     """
     if n < 0:
         raise DomainError(f"hom_quiver requires N >= 0, got {n}")
@@ -90,7 +91,7 @@ def hom_quiver(n: int, prev: HomQuiver | None = None) -> HomQuiver:
         homs.append(tuple(modtools.hom(top, m) for m in modules))
     for a in range(n + 1):
         for b in range(n + 1):
-            got = homs[a][b].dim
+            got = len(homs[a][b])
             want = _expected_dim(a, b)
             if got != want:
                 raise VerificationError(
@@ -138,7 +139,7 @@ def gauge_fix(
     if n == 0:
         return {
             ("e", 0): QMatrix.identity(hq.modules[0].dim),
-            ("z", 0): modtools.radical_element(hq.hom(0, 0).basis),
+            ("z", 0): modtools.radical_element(hq.hom(0, 0)),
         }
     if _extends(hq, prev):
         gauge, start = dict(prev[1]), n
@@ -146,8 +147,8 @@ def gauge_fix(
         gauge, start = {("e", 0): QMatrix.identity(hq.modules[0].dim)}, 1
     for a in range(start, n + 1):  # add vertex a
         gauge[("e", a)] = QMatrix.identity(hq.modules[a].dim)
-        x = gauge[("x", a - 1)] = hq.hom(a - 1, a).basis[0]
-        raw = hq.hom(a, a - 1).basis[0]
+        x = gauge[("x", a - 1)] = hq.hom(a - 1, a)[0]
+        raw = hq.hom(a, a - 1)[0]
         if a == 1:
             z0 = raw @ x
             if z0.is_zero():
@@ -224,8 +225,9 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
     """Recompute every product of gauge-fixed generators against the table.
 
     One report item per ordered basis pair of ZigzagAlgebra(N); ``lhs`` is the
-    quantum composite expressed in the gauge basis, ``rhs`` the table value.
-    Without ``gauge``, ``gauge_fix(hq)`` is used.
+    quantum composite expressed in the gauge basis, ``rhs`` the stored product
+    of the pair, or 0 when none is stored.  Without ``gauge``,
+    ``gauge_fix(hq)`` is used.
 
     An item is decided by whether gauge[u] @ gauge[v] equals the table's
     value written in gauge matrices.  That test is memoized by the matrices
@@ -248,7 +250,7 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
     items = []
     for u, u_name, u_source, u_target in zip(basis, names, sources, targets):
         for v, v_name, v_source, v_target in zip(basis, names, sources, targets):
-            expected = algebra.mult[(u, v)]
+            expected = algebra.mult.get((u, v), {})
             rhs = zigzag.element_str(expected)
             relation = f"{u_name}*{v_name}"
             if u_source != v_target:

@@ -18,26 +18,15 @@ from .characters import jh_weight_character
 from .errors import DomainError, NoSolutionError, VerificationError
 from .linalg import QMatrix, kernel, solve_matrix
 from .qsl2 import QMod
-from .record import Record
 from .scalars import ZERO
 
 
-class HomBasis(Record):
-    """Canonical basis of an intertwiner space: ``basis`` is a tuple of
-    ``QMatrix``."""
-
-    __slots__ = ("basis",)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def hom(m: QMod, n: QMod) -> HomBasis:
-    """All weight-preserving maps m -> n commuting with E, F, E2, F2, from
-    ``qsl2.intertwiner_basis``: the spin of m from its generators replayed on
-    n's side, in reduced echelon form from the right over row-major entries."""
-    return HomBasis(tuple(qsl2.intertwiner_basis(m, n)))
+def hom(m: QMod, n: QMod) -> tuple[QMatrix, ...]:
+    """A basis of all weight-preserving maps m -> n commuting with E, F, E2,
+    F2, from ``qsl2.intertwiner_basis``: the spin of m from its generators
+    replayed on n's side, in reduced echelon form from the right over
+    row-major entries."""
+    return tuple(qsl2.intertwiner_basis(m, n))
 
 
 # One entry per even label.  The zigzag sweep builds each P(2a) once and
@@ -59,7 +48,7 @@ def jh(m: QMod) -> Counter:
 
 def socle_dims(m: QMod, upto: int) -> dict[int, int]:
     """dim Hom(simple(n), m) for 0 <= n <= upto: the socle isotypic dimensions."""
-    return {n: hom(qsl2.simple(n), m).dim for n in range(upto + 1)}
+    return {n: len(hom(qsl2.simple(n), m)) for n in range(upto + 1)}
 
 
 def coords_in_basis(basis: list[QMatrix], target: QMatrix) -> tuple:
@@ -107,7 +96,7 @@ def radical(basis) -> list[QMatrix]:
 def is_indecomposable_local(m: QMod) -> bool:
     """End(m) is local, i.e. End/rad is one-dimensional (all simples here
     are split)."""
-    basis = hom(m, m).basis
+    basis = hom(m, m)
     return len(basis) - len(radical(basis)) == 1
 
 

@@ -6,7 +6,7 @@ positional constructor that sets the fields in that order and then runs its
 class only; the hash of the field tuple; ``Name(field=...)`` as repr; and
 ``AttributeError`` on assignment.  It keeps ``dataclasses`` off the import
 path of the package, which would otherwise load ``inspect`` and ``ast`` at
-start-up for six small classes.
+start-up for five small classes.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The presented zigzag algebra on vertices 0..N with its full multiplication
-table, and an exhaustive self-verifier.
+"""The presented zigzag algebra on vertices 0..N with its nonzero products,
+and an exhaustive self-verifier.
 
 Basis per truncation N: idempotents e_a and loops z_a at every vertex,
 arrows x_a: a -> a+1 (a < N) and y_a: a -> a-1 (a >= 1).  Nonzero products
@@ -11,6 +11,8 @@ by the relations are zero.  Coefficients are integers.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import DomainError
 from .record import Record
@@ -50,8 +52,9 @@ def element_str(elem: Element) -> str:
 class ZigzagAlgebra(Record):
     """Truncation with vertices 0..n; dimension 4n + 2.
 
-    ``basis`` is a tuple of labels and ``mult`` maps each pair (u, v) of
-    them to the product {w: coeff}.
+    ``basis`` is a tuple of labels and ``mult`` maps a pair (u, v) of them
+    to the product {w: coeff} exactly when u·v is nonzero; a pair that is
+    not stored has product 0.
     """
 
     __slots__ = ("n", "basis", "mult")
@@ -62,7 +65,7 @@ class ZigzagAlgebra(Record):
 
 
 def make(n: int) -> ZigzagAlgebra:
-    """Build the basis and the total multiplication table for vertices 0..n."""
+    """Build the basis and the nonzero products for vertices 0..n."""
     if n < 0:
         raise DomainError(f"zigzag truncation requires N >= 0, got {n}")
     basis: list[Label] = []
@@ -70,9 +73,8 @@ def make(n: int) -> ZigzagAlgebra:
     basis.extend(("z", a) for a in range(n + 1))
     basis.extend(("x", a) for a in range(n))
     basis.extend(("y", a) for a in range(1, n + 1))
-    # Each product is its own dict, and only pairs where u starts at the end
-    # of v can be nonzero.
-    mult: dict = {(u, v): {} for u in basis for v in basis}
+    # Only pairs where u starts at the end of v can be nonzero.
+    mult: dict = {}
     ending_at: dict = {}
     for v in basis:
         ending_at.setdefault(target(v), []).append(v)
@@ -90,11 +92,12 @@ def make(n: int) -> ZigzagAlgebra:
 
 
 def _table_sum(mult: dict, pairs) -> Element:
-    """The sum of the products ``mult[(u, v)]`` over ``pairs`` of labels with
-    zero coefficients dropped: the bilinear extension of the table."""
+    """The sum of the products of ``pairs`` of labels in ``mult``, a missing
+    pair being 0, with zero coefficients dropped: the bilinear extension of
+    the table."""
     out: Element = {}
     for pair in pairs:
-        for w, c in mult[pair].items():
+        for w, c in mult.get(pair, {}).items():
             s = out.get(w, 0) + c
             if s:
                 out[w] = s
@@ -120,26 +123,20 @@ def _check_associativity(algebra: ZigzagAlgebra, violations: list[dict]) -> int:
     L(uv) = L(u)·L(v), and L(uv) is the combination of the L(b_m) by the
     coefficients of uv.  ``cols[j]`` lists the nonzero columns of L(b_j),
     (k, terms of b_j·b_k) with terms (position, nonzero coeff), read once
-    from ``algebra.mult``.  For a pair (i, j) the left side is nonzero only
-    when b_i·b_j is, and the right side only when some column of L(b_j) has
-    a term at an m with b_i·b_m nonzero; every other pair has both sides 0
-    in every column.  A pair whose operators differ yields one violation
+    from the stored products of ``algebra.mult``.  For a pair (i, j) the
+    left side is nonzero only when b_i·b_j is, and the right side only when
+    some column of L(b_j) has a term at an m with b_i·b_m nonzero; every
+    other pair has both sides 0 in every column.  A pair whose operators differ yields one violation
     per differing column k, in ascending k.
     """
     basis = algebra.basis
-    mult = algebra.mult
     dim = len(basis)
     index = {label: k for k, label in enumerate(basis)}
-    cols = []
-    for u in basis:
-        col = []
-        for k, v in enumerate(basis):
-            prod = mult[(u, v)]
-            if prod:
-                terms = tuple((index[w], c) for w, c in prod.items() if c)
-                if terms:
-                    col.append((k, terms))
-        cols.append(col)
+    cols: list[list] = [[] for _ in range(dim)]
+    for (u, v), prod in algebra.mult.items():
+        terms = tuple((index[w], c) for w, c in prod.items() if c)
+        if terms:
+            cols[index[u]].append((index[v], terms))
     users: list[set[int]] = [set() for _ in range(dim)]
     for j, col in enumerate(cols):
         for _, terms in col:
@@ -196,8 +193,8 @@ def _check_relations(algebra: ZigzagAlgebra, violations: list[dict]) -> int:
     They are the orthogonal idempotents e_a·e_b, the unit 1·u and u·1 with
     1 = e_0 + ... + e_N (a sum of N + 1 table entries, ``_table_sum``), the
     loop factorizations x·y = z and y·x = z, and the vanishing products z·z,
-    x·z, y·z, x·x and y·y.  A product of two labels is its table entry
-    without zero coefficients.  A relation text is formatted only on failure.
+    x·z, y·z, x·x and y·y.  A product of two labels is its stored entry, or 0
+    when none is stored, without zero coefficients.  A relation text is formatted only on failure.
     """
     n = algebra.n
     mult = algebra.mult
@@ -250,8 +247,9 @@ def verify_algebra(algebra: ZigzagAlgebra) -> dict:
 
     Each check formats its relation text only when it fails, and reads its
     products from ``algebra.mult``.  The fixed relations are checked by
-    ``_check_relations``.  The gap >= 2 scan reads each label's source and
-    target once.  Associativity compares L(uv) with L(u)·L(v) over the
+    ``_check_relations``.  The gap >= 2 scan counts its pairs from how many
+    labels end and start at each vertex, and looks for violations among the
+    stored products only.  Associativity compares L(uv) with L(u)·L(v) over the
     nonzero columns of the table (see ``_check_associativity``); every one of
     the dim**3 triples is counted in ``checks``.
     """
@@ -270,25 +268,27 @@ def verify_algebra(algebra: ZigzagAlgebra) -> dict:
     checks += _check_relations(algebra, violations)
 
     # Distant vertices: every product landing across a gap >= 2 must vanish.
-    # far[t]: the labels, in basis order, whose source is 2 or more from t.
-    mult = algebra.mult
-    sources = [source(v) for v in algebra.basis]
-    far: dict[int, list[Label]] = {}
-    for u in algebra.basis:
-        t = target(u)
-        if t not in far:
-            far[t] = [v for v, s in zip(algebra.basis, sources) if abs(t - s) >= 2]
-        checks += len(far[t])
-        for v in far[t]:
-            prod = mult[(u, v)]
-            if prod and any(prod.values()):
-                violations.append(
-                    _violation(
-                        f"{label_str(u)}*{label_str(v)} (gap >= 2)",
-                        {w: c for w, c in prod.items() if c},
-                        {},
-                    )
-                )
+    # Each pair (u, v) with v starting 2 or more from the end of u is a check;
+    # only a stored product can be nonzero, reported in basis order of (u, v).
+    ending = Counter(target(u) for u in algebra.basis)
+    starting = Counter(source(v) for v in algebra.basis)
+    checks += sum(
+        ending[t] * starting[s] for t in ending for s in starting if abs(t - s) >= 2
+    )
+    index = {label: k for k, label in enumerate(algebra.basis)}
+    far = [
+        (index[u], index[v], u, v, prod)
+        for (u, v), prod in algebra.mult.items()
+        if abs(target(u) - source(v)) >= 2 and any(prod.values())
+    ]
+    for _, _, u, v, prod in sorted(far):
+        violations.append(
+            _violation(
+                f"{label_str(u)}*{label_str(v)} (gap >= 2)",
+                {w: c for w, c in prod.items() if c},
+                {},
+            )
+        )
 
     checks += _check_associativity(algebra, violations)
 

@@ -7,7 +7,6 @@ import pytest
 
 from qsatake.equivalence import HomQuiver
 from qsatake.linalg import QMatrix
-from qsatake.modtools import HomBasis
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,11 +25,11 @@ def with_doubled_arrow():
     entry-th nonzero entry (row-major) doubled."""
 
     def corrupt(hq: HomQuiver, entry: int = 0) -> HomQuiver:
-        arrow = hq.hom(0, 1).basis[0]
+        arrow = hq.hom(0, 1)[0]
         i, j, v = list(arrow.nonzero_entries())[entry]
         bumped = arrow + QMatrix.from_row_dicts(arrow.rows, arrow.cols, {i: {j: v}})
         homs = [list(row) for row in hq.homs]
-        homs[0][1] = HomBasis((bumped,))
+        homs[0][1] = (bumped,)
         return HomQuiver(hq.n, hq.modules, tuple(tuple(row) for row in homs))
 
     return corrupt

@@ -16,7 +16,7 @@ from qsatake.equivalence import (
 )
 from qsatake.errors import DomainError, NoSolutionError, VerificationError
 from qsatake.linalg import QMatrix
-from qsatake.modtools import HomBasis, coords_in_basis, jh
+from qsatake.modtools import coords_in_basis, jh
 from qsatake.satake import expected_clebsch_gordan
 from qsatake.scalars import GaussianRational
 from qsatake.zigzag import label_str
@@ -29,18 +29,18 @@ def reference_gauge_fix(hq: HomQuiver) -> dict:
     for a in range(n + 1):
         gauge[("e", a)] = QMatrix.identity(hq.modules[a].dim)
     if n == 0:
-        gauge[("z", 0)] = modtools.radical_element(hq.hom(0, 0).basis)
+        gauge[("z", 0)] = modtools.radical_element(hq.hom(0, 0))
         return gauge
     for a in range(n):
-        gauge[("x", a)] = hq.hom(a, a + 1).basis[0]
-    gauge[("y", 1)] = hq.hom(1, 0).basis[0]
+        gauge[("x", a)] = hq.hom(a, a + 1)[0]
+    gauge[("y", 1)] = hq.hom(1, 0)[0]
     z0 = gauge[("y", 1)] @ gauge[("x", 0)]
     if z0.is_zero():
         raise VerificationError("composite y1*x0 vanishes; no loop at vertex 0")
     gauge[("z", 0)] = z0
     for a in range(1, n):
         fixed = gauge[("x", a - 1)] @ gauge[("y", a)]
-        raw = hq.hom(a + 1, a).basis[0]
+        raw = hq.hom(a + 1, a)[0]
         unscaled = raw @ gauge[("x", a)]
         if fixed.is_zero() or unscaled.is_zero():
             raise VerificationError(
@@ -71,7 +71,7 @@ def reference_compare_zigzag(hq: HomQuiver, gauge: dict | None = None) -> list[d
     items = []
     for u in algebra.basis:
         for v in algebra.basis:
-            expected = algebra.mult[(u, v)]
+            expected = algebra.mult.get((u, v), {})
             rhs = zigzag.element_str(expected)
             relation = f"{label_str(u)}*{label_str(v)}"
             if zigzag.source(u) != zigzag.target(v):
@@ -110,12 +110,12 @@ def scrambled_quiver(n: int, seed: int = 20240817) -> HomQuiver:
     rng = random.Random(seed)
     hq = hom_quiver(n)
 
-    def scramble(hb: HomBasis) -> HomBasis:
+    def scramble(basis: tuple) -> tuple:
         scaled = []
-        for b in hb.basis:
+        for b in basis:
             c = GaussianRational(rng.randint(1, 5), rng.randint(-4, 4))
             scaled.append(b.scale(c))
-        return HomBasis(tuple(scaled))
+        return tuple(scaled)
 
     homs = tuple(
         tuple(scramble(hq.hom(a, b)) for b in range(n + 1)) for a in range(n + 1)
@@ -146,9 +146,9 @@ class TestHomQuiver:
             for b in range(n + 1):
                 for c in range(n + 1):
                     for d in range(n + 1):
-                        for f in hq.hom(a, b).basis:
-                            for g in hq.hom(b, c).basis:
-                                for h in hq.hom(c, d).basis:
+                        for f in hq.hom(a, b):
+                            for g in hq.hom(b, c):
+                                for h in hq.hom(c, d):
                                     assert (h @ g) @ f == h @ (g @ f)
 
     def test_domain_error(self):
@@ -172,7 +172,7 @@ class TestHomQuiver:
     def test_extension_checks_the_kept_pairs(self):
         # A kept Hom basis with the wrong dimension still fails the pattern.
         prev = hom_quiver(1)
-        homs = ((HomBasis(()), prev.homs[0][1]), prev.homs[1])
+        homs = (((), prev.homs[0][1]), prev.homs[1])
         bad = HomQuiver(1, prev.modules, homs)
         with pytest.raises(VerificationError, match=r"Hom\(P\(0\), P\(0\)\) = 0"):
             hom_quiver(2, bad)
@@ -284,6 +284,24 @@ class TestCompareZigzag:
         failures = {it["relation"]: it["lhs"] for it in items if not it["pass"]}
         assert failures == {"x1*y2": "1+1*i*z2", "y2*x1": "1+1*i*z1"}
 
+    def test_corrupted_table_fails(self, monkeypatch):
+        # One composable and one non-composable pair of the table corrupted.
+        real = zigzag.make
+
+        def corrupted_make(n):
+            algebra = real(n)
+            mult = dict(algebra.mult)
+            mult[(("y", 1), ("x", 0))] = {("z", 0): 2}  # y1*x0 := 2*z0
+            mult[(("e", 0), ("x", 0))] = {("x", 0): 1}  # e0*x0 := x0
+            return zigzag.ZigzagAlgebra(algebra.n, algebra.basis, mult)
+
+        monkeypatch.setattr(equivalence.zigzag, "make", corrupted_make)
+        items = compare_zigzag(hom_quiver(2))
+        assert [it for it in items if not it["pass"]] == [
+            {"relation": "e0*x0", "lhs": "0", "rhs": "x0", "pass": False},
+            {"relation": "y1*x0", "lhs": "z0", "rhs": "2*z0", "pass": False},
+        ]
+
     def test_memo_is_keyed_by_value(self):
         # A clean run first fills the product memo; the corrupted gauge shares
         # every label with it and must still fail.
@@ -323,7 +341,7 @@ class TestAgainstReference:
         # The clean gauge with the doubled arrow put in fails item by item.
         clean = hom_quiver(n)
         gauge = gauge_fix(clean)
-        gauge[("x", 0)] = bad.hom(0, 1).basis[0]
+        gauge[("x", 0)] = bad.hom(0, 1)[0]
         items = compare_zigzag(clean, gauge)
         assert items == reference_compare_zigzag(clean, gauge)
         assert not all(it["pass"] for it in items)

@@ -36,20 +36,18 @@ def unit_vector(dim, k):
 
 class TestHom:
     def test_schur(self):
-        assert hom(weyl(1), weyl(1)).dim == 1
+        assert len(hom(weyl(1), weyl(1))) == 1
 
     def test_end_of_projective(self):
         p2 = projective(2)
-        assert hom(p2, p2).dim == 2
+        assert len(hom(p2, p2)) == 2
 
     def test_distant_projectives(self):
-        assert hom(projective(0), projective(4)).dim == 0
+        assert len(hom(projective(0), projective(4))) == 0
 
     def test_basis_elements_are_intertwiners(self):
         m, n = projective(0), projective(2)
-        hb = hom(m, n)
-        assert hb.dim == 1
-        x = hb.basis[0]
+        (x,) = hom(m, n)
         for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
             assert x @ op_m == op_n @ x
 
@@ -57,12 +55,12 @@ class TestHom:
         for a in range(7):
             for b in range(7):
                 expected = 2 if a == b else (1 if abs(a - b) == 1 else 0)
-                assert hom(projective(2 * a), projective(2 * b)).dim == expected
+                assert len(hom(projective(2 * a), projective(2 * b))) == expected
 
     def test_projective_to_simple(self):
         for n in range(7):
             for m in range(7):
-                got = hom(projective(2 * n), simple(2 * m)).dim
+                got = len(hom(projective(2 * n), simple(2 * m)))
                 assert got == (1 if n == m else 0)
 
     @pytest.mark.parametrize(
@@ -77,7 +75,7 @@ class TestHom:
         # These bases have non-integral entries, so their text goes through
         # the scalars' reduced-denominator path.  Digests were recorded while
         # GaussianRational still stored a pair of Fractions.
-        text = "\n".join(str(x) for x in hom(projective(a), projective(b)).basis)
+        text = "\n".join(str(x) for x in hom(projective(a), projective(b)))
         assert "/" in text
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
@@ -135,7 +133,7 @@ class TestJh:
         for m in corpus:
             content = jh(m)
             for n in range(4):
-                assert hom(projective(2 * n), m).dim == content.get(2 * n, 0)
+                assert len(hom(projective(2 * n), m)) == content.get(2 * n, 0)
 
     def test_rejects_non_characters(self):
         from qsatake.qsl2 import QMod
@@ -249,20 +247,20 @@ class TestIndecomposable:
     def test_two_projectives_are_not_local(self):
         # End has dimension 8 and a 4-dimensional radical.
         big = direct_sum(projective(0), projective(0))
-        assert len(radical(hom(big, big).basis)) == 4
+        assert len(radical(hom(big, big))) == 4
         assert not is_indecomposable_local(big)
 
     def test_radical_dimensions(self):
         for n in range(4):
             p = projective(2 * n)
-            assert len(radical(hom(p, p).basis)) == 1
+            assert len(radical(hom(p, p))) == 1
         s = direct_sum(simple(0), simple(2))
-        assert radical(hom(s, s).basis) == []
+        assert radical(hom(s, s)) == []
 
     def test_radical_element_squares_to_zero(self):
         for n in range(4):
             p = projective(2 * n)
-            z = radical_element(hom(p, p).basis)
+            z = radical_element(hom(p, p))
             assert not z.is_zero()
             assert (z @ z).is_zero()
             lead = next(v for v in z.entries if v)
@@ -281,5 +279,5 @@ class TestTensorAssociativity:
             assert char(left) == char(right)
             top = max(left.weights)
             for n in range(top + 1):
-                assert hom(simple(n), left).dim == hom(simple(n), right).dim
-                assert hom(left, simple(n)).dim == hom(right, simple(n)).dim
+                assert len(hom(simple(n), left)) == len(hom(simple(n), right))
+                assert len(hom(left, simple(n))) == len(hom(right, simple(n)))

@@ -34,7 +34,6 @@ def _cases():
     cell = CellDescriptor(AFFINE_SPACE, 2, True)
     return [
         (m, ("weights", "e", "f", "e2", "f2"), other_m),
-        (modtools.hom(m, m), ("basis",), modtools.hom(other_m, other_m)),
         (equivalence.hom_quiver(1), ("n", "modules", "homs"), equivalence.hom_quiver(0)),
         (zigzag.make(1), ("n", "basis", "mult"), zigzag.make(2)),
         (cell, ("kind", "dimension", "sign_action"), CellDescriptor(POINT, 0, False)),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -18,15 +19,16 @@ from qsatake.zigzag import (
 
 
 def multiply(algebra: ZigzagAlgebra, u, v) -> dict:
-    """Bilinear extension of the table; accepts labels or {label: coeff}
-    dicts.  The reference product of these tests: ``verify_algebra`` reads
-    the same sums from ``algebra.mult`` itself."""
+    """Bilinear extension of the table, a pair that is not stored being 0;
+    accepts labels or {label: coeff} dicts.  The reference product of these
+    tests: ``verify_algebra`` reads the same sums from ``algebra.mult``
+    itself."""
     ue = {u: 1} if isinstance(u, tuple) else dict(u)
     ve = {v: 1} if isinstance(v, tuple) else dict(v)
     out = {}
     for lu, cu in ue.items():
         for lv, cv in ve.items():
-            for w, cw in algebra.mult[(lu, lv)].items():
+            for w, cw in algebra.mult.get((lu, lv), {}).items():
                 s = out.get(w, 0) + cu * cv * cw
                 if s:
                     out[w] = s
@@ -36,9 +38,9 @@ def multiply(algebra: ZigzagAlgebra, u, v) -> dict:
 
 
 def reference_table(basis) -> dict:
-    """The product of every pair (u, v) of basis labels, in basis order, by
-    the rule for composable paths (u starts where v ends); the double loop
-    ``make`` once ran."""
+    """The product of every pair (u, v) of basis labels, zero products
+    included, in basis order, by the rule for composable paths (u starts
+    where v ends); the double loop ``make`` once ran."""
     mult = {}
     for u in basis:
         for v in basis:
@@ -79,14 +81,14 @@ class TestMake:
 
     def test_loop_annihilation(self):
         a = make(1)
-        assert a.mult[(("x", 0), ("z", 0))] == {}
-        assert a.mult[(("y", 1), ("z", 1))] == {}
+        assert (("x", 0), ("z", 0)) not in a.mult
+        assert (("y", 1), ("z", 1)) not in a.mult
 
     def test_table_golden_entries(self):
         mult = make(1).mult
-        assert mult[(("z", 0), ("z", 0))] == {}
+        assert (("z", 0), ("z", 0)) not in mult
         assert mult[(("e", 0), ("e", 0))] == {("e", 0): 1}
-        assert len(mult) == 36
+        assert len(mult) == 12
 
     def test_table_stable_across_rebuilds(self):
         first, second = make(3), make(3)
@@ -96,9 +98,18 @@ class TestMake:
     @pytest.mark.parametrize("n", range(7))
     def test_table_matches_the_pairwise_rule(self, n):
         a = make(n)
-        assert list(a.mult.items()) == list(reference_table(a.basis).items())
-        # Each product is its own dict, zero products included.
+        nonzero = [item for item in reference_table(a.basis).items() if item[1]]
+        assert list(a.mult.items()) == nonzero
+        # Each product is its own dict.
         assert len({id(prod) for prod in a.mult.values()}) == len(a.mult)
+
+    def test_stores_only_nonzero_products(self):
+        for n in range(65):
+            for prod in make(n).mult.values():
+                assert prod and all(prod.values()), (n, prod)
+        # The dense table held (4N + 2)^2 entries: 2,500 and 66,564.
+        assert len(make(12).mult) == 111
+        assert len(make(64).mult) == 579
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -264,11 +275,13 @@ def corrupted(algebra, key, entry):
 
 
 def single_entry_corruptions(algebra, graded_only):
-    """Every table entry set to {}, each coefficient doubled, each coefficient
-    stored as 0, and each label swapped for another basis label.  An empty
-    entry u*v gets each basis label with coefficient 1; with ``graded_only``,
-    only labels with the endpoints of the path v then u."""
-    for (u, v), entry in algebra.mult.items():
+    """Every basis pair's product, a missing pair read as {}: a nonzero one
+    set to {}, each coefficient doubled, each coefficient stored as 0, and
+    each label swapped for another basis label.  A zero product u*v gets each
+    basis label with coefficient 1; with ``graded_only``, only labels with
+    the endpoints of the path v then u."""
+    for u, v in product(algebra.basis, repeat=2):
+        entry = algebra.mult.get((u, v), {})
         if entry:
             yield (u, v), {}
         for w, c in entry.items():
@@ -287,6 +300,13 @@ def single_entry_corruptions(algebra, graded_only):
 
 
 class TestAssociativityTable:
+    @pytest.mark.parametrize("n, graded_only, count", [(1, False, 240), (2, True, 334)])
+    def test_corruptions_reach_every_basis_pair(self, n, graded_only, count):
+        a = make(n)
+        cases = list(single_entry_corruptions(a, graded_only))
+        assert len(cases) == count
+        assert any(key not in a.mult for key, _ in cases)
+
     @pytest.mark.parametrize("n", range(5))
     def test_matches_reference(self, n):
         a = make(n)
@@ -353,3 +373,14 @@ class TestAssociativityTable:
         # an entry of stored zeros is the empty product
         zeros = corrupted(a, (("z", 0), ("e", 3)), {("x", 1): 0})
         assert verify_algebra(zeros) == verify_algebra(a)
+
+    def test_gap_violations_in_basis_order(self):
+        # Stored against basis order, which a sparse table keeps as it is.
+        a = make(6)
+        bad = corrupted(a, (("x", 4), ("e", 0)), {("z", 4): 1})  # x4*e0 := z4
+        bad = corrupted(bad, (("z", 0), ("e", 3)), {("z", 0): 2})  # z0*e3 := 2*z0
+        report = verify_algebra(bad)
+        relations = [v["relation"] for v in report["violations"]]
+        gaps = [r for r in relations if r.endswith("(gap >= 2)")]
+        assert gaps == ["z0*e3 (gap >= 2)", "x4*e0 (gap >= 2)"]
+        assert report["checks"] == 18121 == verify_algebra(a)["checks"]
