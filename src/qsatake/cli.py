@@ -5,7 +5,8 @@ object, ``homdim`` prints one quantum Hom dimension, and ``verify`` runs a
 named verification suite to a truncation bound.  Output is deterministic
 (byte-identical across runs); exit codes are 0 for success, 1 for a
 verification failure, 2 for usage errors.  ``verify`` writes each report item
-as its suite yields it, so no report is held whole in memory.
+as its suite yields it, so no report is held whole in memory, and a run of
+items that share lhs, rhs and pass with one join.
 
 ``main`` returns the exit code and never ends the process; ``run``, the
 process entry point, ends it with ``os._exit`` once the output is flushed.
@@ -200,7 +201,7 @@ def _suite_zigzag(max_n: int) -> Iterator[dict]:
             prev = None
             continue
         prev = (hq, gauge)
-        for item in compared:  # fresh dicts, relabelled in place
+        for item in compared:  # fresh dicts, relabelled in place (a run's head)
             item["relation"] = f"N={n}: {item['relation']}"
             yield item
 
@@ -252,9 +253,40 @@ _SUITE_RUNNERS = {
 SUITES = (*_SUITE_RUNNERS, "all")
 
 
+def _format_run(relation: str, item: dict, sep: str | None) -> str:
+    """The report lines of a run: one item per tail in ``item["run"]``, each
+    with the relation ``relation + tail`` and the run's shared lhs, rhs and
+    pass.
+
+    ``sep`` is None for text, or the JSON separator before the first item.
+    Each form is one ``str.join``.  Escaping works character by character,
+    so a JSON relation is the escaped head followed by the escaped tail; a
+    tail is escaped on its own only when some tail needs escaping at all.
+    """
+    ok, tails = item["pass"], item["run"]
+    if sep is None:
+        if ok:
+            head, end = f"PASS {relation}", "\n"
+        else:
+            head, end = f"FAIL {relation}", f": lhs={item['lhs']} rhs={item['rhs']}\n"
+        return head + (end + head).join(tails) + end
+    body = "".join(tails)
+    if len(_quote(body)) != len(body) + 2:
+        tails = [_quote(tail)[1:-1] for tail in tails]
+    head = f'{{"relation":{_quote(relation)[:-1]}'
+    end = (
+        f'","lhs":{_quote(item["lhs"])},"rhs":{_quote(item["rhs"])},'
+        f'"pass":{"true" if ok else "false"}}}'
+    )
+    return sep + head + (end + "," + head).join(tails) + end
+
+
 def cmd_verify(args) -> int:
     """Write the report as the suites yield its items: PASS/FAIL lines and a
-    summary, or the bytes of ``json.dumps(items, separators=(",", ":"))``."""
+    summary, or the bytes of ``json.dumps(items, separators=(",", ":"))``.
+
+    An item with a ``"run"`` key stands for one item per entry of it (see
+    ``_format_run``) and counts as that many checks."""
     if args.max_n < 0:
         raise DomainError("--max must be >= 0")
     if args.max_n > MAX_GUARD and not args.force:
@@ -273,10 +305,17 @@ def cmd_verify(args) -> int:
             yield "["
         for name in names:
             for item in _SUITE_RUNNERS[name](args.max_n):
-                checks += 1
                 ok = item["pass"]
-                failures += not ok
                 relation = f"{name}: {item['relation']}"
+                run = item.get("run")
+                if run is not None:
+                    checks += len(run)
+                    failures += 0 if ok else len(run)
+                    yield _format_run(relation, item, sep if as_json else None)
+                    sep = ","
+                    continue
+                checks += 1
+                failures += not ok
                 if as_json:
                     yield (
                         f'{sep}{{"relation":{_quote(relation)},'

@@ -9,9 +9,11 @@ of N - 1 when it is given and its quiver is unchanged, and
 ``compare_zigzag`` then demands exact equality of every product of
 gauge-fixed generators with the zigzag algebra's nonzero products (0 for a
 pair that has none), computing each product once per value of the matrices
-it reads.  Everything is exact arithmetic over Q(i); a failed relation is
-report content, while a wrong Hom dimension pattern is a hard verification
-error.
+it reads.  Only composable pairs and pairs the table stores need that work;
+the structural zeros between them, 0 on both sides, are reported as runs,
+one item standing for a stretch of passing pairs.  Everything is exact
+arithmetic over Q(i); a failed relation is report content, while a wrong
+Hom dimension pattern is a hard verification error.
 """
 
 from __future__ import annotations
@@ -202,10 +204,18 @@ def _independent(mats: tuple[QMatrix, ...]) -> bool:
 
 @lru_cache(maxsize=4096)
 def _product_matches(u: QMatrix, v: QMatrix, terms: tuple) -> bool:
-    """Whether u @ v equals the sum of c * m over the (m, c) in ``terms``."""
+    """Whether u @ v equals the sum of c * m over the (m, c) in ``terms``.
+
+    The sum is built from the terms alone: no terms is the zero matrix, and
+    a term of another shape than u @ v is a value it cannot equal."""
     prod = u @ v
-    want = QMatrix.zeros(prod.rows, prod.cols)
-    for m, c in terms:
+    if not terms:
+        return prod.is_zero()
+    if any(m.rows != prod.rows or m.cols != prod.cols for m, _ in terms):
+        return False
+    (m, c), *rest = terms
+    want = m.scale(c)
+    for m, c in rest:
         want = want + m.scale(c)
     return prod == want
 
@@ -224,36 +234,58 @@ def _solved_lhs(prod: QMatrix, labels: list, mats: tuple) -> str:
 def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> list[dict]:
     """Recompute every product of gauge-fixed generators against the table.
 
-    One report item per ordered basis pair of ZigzagAlgebra(N); ``lhs`` is the
-    quantum composite expressed in the gauge basis, ``rhs`` the stored product
-    of the pair, or 0 when none is stored.  Without ``gauge``,
-    ``gauge_fix(hq)`` is used.
+    The report covers every ordered basis pair (u, v) of ZigzagAlgebra(N), u
+    major and v minor in basis order, with the relation ``u*v``; ``lhs`` is
+    the quantum composite expressed in the gauge basis and ``rhs`` the
+    stored product of the pair, or 0 when none is stored.  Without
+    ``gauge``, ``gauge_fix(hq)`` is used.
 
-    An item is decided by whether gauge[u] @ gauge[v] equals the table's
-    value written in gauge matrices.  That test is memoized by the matrices
-    it reads (those of u, v and of the table's terms), so a truncation whose
-    gauge extends the one of N - 1 (``gauge_fix`` with ``prev``) computes
-    only the products of its new matrices.  ``lhs`` is solved for only on
-    FAIL: on PASS the product equals the table's terms, which are labels of
-    the gauge basis of its Hom space, and when that basis is linearly
-    independent (checked once per basis) they are its only coordinates, so
-    ``lhs`` is ``rhs``.  A dependent basis is solved for as on FAIL.
+    Only two kinds of pair get an item of their own: the composable ones
+    (v ends where u starts, at most four per u) and any other pair the table
+    stores.  Every other pair is a structural zero, 0 on both sides with
+    nothing to compute, and each stretch of them between two items of one u
+    is a single **run** item: ``{"relation": "u*", "run": (v names...),
+    "lhs": "0", "rhs": "0", "pass": True}`` stands for the passing items
+    ``u*v`` of those v, in order.  A run is never empty.
+
+    A composable item is decided by whether gauge[u] @ gauge[v] equals the
+    table's value written in gauge matrices.  That test is memoized by the
+    matrices it reads (those of u, v and of the table's terms), so a
+    truncation whose gauge extends the one of N - 1 (``gauge_fix`` with
+    ``prev``) computes only the products of its new matrices.  ``lhs`` is
+    solved for only on FAIL: on PASS the product equals the table's terms,
+    which are labels of the gauge basis of its Hom space, and when that
+    basis is linearly independent (checked once per basis) they are its only
+    coordinates, so ``lhs`` is ``rhs``.  A dependent basis is solved for as
+    on FAIL.
     """
     n = hq.n
     algebra = zigzag.make(n)
     if gauge is None:
         gauge = gauge_fix(hq)
-    basis = algebra.basis
-    names = [label_str(u) for u in basis]
-    sources = [zigzag.source(u) for u in basis]
-    targets = [zigzag.target(u) for u in basis]
+    basis, mult = algebra.basis, algebra.mult
+    names = tuple(label_str(u) for u in basis)
+    position = {u: k for k, u in enumerate(basis)}
+    ending_at: dict[int, list[int]] = {}
+    for k, v in enumerate(basis):
+        ending_at.setdefault(zigzag.target(v), []).append(k)
+    stored: dict[Label, list[int]] = {}
+    for u, v in mult:
+        if u in position and v in position:
+            stored.setdefault(u, []).append(position[v])
     items = []
-    for u, u_name, u_source, u_target in zip(basis, names, sources, targets):
-        for v, v_name, v_source, v_target in zip(basis, names, sources, targets):
-            expected = algebra.mult.get((u, v), {})
+    for u, u_name in zip(basis, names):
+        u_source, u_target = zigzag.source(u), zigzag.target(u)
+        start = 0
+        for k in sorted({*ending_at[u_source], *stored.get(u, ())}):
+            if start < k:
+                items.append(_zero_run(u_name, names[start:k]))
+            start = k + 1
+            v = basis[k]
+            expected = mult.get((u, v), {})
             rhs = zigzag.element_str(expected)
-            relation = f"{u_name}*{v_name}"
-            if u_source != v_target:
+            relation = f"{u_name}*{names[k]}"
+            if zigzag.target(v) != u_source:
                 items.append(
                     {
                         "relation": relation,
@@ -263,7 +295,7 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
                     }
                 )
                 continue
-            labels, mats = _gauge_basis(gauge, v_source, u_target)
+            labels, mats = _gauge_basis(gauge, zigzag.source(v), u_target)
             terms = tuple((gauge[w], c) for w, c in expected.items())
             ok = _product_matches(gauge[u], gauge[v], terms)
             if ok and _independent(mats):
@@ -271,7 +303,20 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
             else:
                 lhs = _solved_lhs(gauge[u] @ gauge[v], labels, mats)
             items.append({"relation": relation, "lhs": lhs, "rhs": rhs, "pass": ok})
+        if start < len(basis):
+            items.append(_zero_run(u_name, names[start:]))
     return items
+
+
+def _zero_run(u_name: str, v_names: tuple[str, ...]) -> dict:
+    """The run of passing structural zeros ``u*v``, v in ``v_names``."""
+    return {
+        "relation": f"{u_name}*",
+        "run": v_names,
+        "lhs": "0",
+        "rhs": "0",
+        "pass": True,
+    }
 
 
 def _labels_str(c: Counter) -> str:

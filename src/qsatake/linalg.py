@@ -141,9 +141,13 @@ class QMatrix:
         )
 
     def scale(self, c) -> "QMatrix":
+        """c times this matrix; by 1 that is this matrix itself, as it is
+        immutable."""
         c = GaussianRational.coerce(c)
         if not c:
             return QMatrix.zeros(self.rows, self.cols)
+        if c == ONE:
+            return self
         data: dict[int, dict] = {}
         for i, row in self._data.items():
             data[i] = scaled = {}

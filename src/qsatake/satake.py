@@ -110,11 +110,15 @@ def formal(kind: str, n: int, sign: str) -> FormalPerv:
 
 
 def _item(relation: str, lhs, rhs) -> dict:
+    """A report item comparing two characters; equal characters print the
+    same, so a passing item formats one of them."""
+    ok = lhs == rhs
+    lhs_text = str(lhs)
     return {
         "relation": relation,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-        "pass": lhs == rhs,
+        "lhs": lhs_text,
+        "rhs": lhs_text if ok else str(rhs),
+        "pass": ok,
     }
 
 

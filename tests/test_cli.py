@@ -17,6 +17,7 @@ import pytest
 from qsatake import cli, equivalence, modtools, qsl2
 from qsatake.modtools import hom
 from qsatake.qsl2 import direct_sum, simple
+from reports import expand_runs, render_items
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # Child processes get what the benchmark gives its children: PATH and
@@ -468,7 +469,7 @@ class TestSweepReuse:
         monkeypatch.setattr(
             modtools, "hom", lambda m, n: solves.append((m.dim, n.dim)) or real(m, n)
         )
-        assert all(item["pass"] for item in cli._suite_zigzag(6))
+        assert all(item["pass"] for item in expand_runs(cli._suite_zigzag(6)))
         dims = [4 * a + 4 for a in range(7)]
         assert sorted(solves) == [(m, n) for m in dims for n in dims]
 
@@ -510,12 +511,20 @@ class TestReportBytes:
                 "884c675e70708edb3b4ab8239f6feb19b1cf2afa3665c162cc8853d0fa077cc5",
             ),
             (
+                ("verify", "zigzag", "--max", "8"),
+                "648e401713941438bdd6eae125ae80255cbb1ad3d578f016144f119e25866001",
+            ),
+            (
                 ("verify", "zigzag", "--max", "8", "--format", "json"),
                 "7d0e3f7b0633bd510bf9ee384e9a4b76824987dfdbc42d068b3d6b4bea6d7e00",
             ),
             (
                 ("verify", "zigzag", "--max", "16", "--format", "json"),
                 "c0046ff06bb0b10358917a5e5d82c89e12d14edb37fc23c204860eb7dcb8e7ca",
+            ),
+            (
+                ("verify", "zigzag", "--max", "36", "--force", "--format", "json"),
+                "d039c5a6541f6c1eb1656c66d54cc793a9adeee1c913b52e748b57c95dcaaa02",
             ),
             (
                 ("verify", "frobenius", "--max", "4", "--format", "json"),
@@ -560,8 +569,10 @@ class TestReportBytes:
         ],
         ids=[
             "zigzag-text",
+            "zigzag-8-text",
             "zigzag-json",
             "zigzag-16-json",
+            "zigzag-36-json",
             "frobenius-json",
             "relations-text",
             "relations-json",
@@ -578,6 +589,44 @@ class TestReportBytes:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestRuns:
+    """A run item is written as the items it stands for, one by one."""
+
+    ITEMS = [
+        {"relation": "a*", "run": ("b", "c"), "lhs": "0", "rhs": "0", "pass": True},
+        {"relation": "single", "lhs": "1", "rhs": "2", "pass": False},
+        {"relation": "d*", "run": ("e",), "lhs": "0", "rhs": "0", "pass": True},
+        # Heads and tails that JSON escapes, and a failing run.
+        {
+            "relation": 'q"\\*',
+            "run": ('"', "\\", "é", "\n", "x\u2028", "😀"),
+            "lhs": "0",
+            "rhs": "0",
+            "pass": True,
+        },
+        {"relation": "é*", "run": ("f", "g"), "lhs": "l\t", "rhs": "r", "pass": False},
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bytes_and_counts_match_items_one_by_one(self, capsys, monkeypatch, fmt):
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "zigzag", lambda _: iter(self.ITEMS))
+        code, out, _ = run(capsys, "verify", "zigzag", "--format", fmt)
+        assert code == 1
+        assert out == render_items("zigzag", self.ITEMS, fmt)
+        if fmt == "text":
+            assert out.endswith("zigzag: 12 checks, 3 failures\n")
+        else:
+            assert len(json.loads(out)) == 12
+
+    def test_passing_runs_exit_0(self, capsys, monkeypatch):
+        items = [self.ITEMS[0], self.ITEMS[2]]
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "zigzag", lambda _: iter(items))
+        code, out, _ = run(capsys, "verify", "zigzag")
+        assert code == 0
+        assert out == render_items("zigzag", items, "text")
+        assert out.endswith("zigzag: 3 checks, 0 failures\n")
 
 
 class TestUsage:

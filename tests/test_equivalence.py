@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 
 import jsonschema
 import pytest
 
-from qsatake import equivalence, modtools, qsl2, zigzag
+from qsatake import cli, equivalence, modtools, qsl2, zigzag
 from qsatake.equivalence import (
     HomQuiver,
     compare_zigzag,
@@ -20,6 +21,13 @@ from qsatake.modtools import coords_in_basis, jh
 from qsatake.satake import expected_clebsch_gordan
 from qsatake.scalars import GaussianRational
 from qsatake.zigzag import label_str
+from reports import expand_runs, render_items
+
+
+@lru_cache(maxsize=None)
+def quiver(n: int) -> HomQuiver:
+    """hom_quiver(n), built once per test session by extending N - 1."""
+    return hom_quiver(n, quiver(n - 1) if n else None)
 
 
 def reference_gauge_fix(hq: HomQuiver) -> dict:
@@ -62,8 +70,9 @@ def reference_gauge_fix(hq: HomQuiver) -> dict:
 
 
 def reference_compare_zigzag(hq: HomQuiver, gauge: dict | None = None) -> list[dict]:
-    """Every product computed afresh and every lhs solved for its coordinates,
-    as before the memo and the solve-on-FAIL rule."""
+    """One item per basis pair, every product computed afresh and every lhs
+    solved for its coordinates, as before the runs, the memo and the
+    solve-on-FAIL rule."""
     n = hq.n
     algebra = zigzag.make(n)
     if gauge is None:
@@ -108,7 +117,7 @@ def scrambled_quiver(n: int, seed: int = 20240817) -> HomQuiver:
     """hom_quiver(n) with every Hom basis element rescaled by a pseudo-random
     unit; gauge fixing must absorb the scalars."""
     rng = random.Random(seed)
-    hq = hom_quiver(n)
+    hq = quiver(n)
 
     def scramble(basis: tuple) -> tuple:
         scaled = []
@@ -246,17 +255,18 @@ class TestCompareZigzag:
     def test_small_truncations_pass(self):
         for n in range(5):
             hq = hom_quiver(n)
-            items = compare_zigzag(hq)
+            items = expand_runs(compare_zigzag(hq))
             assert len(items) == (4 * n + 2) ** 2
             failures = [it for it in items if not it["pass"]]
             assert failures == []
 
     def test_report_schema(self, schemas):
-        items = compare_zigzag(hom_quiver(1))
+        items = expand_runs(compare_zigzag(hom_quiver(1)))
         jsonschema.validate(items, schemas["report"])
 
     def test_key_relations_present(self):
-        items = {it["relation"]: it for it in compare_zigzag(hom_quiver(2))}
+        items = expand_runs(compare_zigzag(hom_quiver(2)))
+        items = {it["relation"]: it for it in items}
         assert items["z1*z1"]["lhs"] == "0"
         assert items["x1*x0"]["lhs"] == "0"
         assert items["y1*x0"]["lhs"] == "z0"
@@ -315,21 +325,27 @@ class TestCompareZigzag:
         assert equivalence._independent.cache_info().maxsize is not None
 
 
-class TestAgainstReference:
-    """The memo and the solve-on-FAIL rule give the items of the reference
-    that solves every product afresh, on passing and failing inputs."""
+def compared(hq: HomQuiver, gauge: dict | None = None) -> list[dict]:
+    """``compare_zigzag`` with its runs expanded into items."""
+    return expand_runs(compare_zigzag(hq, gauge))
 
-    @pytest.mark.parametrize("n", range(7))
+
+class TestAgainstReference:
+    """The runs, the memo and the solve-on-FAIL rule give the items of the
+    reference that lists every pair and solves every product afresh, on
+    passing and failing inputs."""
+
+    @pytest.mark.parametrize("n", range(13))
     def test_clean(self, n):
-        hq = hom_quiver(n)
-        assert compare_zigzag(hq) == reference_compare_zigzag(hq)
+        hq = quiver(n)
+        assert compared(hq) == reference_compare_zigzag(hq)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_doubled_arrow(self, with_doubled_arrow, n):
-        bad = with_doubled_arrow(hom_quiver(n))
+        bad = with_doubled_arrow(quiver(n))
         if n == 1:
             # One vertex pair: the gauge exists and the loops fail.
-            got = compare_zigzag(bad)
+            got = compared(bad)
             assert got == reference_compare_zigzag(bad)
             assert not all(it["pass"] for it in got)
             return
@@ -339,22 +355,23 @@ class TestAgainstReference:
             reference_compare_zigzag(bad)
         assert str(got.value) == str(want.value)
         # The clean gauge with the doubled arrow put in fails item by item.
-        clean = hom_quiver(n)
+        clean = quiver(n)
         gauge = gauge_fix(clean)
         gauge[("x", 0)] = bad.hom(0, 1)[0]
-        items = compare_zigzag(clean, gauge)
+        items = compared(clean, gauge)
         assert items == reference_compare_zigzag(clean, gauge)
         assert not all(it["pass"] for it in items)
 
     def test_rescaled_bases(self):
-        hq = scrambled_quiver(3)
-        assert compare_zigzag(hq) == reference_compare_zigzag(hq)
+        for n in range(13):
+            hq = scrambled_quiver(n)
+            assert compared(hq) == reference_compare_zigzag(hq), n
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_y2_scaled_gauge(self, n):
-        hq = hom_quiver(n)
+        hq = quiver(n)
         gauge = y2_scaled_gauge(hq)
-        assert compare_zigzag(hq, gauge) == reference_compare_zigzag(hq, gauge)
+        assert compared(hq, gauge) == reference_compare_zigzag(hq, gauge)
 
     def test_dependent_gauge_basis_is_solved(self):
         # z0 = 2 e0 makes the basis of End P(0) dependent; e0*z0 passes, but its
@@ -362,9 +379,130 @@ class TestAgainstReference:
         hq = hom_quiver(0)
         gauge = gauge_fix(hq)
         gauge[("z", 0)] = gauge[("e", 0)].scale(2)
-        items = compare_zigzag(hq, gauge)
+        items = compared(hq, gauge)
         assert items == reference_compare_zigzag(hq, gauge)
         assert {"relation": "e0*z0", "lhs": "2*e0", "rhs": "z0", "pass": True} in items
+
+
+def with_stored_product(monkeypatch, u, v, value) -> None:
+    """Make ``zigzag.make``, as ``equivalence`` reads it, store u*v := value
+    in every truncation that has both labels."""
+    real = zigzag.make
+
+    def make(n):
+        algebra = real(n)
+        if u not in algebra.basis or v not in algebra.basis:
+            return algebra
+        return zigzag.ZigzagAlgebra(n, algebra.basis, {**algebra.mult, (u, v): value})
+
+    monkeypatch.setattr(equivalence.zigzag, "make", make)
+
+
+class TestRuns:
+    """Structural zeros come as runs between the items that need work."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_only_composable_pairs_stand_alone(self, n):
+        hq = quiver(n)
+        algebra = zigzag.make(n)
+        dim = algebra.dim
+        single = {
+            f"{label_str(u)}*{label_str(v)}"
+            for u in algebra.basis
+            for v in algebra.basis
+            if zigzag.source(u) == zigzag.target(v)
+        }
+        items = compare_zigzag(hq)
+        runs = [it for it in items if "run" in it]
+        assert {it["relation"] for it in items if "run" not in it} == single
+        assert all(it["run"] for it in runs)
+        assert {(it["lhs"], it["rhs"], it["pass"]) for it in runs} <= {("0", "0", True)}
+        # At most one run before, between and after the composable pairs of u.
+        assert len(runs) <= 5 * dim
+        assert len(expand_runs(items)) == dim * dim
+
+    # Basis of N = 4: e0..e4, z0..z4, x0..x3, y1..y4.  Each pair is stored in
+    # a run of structural zeros of the clean table.
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (("e", 2), ("e", 0)),  # first pair of its row, in the run e0, e1
+            (("e", 0), ("x", 1)),  # inside the run z1..z4, x0..x3
+            (("z", 1), ("y", 4)),  # last pair of its row, in the run y3, y4
+        ],
+        ids=["first-of-row", "inside-run", "last-of-row"],
+    )
+    def test_stored_non_composable_pair_fails_at_its_place(
+        self, monkeypatch, capsys, u, v
+    ):
+        with_stored_product(monkeypatch, u, v, {("x", 0): 1})
+        hq = quiver(4)
+        items = compared(hq)
+        assert items == reference_compare_zigzag(hq)
+        basis = zigzag.make(4).basis
+        where = basis.index(u) * len(basis) + basis.index(v)
+        relation = f"{label_str(u)}*{label_str(v)}"
+        assert [(k, it) for k, it in enumerate(items) if not it["pass"]] == [
+            (where, {"relation": relation, "lhs": "0", "rhs": "x0", "pass": False})
+        ]
+        # The report, checks count and exit code are those of the items
+        # written one by one; the pair fails in each truncation that has it.
+        having = sum({u, v} <= set(zigzag.make(n).basis) for n in range(5))
+        for fmt in ("text", "json"):
+            code = cli.main(["verify", "zigzag", "--max", "4", "--format", fmt])
+            out = capsys.readouterr().out
+            assert code == 1
+            assert out == render_items("zigzag", cli._suite_zigzag(4), fmt)
+        assert out.count('"pass":false') == having
+
+
+class TestProductCheck:
+    """``_product_matches`` builds its expected value from the terms alone."""
+
+    @staticmethod
+    def reference(u, v, terms) -> bool:
+        prod = u @ v
+        want = QMatrix.zeros(prod.rows, prod.cols)
+        for m, c in terms:
+            want = want + m.scale(c)
+        return prod == want
+
+    def test_agrees_with_the_full_sum(self):
+        g = gauge_fix(quiver(2))
+        e0, z0, x0 = g[("e", 0)], g[("z", 0)], g[("x", 0)]
+        e1, y1 = g[("e", 1)], g[("y", 1)]
+        cases = [
+            (z0, z0, ()),  # no terms, product 0
+            (e0, z0, ()),  # no terms, product z0
+            (y1, x0, ((z0, 1),)),  # one unit term
+            (e1, x0, ((x0, 1),)),
+            (e0, z0, ((z0, 2),)),  # one non-unit term
+            (e0, z0, ((z0, GaussianRational(1, 1)),)),
+            (e0, z0, ((z0, 2), (z0, -1))),  # two terms
+            (e0, z0, ((z0, 1), (e0, 1))),
+            (e0, e0, ((z0, 1), (e0, 1))),
+        ]
+        for u, v, terms in cases:
+            got = equivalence._product_matches(u, v, terms)
+            assert got == self.reference(u, v, terms), terms
+        assert [equivalence._product_matches(*case) for case in cases] == [
+            True, False, True, True, False, False, True, False, False
+        ]
+
+    def test_wrong_values_fail(self):
+        g = gauge_fix(quiver(2))
+        e1, x0, z0 = g[("e", 1)], g[("x", 0)], g[("z", 0)]
+        # A gauge matrix scaled by 2 against the table's unit term.
+        assert not equivalence._product_matches(e1, x0.scale(2), ((x0, 1),))
+        assert not equivalence._product_matches(e1, x0, ((x0.scale(2), 1),))
+        # A table with z0*z0 = z0.
+        assert not equivalence._product_matches(z0, z0, ((z0, 1),))
+
+    def test_term_of_another_shape_fails(self):
+        g = gauge_fix(quiver(2))
+        # y1*x0 is an endomorphism of P(0); x0 maps P(0) to P(2).
+        y1, x0 = g[("y", 1)], g[("x", 0)]
+        assert not equivalence._product_matches(y1, x0, ((x0, 1),))
 
 
 class TestFrobeniusAction:

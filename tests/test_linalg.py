@@ -143,6 +143,13 @@ class TestQMatrix:
         b2 = b @ b.transpose()
         assert kronecker(a2, b2) @ kronecker(a2, b2) == kronecker(a2 @ a2, b2 @ b2)
 
+    def test_scale_by_one_is_the_matrix_and_by_zero_is_zeros(self):
+        a = mat([[1, I, 0], [2, 0, 3]])
+        assert a.scale(1) is a
+        assert a.scale(ONE) is a
+        assert a.scale(0) == QMatrix.zeros(2, 3)
+        assert a.scale(ZERO).is_zero()
+
     def test_block_diag(self):
         a = mat([[1]])
         b = mat([[2, 3], [4, 5]])

@@ -176,6 +176,18 @@ class TestVerifiers:
             assert len(items) == 4  # standard + costandard, both signs
             assert all_pass(items)
 
+    def test_odd_ses_formats_a_passing_character_once(self, monkeypatch):
+        # Equal characters print the same, so a passing item prints one side.
+        calls = []
+        real = SignedCharacter.__str__
+        monkeypatch.setattr(
+            SignedCharacter, "__str__", lambda c: calls.append(1) or real(c)
+        )
+        items = [it for n in range(1, 41) for it in verify_odd_ses(n)]
+        assert all_pass(items) and len(items) == 160
+        assert len(calls) == 160
+        assert all(it["lhs"] == it["rhs"] for it in items)
+
     def test_odd_ses_example(self):
         assert standard_char(3, "+") == simple_char(1, "+") + simple_char(3, "+")
 
@@ -250,7 +262,9 @@ class TestVerifierCorruptions:
 
     def test_odd_ses_with_wrong_sub(self, twist_at):
         twist_at("simple_char", 1)
-        assert failed(verify_odd_ses(1)) == [
+        items = verify_odd_ses(1)
+        assert all(it["lhs"] != it["rhs"] for it in items if not it["pass"])
+        assert failed(items) == [
             f"ch {kind}(3){s} == ch L(1){s} + ch L(3){s}"
             for s in ("+", "-")
             for kind in ("standard", "costandard")
