@@ -4,19 +4,29 @@ A signed character is a multiset of keys ``(weight, sign)``: the key
 ``(w, "+")`` counts copies of the trivial one-dimensional representation k+
 in weight w, ``(w, "-")`` copies of the sign representation k-.  A weight
 character is a multiset of weights.  The convolution product is the graded
-tensor product of Z/2-representations.  Closed-form characters of simples
-and standards, the one Jordan-Holder decomposition (of signed and of weight
-characters, by the inverse of the unitriangular matrix of simple
-characters), and the standard character from an orbit-intersection cell
-table live here.
+tensor product of Z/2-representations, one packed int product of the two
+characters as polynomials (``_packed_product``).  Closed-form characters of
+simples and standards, the one Jordan-Holder decomposition, and the standard
+character from an orbit-intersection cell table live here.
+
+The decomposition inverts the unitriangular matrix of simple characters on
+a coefficient strip: the lowest exponent, a step and the dense coefficients
+of a character as a polynomial, the exponent being 3w + digit for a signed
+key and w for a weight.  A product's strip is what ``_packed_product``
+returns, so ``product_jh`` decomposes a product without building it; a
+character's strip is filled from its keys.  The strip is sliced into one
+plane per weight parity and sign, on which the chains of the simple
+characters are fixed strides and the mirror rule is a reversal (see
+``_triangular_jh``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count, repeat
 from math import gcd
+from operator import add, sub
 
 from .errors import DomainError, NotACharacterError
 from .record import Record
@@ -376,83 +386,137 @@ def standard_char(n: int, sign: str) -> SignedCharacter:
     return _signed(mults)
 
 
-def _triangular_jh(mults: dict, signed: bool) -> Counter:
+def _triangular_jh(low: int, step: int, coeffs, signed: bool) -> Counter:
     """The one Jordan-Holder routine: invert the unitriangular matrix of
-    simple characters, over (weight, sign) keys if ``signed``, else weights.
+    simple characters on a coefficient strip.
 
-    The simple character led by a key K is multiplicity-free on its chain K,
-    below(K), ..., bottom(K) (see ``_CHAINS``), and bottom(K), its mirror,
-    has weight -weight(K).  So the simple led by a key K of weight >= 0 has
-    multiplicity mults[K] - mults[above(K)], and a key of negative weight
-    must have the multiplicity of its mirror.  Leading-key elimination breaks
-    at the largest link (a key of ``mults``, or the below or bottom of one of
-    weight >= 0) where this residual is negative, or nonzero at negative
-    weight; that link and residual raise.
+    The strip is a polynomial: ``coeffs[i]`` (a list or bytes) is the
+    coefficient of the exponent low + step*i, which is 3w + digit for the key
+    (w, sign) of a signed character (see ``_DIGIT``; digit 2, which a product
+    of two k- leaves, is k+ too) and w for a weight character.
 
-    Only the keys of weight >= 0 are scanned, from the largest down.  Each
-    one K of weight > 0 also checks its below and bottom: either, if absent,
-    breaks with residual -mults[K], and the bottom B, if present, has
-    residual mults[B] - mults[K].  (The below of a key of weight 0 is the
-    bottom of the key above it if that is a key, and holds otherwise.)
-    Bottoms are distinct, so when nothing breaks and there are as many keys
-    of negative weight as bottoms, each of them is a bottom that holds.
-    Otherwise a key of negative weight that is no bottom has no mirror, and
-    its multiplicity is its residual.
+    An exponent mod 6 (signed) or mod 2 gives the parity of its weight and
+    its sign, so slices of the strip fill four planes (two for weight
+    characters): the multiplicities of one sign at the weights of one
+    parity, padded to -top, ..., top by 2, so that each is symmetric about
+    weight 0.  The simple character led by a key is multiplicity-free on its
+    chain (see ``_CHAINS``) down to its mirror at the negated weight: by 4
+    in its own plane at even weight, by 2 at odd weight, where a signed
+    chain alternates between the two signs' planes.  So a character is a
+    sum of simples exactly when each plane equals the reverse of its mirror
+    plane (itself, or at odd weight the other sign's), and no simple led at
+    weight w >= 0 has a negative multiplicity: the plane's entry at w minus
+    that of the link above, at w + 4 in the plane itself at even weight, at
+    w + 2 in the mirror plane at odd weight.  The chains do not interact.
+
+    Leading-key elimination meets the keys from the largest down, so it
+    breaks at the largest link of weight >= 0 whose multiplicity is
+    negative, or, when there is none, at the largest link below 0 whose
+    residual, its multiplicity minus its mirror's, is nonzero; that link and
+    residual raise.  A strip is dense over its weights: the routine takes
+    time and memory in the span of the weights, not in the number of keys.
     """
-    get = mults.get
-    out: Counter = Counter()
-    broken = {}  # link: residual, for each link that breaks its rule
-    bottoms = []
-    keys = sorted(mults, reverse=True)
-    nonnegative = 0
-    for key in keys:
+    modulus = 6 if signed else 2
+    period = modulus // gcd(step, modulus)
+    # The exponents of one slice lie ``spacing`` apart in weight, an even
+    # number, and every weight of the strip lies within ``bound`` of 0.
+    spacing = step * period
+    high = low + step * (len(coeffs) - 1)
+    if signed:
+        spacing //= 3
+        bound = max(-(low // 3), high // 3)
+    else:
+        bound = max(-low, high)
+    planes: dict = {}  # (parity, sign): multiplicities at weights -top..top by 2
+    for i in range(min(period, len(coeffs))):
+        part = coeffs[i::period]
+        if not any(part):
+            continue
+        w, sign = low + step * i, None
         if signed:
-            w, sign = key
-            step, turn = _CHAINS[w & 1]
-            sign = turn[sign]
-            above, below, bottom = (w + step, sign), (w - step, sign), (-w, sign)
-        else:
-            w = key
-            step = _CHAINS[w & 1][0]
-            above, below, bottom = w + step, w - step, -w
-        if w < 0:
-            break
-        nonnegative += 1
-        c = mults[key]
-        mult = c - get(above, 0)
-        if mult > 0:
-            out[key] = mult
-        elif mult:
-            broken[key] = mult
-        if w:
-            bottoms.append(bottom)
-            if below not in mults:
-                broken[below] = -c
-            residual = get(bottom, 0) - c
-            if residual:
-                broken[bottom] = residual
-    if not broken and len(keys) - nonnegative == len(bottoms):
-        return out
-    mirrored = set(bottoms)
-    for key in keys[nonnegative:]:
-        if key not in mirrored:
-            broken[key] = mults[key]
-    key = max(broken)
-    raise NotACharacterError(f"multiplicity {broken[key]} at {key}: not a character")
+            w, digit = divmod(w, 3)
+            sign = _DIGIT_SIGN[digit]
+        top = bound + (bound - w) % 2
+        at = (w + top) // 2
+        where = slice(at, at + spacing // 2 * len(part), spacing // 2)
+        plane = planes.get((w & 1, sign))
+        if plane is None:
+            plane = planes[w & 1, sign] = [0] * (top + 1)
+            plane[where] = part
+            if w & 1 and sign:
+                planes.setdefault((1, _OPPOSITE[sign]), [0] * (top + 1))
+        else:  # a digit-2 slice, or the odd plane its partner made
+            plane[where] = map(add, plane[where], part)
+    items = []
+    upper_breaks = {}  # link: negative multiplicity, at weight >= 0
+    lower_breaks = {}  # link: nonzero residual, below 0
+    for (parity, sign), plane in planes.items():
+        other = planes[1, _OPPOSITE[sign]] if parity and sign else plane
+        half = len(plane) // 2  # plane[half] is at weight ``parity``
+        mults = list(map(sub, plane[half:], other[half + 2 - parity :] + [0, 0]))
+        weights = range(parity, len(plane), 2)
+        if min(mults) < 0:
+            for w, m in zip(weights, mults):
+                if m < 0:
+                    upper_breaks[w if sign is None else (w, sign)] = m
+        elif not upper_breaks and plane != other[::-1]:
+            for j in range(half):
+                if plane[j] != other[-1 - j]:
+                    w = 2 * j + 1 - len(plane)
+                    residual = plane[j] - other[-1 - j]
+                    lower_breaks[w if sign is None else (w, sign)] = residual
+        keys = compress(weights, mults)
+        if sign is not None:
+            keys = zip(keys, repeat(sign))
+        items += zip(keys, filter(None, mults))
+    broken = upper_breaks or lower_breaks
+    if broken:
+        key = max(broken)
+        raise NotACharacterError(f"multiplicity {broken[key]} at {key}: not a character")
+    items.sort(reverse=True)
+    out: Counter = Counter()
+    dict.update(out, items)
+    return out
 
 
 def jh_decompose(c: SignedCharacter) -> Counter:
     """Multiplicities of simple characters in c, as a Counter of (n, sign).
 
     The two signs at one weight do not interact: a simple character's top
-    weight lies in one part only.
+    weight lies in one part only.  The strip is filled in one pass; the
+    smallest and largest key have the lowest and top exponent.
     """
-    return _triangular_jh(c.mults, True)
+    mults = c.mults
+    if not mults:
+        return Counter()
+    (w, s), (top, t) = min(mults), max(mults)
+    low = 3 * w + _DIGIT[s]
+    coeffs = [0] * (3 * top + _DIGIT[t] - low + 1)
+    for (w, s), m in mults.items():
+        coeffs[3 * w + _DIGIT[s] - low] = m
+    return _triangular_jh(low, 1, coeffs, True)
 
 
 def jh_weight_character(wc: WeightCharacter) -> Counter:
     """Multiplicities in wc of the quantum simple characters, by highest weight."""
-    return _triangular_jh(wc.mults, False)
+    mults = wc.mults
+    if not mults:
+        return Counter()
+    low = min(mults)
+    coeffs = [0] * (max(mults) - low + 1)
+    for w, m in mults.items():
+        coeffs[w - low] = m
+    return _triangular_jh(low, 1, coeffs, False)
+
+
+def product_jh(a, b) -> Counter:
+    """Jordan-Holder content of the product of two characters of one kind:
+    ``conv(a, b)`` for signed characters, ``a * b`` for weight characters.
+
+    The coefficients of ``_packed_product`` go straight to the routine, so
+    the product is never built as a character.
+    """
+    return _triangular_jh(*_packed_product(a, b), isinstance(a, SignedCharacter))
 
 
 def psi_double(wc: WeightCharacter) -> SignedCharacter:

@@ -24,9 +24,7 @@ from functools import lru_cache
 from . import modtools, qsl2, zigzag
 from .characters import (
     classical_char,
-    conv,
-    jh_decompose,
-    jh_weight_character,
+    product_jh,
     psi_double,
     simple_char,
 )
@@ -337,8 +335,8 @@ def frobenius_action_check(n: int, m: int) -> list[dict]:
     """
     if n < 0 or m < 0:
         raise DomainError("frobenius_action_check requires n, m >= 0")
-    char_side_signed = jh_decompose(
-        conv(psi_double(classical_char(n)), simple_char(2 * m + 1, "+"))
+    char_side_signed = product_jh(
+        psi_double(classical_char(n)), simple_char(2 * m + 1, "+")
     )
     char_side: Counter = Counter()
     for (label, sign), mult in char_side_signed.items():
@@ -348,8 +346,8 @@ def frobenius_action_check(n: int, m: int) -> list[dict]:
             )
         char_side[label - 1] += mult
     try:
-        quantum_side = jh_weight_character(
-            qsl2.char(qsl2.frobenius_simple(n)) * qsl2.char(qsl2.simple(2 * m))
+        quantum_side = product_jh(
+            qsl2.char(qsl2.frobenius_simple(n)), qsl2.char(qsl2.simple(2 * m))
         )
         rhs = _labels_str(quantum_side)
     except NotACharacterError as exc:

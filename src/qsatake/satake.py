@@ -12,6 +12,8 @@ convention L(-1) = 0 is applied throughout.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
+from types import MappingProxyType
 
 from .characters import (
     MINUS,
@@ -22,6 +24,7 @@ from .characters import (
     conv,
     display_order,
     jh_decompose,
+    product_jh,
     simple_char,
     simple_char_sum,
     standard_char,
@@ -51,14 +54,17 @@ def format_multiset(multiset: Counter) -> str:
 class FormalPerv(Record):
     """Character-level stand-in for one object of the geometric category.
 
-    ``character`` is a ``SignedCharacter``, ``jh`` a Counter of simple
-    labels and ``standard_filtration`` a tuple of standard labels or None.
-    The constructor checks that they agree, so the fields cannot change.
+    ``character`` is a ``SignedCharacter``, ``jh`` a read-only view of a
+    Counter of simple labels (a copy of the one given) and
+    ``standard_filtration`` a tuple of standard labels or None.  The
+    constructor checks that they agree, and no field can change, so
+    ``formal`` can share one object among its callers.
     """
 
     __slots__ = ("kind", "n", "sign", "character", "jh", "standard_filtration")
 
     def __init__(self, kind, n, sign, character, jh, standard_filtration=None):
+        jh = MappingProxyType(Counter(jh))
         super().__init__(kind, n, sign, character, jh, standard_filtration)
 
     def __post_init__(self):
@@ -89,21 +95,30 @@ def _projective_char(n: int, sign: str) -> tuple[SignedCharacter, tuple | None]:
     return conv(simple_char(n + 1, sign), p1), None
 
 
+# Keyed by (kind, n, sign).  The bgg suite at --max M reads 7M + 13 labels
+# (standard(2n + 1) and costandard(2n + 1) in verify_odd_ses, costandard(m)
+# for m <= 2M + 5 and projective(2n + 1)+ in verify_bgg), the costandards
+# twice, so 512 entries cover --max 71.
+@lru_cache(maxsize=512)
 def formal(kind: str, n: int, sign: str) -> FormalPerv:
-    """Build the bookkeeping object for one label."""
+    """The bookkeeping object for one label, cached by value: a
+    ``FormalPerv`` cannot change, so callers can share one."""
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     if sign not in SIGNS:
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
     if n < 0:
         raise DomainError(f"label requires n >= 0, got {n}")
+    if kind == STANDARD:
+        # Standard and costandard objects at one label have one character,
+        # so the standard reuses the costandard's character and content.
+        co = formal(COSTANDARD, n, sign)
+        return FormalPerv(kind, n, sign, co.character, co.jh, ((n, sign),))
     filtration: tuple | None = None
     if kind == SIMPLE:
         character = simple_char(n, sign)
-    elif kind in (STANDARD, COSTANDARD):
+    elif kind == COSTANDARD:
         character = standard_char(n, sign)
-        if kind == STANDARD:
-            filtration = ((n, sign),)
     else:
         character, filtration = _projective_char(n, sign)
     return FormalPerv(kind, n, sign, character, jh_decompose(character), filtration)
@@ -221,7 +236,7 @@ def verify_steinberg(n: int) -> list[dict]:
     """conv(ch L(1)+, ch L(2n)+) has Jordan-Holder content {L(2n+1)+}."""
     if n < 0:
         raise DomainError(f"verify_steinberg requires n >= 0, got {n}")
-    got = jh_decompose(conv(simple_char(1, PLUS), simple_char(2 * n, PLUS)))
+    got = product_jh(simple_char(1, PLUS), simple_char(2 * n, PLUS))
     expected = {(2 * n + 1, PLUS): 1}
     relation = f"jh(ch L(1)+ * ch L({2 * n})+) == {{L({2 * n + 1})+}}"
     return [_multiset_item(relation, got, expected, format_multiset(expected))]
@@ -236,7 +251,7 @@ def verify_clebsch_gordan(n: int, m: int) -> list[dict]:
     """jh(ch L(2n)+ * ch L(2m)+) == {L(2(n+m))+, L(2(n+m)-4)+, ..., L(2|n-m|)+}."""
     if n < 0 or m < 0:
         raise DomainError("verify_clebsch_gordan requires n, m >= 0")
-    got = jh_decompose(conv(simple_char(2 * n, PLUS), simple_char(2 * m, PLUS)))
+    got = product_jh(simple_char(2 * n, PLUS), simple_char(2 * m, PLUS))
     labels = expected_clebsch_gordan(n, m)
     expected = {(k, PLUS): 1 for k in labels}
     # format_multiset(expected): the labels descend and each has multiplicity 1.

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from key_jh import reference_key_jh
 from qsatake.characters import (
     _packing,
     _slot_bytes,
@@ -23,6 +24,7 @@ from qsatake.characters import (
     intersection_cells,
     jh_decompose,
     jh_weight_character,
+    product_jh,
     psi_double,
     sign_twist,
     simple_char,
@@ -120,6 +122,14 @@ def corrupted_sums(draw, labels, piece, negative_keys):
             else:
                 del mults[key]
     return mults
+
+
+def signed_character(mults: dict) -> SignedCharacter:
+    """The signed character with the {(weight, sign): mult} multiset mults."""
+    return SignedCharacter(
+        {w: m for (w, s), m in mults.items() if s == "+"},
+        {w: m for (w, s), m in mults.items() if s == "-"},
+    )
 
 
 def outcome(jh, *args):
@@ -423,20 +433,22 @@ class TestJhDecompose:
     )
     @settings(max_examples=400)
     def test_signed_matches_greedy(self, mults):
-        plus = {w: m for (w, s), m in mults.items() if s == "+"}
-        minus = {w: m for (w, s), m in mults.items() if s == "-"}
-        assert outcome(jh_decompose, SignedCharacter(plus, minus)) == outcome(
+        got = outcome(jh_decompose, signed_character(mults))
+        assert got == outcome(
             reference_greedy_jh, dict(mults), closed_form_keys, lambda key: key[0]
         )
+        assert got == outcome(reference_key_jh, mults, True)
 
     @given(
         corrupted_sums(st.integers(0, 12), closed_form_weights, st.integers(-14, -1))
     )
     @settings(max_examples=400)
     def test_weight_matches_greedy(self, mults):
-        assert outcome(jh_weight_character, WeightCharacter(mults)) == outcome(
+        got = outcome(jh_weight_character, WeightCharacter(mults))
+        assert got == outcome(
             reference_greedy_jh, dict(mults), closed_form_weights, lambda w: w
         )
+        assert got == outcome(reference_key_jh, mults, False)
 
     # Characters broken so that one neighbour rule of the scan catches them:
     # (signed or not, mults, the error the full elimination raises).
@@ -477,21 +489,24 @@ class TestJhDecompose:
         ],
     )
     def test_each_neighbour_rule_names_the_greedy_error(self, signed, mults, error):
+        # The same character reached as a product with the unit goes through
+        # the product's coefficients instead of a filled strip.
         if signed:
-            c = SignedCharacter(
-                {w: m for (w, s), m in mults.items() if s == "+"},
-                {w: m for (w, s), m in mults.items() if s == "-"},
-            )
+            c = signed_character(mults)
             got = outcome(jh_decompose, c)
+            product = outcome(product_jh, c, SignedCharacter({0: 1}))
             want = outcome(
                 reference_greedy_jh, dict(mults), closed_form_keys, itemgetter(0)
             )
         else:
-            got = outcome(jh_weight_character, WeightCharacter(mults))
+            wc = WeightCharacter(mults)
+            got = outcome(jh_weight_character, wc)
+            product = outcome(product_jh, WeightCharacter({0: 1}), wc)
             want = outcome(
                 reference_greedy_jh, dict(mults), closed_form_weights, lambda w: w
             )
-        assert got == want == f"{error}: not a character"
+        assert got == product == want == f"{error}: not a character"
+        assert outcome(reference_key_jh, mults, signed) == want
 
     def test_absent_below_of_weight_zero(self):
         # The below of a weight-0 key, at weight -4, is no key of L(0): its
@@ -517,6 +532,99 @@ class TestJhDecompose:
         with pytest.raises(NotACharacterError) as exc:
             jh_weight_character(WeightCharacter({4: 1, -4: 1}))
         assert str(exc.value) == "multiplicity -1 at 0: not a character"
+
+
+def spaced(draw_step):
+    """Multisets of at most three weights on the lattice spaced by a drawn
+    step, with multiplicities large enough to need several bytes a slot."""
+    return draw_step.flatmap(
+        lambda d: st.dictionaries(
+            st.integers(-3, 3).map(lambda k: d * k),
+            st.integers(1, 2**20),
+            max_size=3,
+        )
+    )
+
+
+# Sums of simple characters with 0-2 corruptions, keys spaced 1, 2, 8 or 24
+# apart (8 and 24 make steps that do not divide 12), the zero character and
+# lone keys of weight 0, whose packing has step 0.
+signed_operands = st.one_of(
+    corrupted_sums(
+        st.tuples(st.integers(0, 10), st.sampled_from("+-")),
+        closed_form_keys,
+        st.tuples(st.integers(-12, -1), st.sampled_from("+-")),
+    ).map(signed_character),
+    st.builds(
+        SignedCharacter,
+        spaced(st.sampled_from([1, 2, 8, 24])),
+        spaced(st.sampled_from([1, 2, 8, 24])),
+    ),
+    st.sampled_from(
+        [SignedCharacter.zero(), SignedCharacter({0: 1}), SignedCharacter((), {0: 2})]
+    ),
+)
+weight_operands = st.one_of(
+    corrupted_sums(
+        st.integers(0, 10), closed_form_weights, st.integers(-12, -1)
+    ).map(WeightCharacter),
+    spaced(st.sampled_from([1, 2, 8, 24])).map(WeightCharacter),
+    st.sampled_from([WeightCharacter(), WeightCharacter({0: 1})]),
+)
+
+
+class TestProductJh:
+    """product_jh reads the packed product's coefficients; it must agree,
+    factors in order or error text, with decomposing the built product."""
+
+    @given(signed_operands, signed_operands)
+    @settings(max_examples=400)
+    def test_signed_matches_decomposing_the_product(self, a, b):
+        got = outcome(product_jh, a, b)
+        product = conv(a, b)
+        assert got == outcome(jh_decompose, product)
+        assert got == outcome(reference_key_jh, product.mults, True)
+
+    @given(weight_operands, weight_operands)
+    @settings(max_examples=400)
+    def test_weight_matches_decomposing_the_product(self, a, b):
+        got = outcome(product_jh, a, b)
+        product = a * b
+        assert got == outcome(jh_weight_character, product)
+        assert got == outcome(reference_key_jh, product.mults, False)
+
+    def test_zero_and_weight_zero_operands(self):
+        zero, unit, sign = SignedCharacter.zero(), K(0, "+"), K(0, "-")
+        assert product_jh(zero, simple_char(3, "+")) == Counter()
+        assert product_jh(simple_char(3, "+"), zero) == Counter()
+        assert product_jh(unit, unit) == Counter({(0, "+"): 1})
+        # k- times k- is k+: the coefficient sits at digit 2.
+        assert list(product_jh(sign, sign).items()) == [((0, "+"), 1)]
+        assert product_jh(WeightCharacter(), WeightCharacter({0: 3})) == Counter()
+        assert product_jh(WeightCharacter({0: 2}), WeightCharacter({0: 3})) == Counter(
+            {0: 6}
+        )
+
+    def test_digit_two_adds_to_the_plus_keys(self):
+        # ch L(1)+ squared is k+(2) + 2 k-(0) + k+(-2); k+(-2) comes from
+        # k-(-1) * k-(-1), at digit 2, and k+(2) from k+(1) * k+(1).
+        l1 = simple_char(1, "+")
+        assert list(product_jh(l1, l1).items()) == [((2, "+"), 1), ((0, "-"), 2)]
+        l3 = simple_char(3, "-")
+        assert list(product_jh(l1, l3).items()) == list(jh_decompose(conv(l1, l3)).items())
+
+    def test_steps_that_do_not_divide_twelve(self):
+        # Keys 8 and 24 apart: each chain holds one key in every two or six
+        # links, so only a lone key of weight 0 per chain is a character.
+        assert product_jh(K(0, "+"), K(0, "+") + K(0, "-")) == Counter(
+            {(0, "+"): 1, (0, "-"): 1}
+        )
+        spread = SignedCharacter({8: 1, -8: 1})
+        with pytest.raises(NotACharacterError, match=r"multiplicity -1 at \(4, '\+'\)"):
+            product_jh(spread, K(0, "+"))
+        wide = WeightCharacter({24: 1, 0: 1, -24: 1})
+        with pytest.raises(NotACharacterError, match="multiplicity -1 at 20"):
+            product_jh(wide, WeightCharacter({0: 1}))
 
 
 def per_copy_sum(multiset) -> SignedCharacter:

@@ -499,9 +499,11 @@ class TestReportBytes:
     verifier (the ``verify all --max 24`` one from the report buffered whole
     before it was streamed item by item; the clebsch-gordan and bgg --max 40
     ones, the benchmark's own invocations, from the convolution that packed
-    both operands afresh and the Jordan-Holder scan that built every link),
-    so any change in a printed coefficient or in the order of items fails
-    here."""
+    both operands afresh and the Jordan-Holder scan that built every link;
+    the frobenius --max 9 and 24 and steinberg --max 40 ones, the first the
+    benchmark's own invocation, from the per-key Jordan-Holder routine that
+    decomposed each product built as a character), so any change in a
+    printed coefficient or in the order of items fails here."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -559,6 +561,18 @@ class TestReportBytes:
                 "0c117eadffa995e576291d0366f122aa1e91754abd666193776e0172fc634e66",
             ),
             (
+                ("verify", "frobenius", "--max", "9", "--format", "json"),
+                "565ec65d7e8e9bba1efcae1bc64bce287521a396c13bb5695729399eb1df9ce0",
+            ),
+            (
+                ("verify", "frobenius", "--max", "24", "--format", "json"),
+                "6343120225814b5bef15b67e80b853176264d2452f1428be81981f9c9ee264e2",
+            ),
+            (
+                ("verify", "steinberg", "--max", "40", "--force", "--format", "json"),
+                "3ce5fa968ba8c70453ca2feb341975935fb15ebe26bac4f180e58cd98cec2bfb",
+            ),
+            (
                 ("verify", "all", "--max", "12", "--format", "json"),
                 "dac207f01c17845b65aa331c0c3f4299bda1f63276aa77c8c9ae7e14316cf41f",
             ),
@@ -581,6 +595,9 @@ class TestReportBytes:
             "bgg-json",
             "clebsch-gordan-40-json",
             "bgg-40-json",
+            "frobenius-9-json",
+            "frobenius-24-json",
+            "steinberg-40-json",
             "all-12-json",
             "all-24-text",
         ],

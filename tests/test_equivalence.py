@@ -7,7 +7,8 @@ from functools import lru_cache
 import jsonschema
 import pytest
 
-from qsatake import cli, equivalence, modtools, qsl2, zigzag
+from key_jh import reference_key_jh
+from qsatake import characters, cli, equivalence, modtools, qsl2, zigzag
 from qsatake.equivalence import (
     HomQuiver,
     compare_zigzag,
@@ -15,7 +16,12 @@ from qsatake.equivalence import (
     gauge_fix,
     hom_quiver,
 )
-from qsatake.errors import DomainError, NoSolutionError, VerificationError
+from qsatake.errors import (
+    DomainError,
+    NoSolutionError,
+    NotACharacterError,
+    VerificationError,
+)
 from qsatake.linalg import QMatrix
 from qsatake.modtools import coords_in_basis, jh
 from qsatake.satake import expected_clebsch_gordan
@@ -544,6 +550,35 @@ class TestFrobeniusAction:
             for m in range(3):
                 item = frobenius_action_check(n, m)[0]
                 assert not item["pass"], item
+
+    def test_wrong_product_coefficient_names_the_per_key_error(self, monkeypatch):
+        # The top coefficient of every weight-character product raised by
+        # one.  At (0, 0) that is the only one, so the quantum side reads
+        # two copies of L(0); otherwise it is no character, and the item
+        # carries the error the per-key routine raises on the same
+        # coefficients.
+        true = characters._packed_product
+
+        def bumped(a, b):
+            low, step, coeffs = true(a, b)
+            if isinstance(a, characters.WeightCharacter):
+                coeffs = [*coeffs[:-1], coeffs[-1] + 1]
+            return low, step, coeffs
+
+        monkeypatch.setattr(characters, "_packed_product", bumped)
+        item = frobenius_action_check(0, 0)[0]
+        assert not item["pass"] and item["rhs"] == "{0:2}"
+        for n, m in [(1, 1), (2, 1), (3, 2)]:
+            item = frobenius_action_check(n, m)[0]
+            fs, sm = qsl2.char(qsl2.frobenius_simple(n)), qsl2.char(qsl2.simple(2 * m))
+            low, step, coeffs = bumped(fs, sm)
+            product = {low + step * i: c for i, c in enumerate(coeffs) if c}
+            with pytest.raises(NotACharacterError) as exc:
+                reference_key_jh(product, False)
+            assert not item["pass"]
+            assert item["rhs"] == f"<{exc.value}>"
+            assert item["lhs"] == item["relation"].split(" == ")[1]
+        assert item["rhs"] == "<multiplicity -1 at -10: not a character>"
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
-from qsatake import satake
+from qsatake import characters, cli, satake
 from qsatake.characters import (
     SignedCharacter,
+    jh_decompose,
     sign_twist,
     simple_char,
     simple_char_sum,
@@ -60,7 +61,10 @@ def reference_bgg(n: int) -> list[dict]:
 @pytest.fixture
 def twist_at(monkeypatch):
     """A function that makes ``satake.<name>(n, sign)`` return the sign twist
-    of the true character at one label n, for the rest of the test."""
+    of the true character at one label n, for the rest of the test.  The
+    ``formal`` cache is emptied on both sides of the test, so no object built
+    before reads the true character and none built with the twist outlives
+    it."""
 
     def install(name: str, n: int) -> None:
         true = getattr(satake, name)
@@ -70,7 +74,9 @@ def twist_at(monkeypatch):
             lambda m, sign: sign_twist(true(m, sign)) if m == n else true(m, sign),
         )
 
-    return install
+    formal.cache_clear()
+    yield install
+    formal.cache_clear()
 
 
 class TestFormal:
@@ -150,6 +156,31 @@ class TestFormal:
             assert content[(2 * n + 4, "+")] == 1
             assert max(k for k, _ in content) == 2 * n + 4
 
+    def test_cache_shares_one_read_only_object(self):
+        assert formal.cache_info().maxsize == 512
+        obj = formal("costandard", 5, "+")
+        assert formal("costandard", 5, "+") is obj
+        with pytest.raises(TypeError):
+            obj.jh[(5, "+")] = 2
+        assert obj.jh == Counter({(5, "+"): 1, (3, "+"): 1})
+        # A given Counter is copied, so changing it later changes no object.
+        given = Counter({(3, "+"): 1, (1, "+"): 1})
+        built = FormalPerv("costandard", 3, "+", standard_char(3, "+"), given)
+        given[(3, "+")] += 1
+        assert built.jh == Counter({(3, "+"): 1, (1, "+"): 1}) and built.jh != given
+
+    def test_read_only_content_reads_as_the_counter(self):
+        for kind, n, sign in [("projective", 0, "+"), ("standard", 2, "+"), ("simple", 3, "-")]:
+            obj = formal(kind, n, sign)
+            counter = jh_decompose(obj.character)
+            assert obj.jh == counter and counter == obj.jh
+            assert list(obj.jh.items()) == list(counter.items())
+            assert [obj.jh.get(k, 0) for k in [*counter, (99, "+")]] == [
+                counter.get(k, 0) for k in [*counter, (99, "+")]
+            ]
+            assert format_multiset(obj.jh) == format_multiset(counter)
+            assert cli._jh_items(obj.jh) == cli._jh_items(counter)
+
     def test_invalid_labels(self):
         with pytest.raises(DomainError):
             formal("tilting", 2, "+")
@@ -221,6 +252,23 @@ class TestVerifiers:
         verify_bgg(8)
         costandards = {(n, s): c for (k, n, s), c in built.items() if k == "costandard"}
         assert costandards == {(m, s): 1 for m in range(2 * 8 + 6) for s in "+-"}
+
+    def test_bgg_suite_builds_each_label_once(self, monkeypatch):
+        # verify_odd_ses and verify_bgg share the costandards at odd labels:
+        # the bgg suite at --max M builds 7M + 13 labels, each once.
+        built = Counter()
+        true = satake.FormalPerv
+
+        def counting(kind, n, sign, *rest):
+            built[kind, n, sign] += 1
+            return true(kind, n, sign, *rest)
+
+        monkeypatch.setattr(satake, "FormalPerv", counting)
+        formal.cache_clear()
+        for n in range(1, 9):
+            assert all_pass(verify_odd_ses(n))
+        assert all_pass(verify_bgg(8))
+        assert len(built) == 7 * 8 + 13 and set(built.values()) == {1}
 
     def test_bgg_rejects_negative_bound(self):
         with pytest.raises(DomainError):
@@ -304,6 +352,23 @@ class TestVerifierCorruptions:
         assert failed(items) == ["clebsch-gordan(1,0)"]
         assert items[0]["lhs"] == "L(2)⁻"
         assert all_pass(verify_clebsch_gordan(0, 0))
+
+    def test_clebsch_gordan_with_a_wrong_product_coefficient(self, monkeypatch):
+        # One coefficient of the packed product raised by one: the weight-0
+        # term of ch L(2)+ * ch L(2)+, so the content gains a copy of L(0)+.
+        true = characters._packed_product
+
+        def bumped(a, b):
+            low, step, coeffs = true(a, b)
+            coeffs = list(coeffs)
+            coeffs[len(coeffs) // 2] += 1
+            return low, step, coeffs
+
+        monkeypatch.setattr(characters, "_packed_product", bumped)
+        items = verify_clebsch_gordan(1, 1)
+        assert failed(items) == ["clebsch-gordan(1,1)"]
+        assert items[0]["lhs"] == "L(4)⁺, L(0)⁺ ×2"
+        assert items[0]["rhs"] == "L(4)⁺, L(0)⁺"
 
     def test_clebsch_gordan_with_wrong_expectation(self, monkeypatch):
         # The failing item formats what was computed, not the expectation.
