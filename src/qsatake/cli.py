@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import equivalence, modtools, satake, zigzag
@@ -251,19 +251,22 @@ _SUITE_RUNNERS = {
     "frobenius": _suite_frobenius,
 }
 SUITES = (*_SUITE_RUNNERS, "all")
+_SINGLE = ("",)
 
 
-def _format_run(relation: str, item: dict, sep: str | None) -> str:
-    """The report lines of a run: one item per tail in ``item["run"]``, each
-    with the relation ``relation + tail`` and the run's shared lhs, rhs and
-    pass.
+def _format_run(
+    relation: str, tails: Sequence[str], item: dict, sep: str | None
+) -> str:
+    """The report lines of a run: one item per entry of ``tails``, each
+    with the relation ``relation + tail`` and ``item``'s lhs, rhs and pass.
+    A single item is the run with the one tail "".
 
     ``sep`` is None for text, or the JSON separator before the first item.
     Each form is one ``str.join``.  Escaping works character by character,
     so a JSON relation is the escaped head followed by the escaped tail; a
     tail is escaped on its own only when some tail needs escaping at all.
     """
-    ok, tails = item["pass"], item["run"]
+    ok = item["pass"]
     if sep is None:
         if ok:
             head, end = f"PASS {relation}", "\n"
@@ -286,7 +289,8 @@ def cmd_verify(args) -> int:
     summary, or the bytes of ``json.dumps(items, separators=(",", ":"))``.
 
     An item with a ``"run"`` key stands for one item per entry of it (see
-    ``_format_run``) and counts as that many checks."""
+    ``_format_run``) and counts as that many checks; any other item is a run
+    with the one tail ""."""
     if args.max_n < 0:
         raise DomainError("--max must be >= 0")
     if args.max_n > MAX_GUARD and not args.force:
@@ -305,28 +309,12 @@ def cmd_verify(args) -> int:
             yield "["
         for name in names:
             for item in _SUITE_RUNNERS[name](args.max_n):
-                ok = item["pass"]
+                tails = item.get("run", _SINGLE)
+                checks += len(tails)
+                failures += 0 if item["pass"] else len(tails)
                 relation = f"{name}: {item['relation']}"
-                run = item.get("run")
-                if run is not None:
-                    checks += len(run)
-                    failures += 0 if ok else len(run)
-                    yield _format_run(relation, item, sep if as_json else None)
-                    sep = ","
-                    continue
-                checks += 1
-                failures += not ok
-                if as_json:
-                    yield (
-                        f'{sep}{{"relation":{_quote(relation)},'
-                        f'"lhs":{_quote(item["lhs"])},"rhs":{_quote(item["rhs"])},'
-                        f'"pass":{"true" if ok else "false"}}}'
-                    )
-                    sep = ","
-                elif ok:
-                    yield f"PASS {relation}\n"
-                else:
-                    yield f"FAIL {relation}: lhs={item['lhs']} rhs={item['rhs']}\n"
+                yield _format_run(relation, tails, item, sep if as_json else None)
+                sep = ","
         if as_json:
             yield "]\n"
         else:

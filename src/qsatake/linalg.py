@@ -14,7 +14,6 @@ and ``kernel`` bases are reproducible across runs.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from types import MappingProxyType
 
 from .errors import NoSolutionError
 from .scalars import GaussianRational, ONE, ZERO, axpy
@@ -103,10 +102,6 @@ class QMatrix:
         row = self._data.get(i)
         return row.get(j, ZERO) if row else ZERO
 
-    def row(self, i: int) -> Mapping[int, GaussianRational]:
-        """The nonzero entries of row i as a read-only {col: value} mapping."""
-        return MappingProxyType(self._data.get(i, _EMPTY_ROW))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
@@ -157,14 +152,9 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
-        rhs = other._data
         data: dict[int, dict] = {}
         for i, row in self._data.items():
-            acc: dict = {}
-            for k, a in row.items():
-                brow = rhs.get(k)
-                if brow is not None:
-                    axpy(acc, a, brow)
+            acc = vecmat(row, other)
             if acc:
                 data[i] = acc
         return QMatrix._wrap(self.rows, other.cols, data)
@@ -224,11 +214,16 @@ def _combine(a: QMatrix, b: QMatrix, f: GaussianRational) -> QMatrix:
     return QMatrix._wrap(a.rows, a.cols, data)
 
 
-def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
-    data = dict(a._data)
-    for i, row in b._data.items():
-        data[a.rows + i] = {a.cols + j: v for j, v in row.items()}
-    return QMatrix._wrap(a.rows + b.rows, a.cols + b.cols, data)
+def vecmat(vec: Mapping, m: QMatrix) -> dict:
+    """The sparse row vector ``vec @ m``: the sum of vec[k] times row k of m,
+    as a new {col: value} dict."""
+    out: dict = {}
+    rows = m._data
+    for k, a in vec.items():
+        row = rows.get(k)
+        if row is not None:
+            axpy(out, a, row)
+    return out
 
 
 def kronecker(a: QMatrix, b: QMatrix) -> QMatrix:

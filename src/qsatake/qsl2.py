@@ -1,39 +1,31 @@
 """Weight-graded modules over divided-power quantum sl2 at q = i.
 
-A module is stored as its weight list together with the four operator
-matrices E, F, E2 = E^(2), F2 = F^(2); the torus generator K is never stored
-since it acts on a weight-w vector by i^w.  At a fourth root of unity [2] = 0,
-so E and F square to zero and the divided squares carry independent
-information; the five operator identities in ``integrity_violations`` pin the
-structure down completely for the generator set used here.
+A module is stored as its weight list together with the four operators
+E, F, E2 = E^(2), F2 = F^(2), each as the matrix whose row j is the image of
+basis vector j (the row-vector convention of the MeatAxe); the torus
+generator K is never stored since it acts on a weight-w vector by i^w.  At a
+fourth root of unity [2] = 0, so E and F square to zero and the divided
+squares carry independent information.  ``integrity_violations`` checks the
+weight shifts and seven defining relations among the four operators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from functools import lru_cache
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
-from .linalg import (
-    QMatrix,
-    block_diag,
-    insert_row,
-    kernel,
-    kronecker,
-    rank,
-    reduce_rows,
-)
+from .linalg import QMatrix, insert_row, kernel, kronecker, rank, reduce_rows, vecmat
 from .record import Record
-from .scalars import GaussianRational, I, ONE, axpy, gauss_binomial, i_power, qint
+from .scalars import GaussianRational, I, ONE, ZERO, axpy, gauss_binomial, i_power, qint
 
 
 class QMod(Record):
     """A finite-dimensional weight-graded module at q = i.
 
     ``weights`` is a tuple of ints; ``e``, ``f``, ``e2``, ``f2`` are the
-    square ``QMatrix`` operators on it.
+    square ``QMatrix`` operators on it, row j the image of basis vector j.
     """
 
     __slots__ = ("weights", "e", "f", "e2", "f2")
@@ -55,55 +47,63 @@ class QMod(Record):
     def operators(self):
         return (("E", self.e), ("F", self.f), ("E2", self.e2), ("F2", self.f2))
 
-    def to_json_dict(self) -> dict:
-        def dump(m: QMatrix) -> list:
-            return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-        return {
-            "weights": list(self.weights),
-            "E": dump(self.e),
-            "F": dump(self.f),
-            "E2": dump(self.e2),
-            "F2": dump(self.f2),
-        }
-
 
 OP_WEIGHT_SHIFT = {"E": 2, "F": -2, "E2": 4, "F2": -4}
 
 
 def integrity_violations(m: QMod) -> list[str]:
-    """All failures of the five operator identities; empty when m is a module.
+    """All failures of these identities, in this order, for the operators as
+    matrices acting on columns (the transposes of m's):
 
     1. each operator shifts weights by its fixed amount,
     2. E@E = 0 and F@F = 0,
     3. E@F - F@E = diag([w]),
     4. E@E2 = E2@E and F@F2 = F2@F,
-    5. E@F2 - F2@E = F @ diag([w - 1]).
+    5. E@F2 - F2@E = F @ diag([w - 1]),
+    6. E2@F - F@E2 = diag([w - 1]) @ E,
+    7. E2@F2 - F2@E2 = F @ diag([w - 2]) @ E + diag([w choose 2]), where
+       [w choose 2] = [1 - w choose 2] for w < 0 and is 0 at w = 0, 1.
+
+    6 and 7 are Lusztig's commutation rule for E^(r) F^(s) at (r, s) = (2, 1)
+    and (2, 2).  A module has none; the list is not claimed to be complete,
+    so an empty one does not prove that m is a module.
     """
+    e, f, e2, f2 = (op.transpose() for _, op in m.operators())
     out = []
-    for name, op in m.operators():
-        shift = OP_WEIGHT_SHIFT[name]
+    for (name, shift), op in zip(OP_WEIGHT_SHIFT.items(), (e, f, e2, f2)):
         for i, j, _ in op.nonzero_entries():
             if m.weights[i] != m.weights[j] + shift:
                 out.append(
                     f"{name}[{i},{j}] maps weight {m.weights[j]} to "
                     f"{m.weights[i]}, expected shift {shift}"
                 )
-    if not (m.e @ m.e).is_zero():
+    if not (e @ e).is_zero():
         out.append("E@E != 0")
-    if not (m.f @ m.f).is_zero():
+    if not (f @ f).is_zero():
         out.append("F@F != 0")
     h = QMatrix.diagonal([qint(w) for w in m.weights])
-    if m.e @ m.f - m.f @ m.e != h:
+    if e @ f - f @ e != h:
         out.append("E@F - F@E != diag([w])")
-    if m.e @ m.e2 != m.e2 @ m.e:
+    if e @ e2 != e2 @ e:
         out.append("E@E2 != E2@E")
-    if m.f @ m.f2 != m.f2 @ m.f:
+    if f @ f2 != f2 @ f:
         out.append("F@F2 != F2@F")
     hm1 = QMatrix.diagonal([qint(w - 1) for w in m.weights])
-    if m.e @ m.f2 - m.f2 @ m.e != m.f @ hm1:
+    if e @ f2 - f2 @ e != f @ hm1:
         out.append("E@F2 - F2@E != F@diag([w-1])")
+    if e2 @ f - f @ e2 != hm1 @ e:
+        out.append("E2@F - F@E2 != diag([w-1])@E")
+    hm2 = QMatrix.diagonal([qint(w - 2) for w in m.weights])
+    c2 = QMatrix.diagonal([_binomial2(w) for w in m.weights])
+    if e2 @ f2 - f2 @ e2 != f @ hm2 @ e + c2:
+        out.append("E2@F2 - F2@E2 != F@diag([w-2])@E + diag([w choose 2])")
     return out
+
+
+def _binomial2(w: int) -> GaussianRational:
+    """[w choose 2] at q = i, for every integer w."""
+    top = w if w >= 0 else 1 - w
+    return gauss_binomial(top, 2) if top >= 2 else ZERO
 
 
 # Keyed by highest weight.  Every sweep reads weyl(n) and dual_weyl(n) again
@@ -120,10 +120,10 @@ def weyl(n: int) -> QMod:
         raise DomainError(f"weyl requires n >= 0, got {n}")
     d = n + 1
     ops = (
-        {j - 1: {j: gauss_binomial(n - j + 1, 1)} for j in range(1, d)},
-        {j + 1: {j: gauss_binomial(j + 1, 1)} for j in range(d - 1)},
-        {j - 2: {j: gauss_binomial(n - j + 2, 2)} for j in range(2, d)},
-        {j + 2: {j: gauss_binomial(j + 2, 2)} for j in range(d - 2)},
+        {j: {j - 1: gauss_binomial(n - j + 1, 1)} for j in range(1, d)},
+        {j: {j + 1: gauss_binomial(j + 1, 1)} for j in range(d - 1)},
+        {j: {j - 2: gauss_binomial(n - j + 2, 2)} for j in range(2, d)},
+        {j: {j + 2: gauss_binomial(j + 2, 2)} for j in range(d - 2)},
     )
     return QMod(
         tuple(n - 2 * j for j in range(d)),
@@ -133,7 +133,10 @@ def weyl(n: int) -> QMod:
 
 @lru_cache(maxsize=64)
 def dual_weyl(n: int) -> QMod:
-    """Contravariant dual of weyl(n): transpose and exchange E <-> F, E2 <-> F2."""
+    """Contravariant dual of weyl(n): transpose and exchange E <-> F, E2 <-> F2.
+
+    F^(r) v_j = [n-j, r] v_{j+r} and E^(r) v_j = [j, r] v_{j-r}.
+    """
     if n < 0:
         raise DomainError(f"dual_weyl requires n >= 0, got {n}")
     w = weyl(n)
@@ -146,39 +149,16 @@ def dual_weyl(n: int) -> QMod:
     )
 
 
-# Keyed by every module that is spun up (Spin) or replayed onto (the target
-# of intertwiner_basis, which reads it only when the pair has unknowns).  The
-# zigzag sweep reads at most three other modules between two reads of one:
-# weyl(2N + 1) and dual_weyl(2N + 1) for simple(2N + 1), then the targets
-# near P(2N).  The frobenius sweep reads each module once.  So 16 entries
-# cover every --max.
-@lru_cache(maxsize=16)
-def _columns(m: QMod) -> tuple:
-    """The columns of m's operators, in ``m.operators()`` order: entry j of
-    each is column j, read-only {row: value}, as row j of the transpose."""
-    return tuple(
-        tuple(op_t.row(j) for j in range(m.dim))
-        for op_t in (op.transpose() for _, op in m.operators())
-    )
-
-
-def _apply(columns: tuple, col: Mapping) -> dict:
-    """op @ col for a sparse column {index: value}, given op's columns."""
-    out: dict[int, GaussianRational] = {}
-    for j, v in col.items():
-        axpy(out, v, columns[j])
-    return out
-
-
 class Spin:
     """The spin-up of vectors of a module under E, F, E2, F2: the smallest
     operator-stable subspace containing them (the MeatAxe spin-up; Parker
     1984, Holt, Eick and O'Brien 2005, ch. 7).
 
-    ``pivots`` holds the span in column echelon form, {lead index: column}
-    with lead 1, not back-substituted (``linalg.insert_row``).  ``seeds``
-    lists the seed columns that were outside the span when added; a seed
-    inside it is dropped.  ``words`` records every insertion in order as
+    Vectors are sparse {index: value} dicts, called columns.  ``pivots``
+    holds the span in echelon form, {lead index: column} with lead 1, not
+    back-substituted (``linalg.insert_row``).  ``seeds`` lists the seed
+    columns that were outside the span when added; a seed inside it is
+    dropped.  ``words`` records every insertion in order as
     (source, op, steps, lead, scale): the column was ``seeds[op]`` when
     ``source`` is None, else operator ``op`` of ``m.operators()`` applied to
     the pivot column led by ``source``; ``steps`` are the (pivot lead,
@@ -191,7 +171,7 @@ class Spin:
         self.pivots: dict[int, dict] = {}
         self.seeds: list[dict] = []
         self.words: list[tuple] = []
-        self._ops = _columns(m)
+        self._ops = tuple(op for _, op in m.operators())
 
     def add(self, seeds) -> None:
         """Insert the seed columns, then apply the operators to every new
@@ -203,8 +183,8 @@ class Spin:
         while queue:
             source = queue.pop()
             col = self.pivots[source]
-            for op, columns in enumerate(self._ops):
-                self._insert(source, op, _apply(columns, col), queue)
+            for op, matrix in enumerate(self._ops):
+                self._insert(source, op, vecmat(col, matrix), queue)
 
     def _insert(self, source, op, col, queue) -> bool:
         steps: list = []
@@ -228,11 +208,9 @@ class Spin:
         for source, op, steps, lead, scale in self.words:
             if source is None:
                 continue
-            j = index[source]
-            for c, f in steps:
-                ops[op].setdefault(index[c], {})[j] = f
+            ops[op][index[source]] = image = {index[c]: f for c, f in steps}
             if lead is not None:
-                ops[op].setdefault(index[lead], {})[j] = scale.inverse()
+                image[index[lead]] = scale.inverse()
         d = len(index)
         return QMod(
             tuple(m.weights[lead] for lead in index),
@@ -312,7 +290,9 @@ def _standard_map(back: tuple, image: dict, dim: int) -> dict:
 
 def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     """Canonical basis of weight-preserving maps X: m -> n commuting with all
-    four operators, for modules m and n.
+    four operators, for modules m and n.  X is n.dim x m.dim and acts on
+    columns: X[a, b] is the coefficient of n's basis vector a in the image of
+    m's basis vector b.
 
     An intertwiner is fixed by where it sends generators of m, and each
     generator g goes into n's weight space at g's weight: those coordinates
@@ -334,7 +314,7 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     ]
     if not unknowns:
         return []
-    ops = _columns(n)
+    ops = tuple(op for _, op in n.operators())
     # images[k][lead]: the image of the spun column ``lead`` when unknown k is
     # 1 and the others are 0.
     images: list[dict[int, dict]] = [{} for _ in unknowns]
@@ -346,7 +326,7 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
             if source is None:
                 out = {a: ONE} if op == g else {}
             else:
-                out = _apply(ops[op], image[source])
+                out = vecmat(image[source], ops[op])
             for c, f in negated:
                 axpy(out, f, image[c])
             if lead is not None:
@@ -442,7 +422,8 @@ def simple(n: int) -> QMod:
 @lru_cache(maxsize=64)
 def frobenius_simple(m: int) -> QMod:
     """Pullback of the classical (m+1)-dimensional irreducible along quantum
-    Frobenius: weights doubled, E = F = 0, divided squares act classically."""
+    Frobenius: weights doubled, E = F = 0, divided squares act classically,
+    E2 v_j = (m-j+1) v_{j-1} and F2 v_j = (j+1) v_{j+1}."""
     if m < 0:
         raise DomainError(f"frobenius_simple requires m >= 0, got {m}")
     d = m + 1
@@ -451,8 +432,8 @@ def frobenius_simple(m: int) -> QMod:
         tuple(2 * m - 4 * j for j in range(d)),
         zero,
         zero,
-        QMatrix.from_row_dicts(d, d, {j - 1: {j: m - j + 1} for j in range(1, d)}),
-        QMatrix.from_row_dicts(d, d, {j + 1: {j: j + 1} for j in range(d - 1)}),
+        QMatrix.from_row_dicts(d, d, {j: {j - 1: m - j + 1} for j in range(1, d)}),
+        QMatrix.from_row_dicts(d, d, {j: {j + 1: j + 1} for j in range(d - 1)}),
     )
 
 
@@ -462,7 +443,8 @@ def tensor(m: QMod, n: QMod) -> QMod:
     E -> E(x)1 + K(x)E,  F -> F(x)K^-1 + 1(x)F,
     E2 -> E2(x)1 + q EK(x)E + K^2(x)E2,
     F2 -> F2(x)K^-2 + q F(x)FK^-1 + 1(x)F2,  with q = i.
-    Basis index (a, b) maps to a * n.dim + b; weights add.
+    Basis index (a, b) maps to a * n.dim + b; weights add.  The Kronecker
+    products act on rows, so EK and FK^-1 appear as K E and K^-1 F.
     """
     id_m = QMatrix.identity(m.dim)
     id_n = QMatrix.identity(n.dim)
@@ -472,26 +454,16 @@ def tensor(m: QMod, n: QMod) -> QMod:
     f = kronecker(m.f, kinv_n) + kronecker(id_m, n.f)
     e2 = (
         kronecker(m.e2, id_n)
-        + kronecker((m.e @ k_m).scale(I), n.e)
+        + kronecker((k_m @ m.e).scale(I), n.e)
         + kronecker(m.k_matrix(2), n.e2)
     )
     f2 = (
         kronecker(m.f2, n.k_matrix(-2))
-        + kronecker(m.f.scale(I), n.f @ kinv_n)
+        + kronecker(m.f.scale(I), kinv_n @ n.f)
         + kronecker(id_m, n.f2)
     )
     weights = tuple(wm + wn for wm in m.weights for wn in n.weights)
     return QMod(weights, e, f, e2, f2)
-
-
-def direct_sum(m: QMod, n: QMod) -> QMod:
-    return QMod(
-        m.weights + n.weights,
-        block_diag(m.e, n.e),
-        block_diag(m.f, n.f),
-        block_diag(m.e2, n.e2),
-        block_diag(m.f2, n.f2),
-    )
 
 
 def char(m: QMod) -> WeightCharacter:

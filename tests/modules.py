@@ -1,0 +1,55 @@
+"""Module helpers for the tests: direct sums, operators in the column
+convention, and the JSON dump the pinned closure digest was recorded from.
+
+A ``QMod`` stores each operator with row j the image of basis vector j.  The
+column convention is its transpose: entry [i, j] is the coefficient of v_i in
+the image of v_j, so that X @ op_m == op_n @ X for an intertwiner X: m -> n.
+"""
+
+from __future__ import annotations
+
+from qsatake.linalg import QMatrix
+from qsatake.qsl2 import QMod
+
+
+def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
+    data: dict[int, dict] = {}
+    for i, j, v in a.nonzero_entries():
+        data.setdefault(i, {})[j] = v
+    for i, j, v in b.nonzero_entries():
+        data.setdefault(a.rows + i, {})[a.cols + j] = v
+    return QMatrix.from_row_dicts(a.rows + b.rows, a.cols + b.cols, data)
+
+
+def direct_sum(m: QMod, n: QMod) -> QMod:
+    pairs = zip(m.operators(), n.operators())
+    return QMod(
+        m.weights + n.weights, *(block_diag(a, b) for (_, a), (_, b) in pairs)
+    )
+
+
+def column_operators(m: QMod) -> tuple:
+    """(name, matrix) for E, F, E2, F2 in the column convention."""
+    return tuple((name, op.transpose()) for name, op in m.operators())
+
+
+def from_column_operators(weights: tuple, *ops: QMatrix) -> QMod:
+    """The module with E, F, E2, F2 given in the column convention."""
+    return QMod(weights, *(op.transpose() for op in ops))
+
+
+def to_json_dict(m: QMod) -> dict:
+    """Weights and the dense operators in the column convention, E[i][j] the
+    coefficient of v_i in E v_j, every entry as its ``str``."""
+    out: dict = {"weights": list(m.weights)}
+    for name, op in m.operators():
+        out[name] = [[str(op[j, i]) for j in range(op.rows)] for i in range(op.cols)]
+    return out
+
+
+def rows_of(m: QMatrix) -> list[dict]:
+    """The rows of m as {col: value} dicts, empty rows included."""
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    for i, j, v in m.nonzero_entries():
+        rows[i][j] = v
+    return rows

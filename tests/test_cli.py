@@ -14,9 +14,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from modules import direct_sum
 from qsatake import cli, equivalence, modtools, qsl2
 from qsatake.modtools import hom
-from qsatake.qsl2 import direct_sum, simple
+from qsatake.qsl2 import simple
 from reports import expand_runs, render_items
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -608,6 +609,21 @@ class TestReportBytes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+GOLDEN = json.loads(
+    (REPO_ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("invocation", sorted(GOLDEN))
+def test_benchmark_golden_report(capsys, invocation):
+    # The benchmark checks these digests only when it runs; here a drift in a
+    # benchmarked report fails the tests too.
+    code, out, _ = run(capsys, *invocation.split())
+    assert code == GOLDEN[invocation]["exit"]
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[invocation]["sha256"]
+
+
 class TestRuns:
     """A run item is written as the items it stands for, one by one."""
 
@@ -624,6 +640,8 @@ class TestRuns:
             "pass": True,
         },
         {"relation": "é*", "run": ("f", "g"), "lhs": "l\t", "rhs": "r", "pass": False},
+        # A single item that JSON escapes.
+        {"relation": 'one "é"\\\n', "lhs": "\u2028", "rhs": "😀", "pass": False},
     ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -633,9 +651,9 @@ class TestRuns:
         assert code == 1
         assert out == render_items("zigzag", self.ITEMS, fmt)
         if fmt == "text":
-            assert out.endswith("zigzag: 12 checks, 3 failures\n")
+            assert out.endswith("zigzag: 13 checks, 4 failures\n")
         else:
-            assert len(json.loads(out)) == 12
+            assert len(json.loads(out)) == 13
 
     def test_passing_runs_exit_0(self, capsys, monkeypatch):
         items = [self.ITEMS[0], self.ITEMS[2]]

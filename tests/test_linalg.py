@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modules import block_diag, rows_of
 from qsatake.errors import NoSolutionError
 from qsatake.linalg import (
     QMatrix,
-    block_diag,
     insert_row,
     kernel,
     kronecker,
@@ -25,10 +25,6 @@ def mat(rows):
 
 def column(values):
     return QMatrix(len(values), 1, values)
-
-
-def rows_of(m):
-    return [dict(m.row(i)) for i in range(m.rows)]
 
 
 def augmented(a, rhs):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from modules import column_operators, direct_sum, to_json_dict
 from qsatake.errors import DomainError, NotACharacterError
 from qsatake.linalg import QMatrix
 from qsatake.modtools import (
@@ -19,7 +20,6 @@ from qsatake.modtools import (
 )
 from qsatake.qsl2 import (
     char,
-    direct_sum,
     dual_weyl,
     frobenius_simple,
     simple,
@@ -48,7 +48,7 @@ class TestHom:
     def test_basis_elements_are_intertwiners(self):
         m, n = projective(0), projective(2)
         (x,) = hom(m, n)
-        for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
+        for (_, op_m), (_, op_n) in zip(column_operators(m), column_operators(n)):
             assert x @ op_m == op_n @ x
 
     def test_zigzag_dimension_pattern(self):
@@ -197,7 +197,7 @@ class TestSubmoduleClosure:
             tensor(simple(3), simple(2)),
         ]
         dumps = [
-            submodule(m, unit_vector(m.dim, i)).to_json_dict()
+            to_json_dict(submodule(m, unit_vector(m.dim, i)))
             for m in corpus
             for i in range(m.dim)
         ]

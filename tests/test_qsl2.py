@@ -4,18 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laurent import LaurentPoly, gauss_binomial_poly, qint_poly
+from modules import (
+    column_operators,
+    direct_sum,
+    from_column_operators,
+    rows_of,
+    to_json_dict,
+)
 from test_linalg import reference_solve_matrix
 from qsatake.characters import WeightCharacter, simple_weights
 from qsatake import qsl2
 from qsatake.errors import DomainError, InternalInconsistencyError
-from qsatake.linalg import QMatrix, kernel, rank, reduce_rows
+from qsatake.linalg import QMatrix, kernel, rank, reduce_rows, vecmat
 from qsatake.modtools import projective
 from qsatake.qsl2 import (
     QMod,
     Spin,
     canonical_map,
     char,
-    direct_sum,
     dual_weyl,
     frobenius_simple,
     integrity_violations,
@@ -25,7 +31,7 @@ from qsatake.qsl2 import (
     tensor,
     weyl,
 )
-from qsatake.scalars import ONE, ZERO, GaussianRational
+from qsatake.scalars import I, ONE, ZERO, GaussianRational, gauss_binomial, i_power
 
 # ---------------------------------------------------------------------------
 # Generic-q oracle: the action formulas and the coproduct convention are
@@ -196,16 +202,16 @@ class TestWeyl:
             assert op.is_zero()
 
     def test_two_dimensional(self):
-        w = weyl(1)
-        assert w.e[0, 1] == 1
-        assert w.f[1, 0] == 1
-        assert w.e2.is_zero() and w.f2.is_zero()
+        ops = dict(column_operators(weyl(1)))
+        assert ops["E"][0, 1] == 1
+        assert ops["F"][1, 0] == 1
+        assert ops["E2"].is_zero() and ops["F2"].is_zero()
 
     def test_three_dimensional_degeneracy(self):
-        w = weyl(2)
-        assert w.e[0, 1] == 0  # [2] = 0
-        assert w.e[1, 2] == 1
-        assert w.e2[0, 2] == 1
+        ops = dict(column_operators(weyl(2)))
+        assert ops["E"][0, 1] == 0  # [2] = 0
+        assert ops["E"][1, 2] == 1
+        assert ops["E2"][0, 2] == 1
 
     def test_characters(self):
         for n in range(13):
@@ -240,9 +246,9 @@ class TestDualWeyl:
     def test_lowest_weight_vector_killed_by_e(self):
         # In dual_weyl(2) the [2] = 0 degeneracy moves to the bottom: the
         # lowest weight vector generates only the two-dimensional simple.
-        d = dual_weyl(2)
-        assert (d.e @ QMatrix(3, 1, [0, 0, 1])).is_zero()
-        assert d.e2[0, 2] == 1
+        ops = dict(column_operators(dual_weyl(2)))
+        assert (ops["E"] @ QMatrix(3, 1, [0, 0, 1])).is_zero()
+        assert ops["E2"][0, 2] == 1
 
 
 class TestCanonicalMap:
@@ -266,8 +272,8 @@ class TestCanonicalMap:
     def test_is_intertwiner(self):
         for n in range(7):
             x = canonical_map(n)
-            w, d = weyl(n), dual_weyl(n)
-            for (_, op_w), (_, op_d) in zip(w.operators(), d.operators()):
+            ops_w, ops_d = column_operators(weyl(n)), column_operators(dual_weyl(n))
+            for (_, op_w), (_, op_d) in zip(ops_w, ops_d):
                 assert x @ op_w == op_d @ x
 
 
@@ -282,9 +288,10 @@ class TestSimple:
     def test_even_structure(self):
         s = simple(2)
         assert s.weights == (2, -2)
-        assert s.e.is_zero() and s.f.is_zero()
-        assert s.e2 == QMatrix(2, 2, [0, 1, 0, 0])
-        assert s.f2 == QMatrix(2, 2, [0, 0, 1, 0])
+        ops = dict(column_operators(s))
+        assert ops["E"].is_zero() and ops["F"].is_zero()
+        assert ops["E2"] == QMatrix(2, 2, [0, 1, 0, 0])
+        assert ops["F2"] == QMatrix(2, 2, [0, 0, 1, 0])
 
     def test_even_dimensions_and_weights(self):
         for m in range(7):
@@ -343,10 +350,14 @@ class TestTensor:
             assert char(t) == char(weyl(2 * m + 1))
 
     def test_integrity_of_tensors(self):
-        mods = [simple(1), simple(2), weyl(2), frobenius_simple(2)]
+        mods = [simple(1), simple(2), simple(3), weyl(2), frobenius_simple(2)]
         for a in mods:
             for b in mods:
                 assert_module(tensor(a, b))
+
+    def test_integrity_of_projectives(self):
+        for a in range(13):
+            assert_module(projective(2 * a))
 
 
 class TestDirectSum:
@@ -357,12 +368,123 @@ class TestDirectSum:
         assert char(s) == WeightCharacter({2: 1, 1: 1, 0: 1, -1: 1, -2: 1})
 
 
+def formula_images(n: int, dual: bool) -> dict[str, list[dict]]:
+    """The images of v_0 .. v_n under E, F, E2, F2 by the action formulas
+    in the docstrings: in weyl(n), E^(r) v_j = [n-j+r, r] v_{j-r} and
+    F^(r) v_j = [j+r, r] v_{j+r}; in dual_weyl(n), E^(r) v_j = [j, r] v_{j-r}
+    and F^(r) v_j = [n-j, r] v_{j+r}."""
+
+    def image(j: int, r: int, raising: bool) -> dict:
+        k = j - r if raising else j + r
+        if not 0 <= k <= n:
+            return {}
+        if dual:
+            top = j if raising else n - j
+        else:
+            top = n - j + r if raising else j + r
+        c = gauss_binomial(top, r)
+        return {k: c} if c else {}
+
+    ops = {"E": (1, True), "F": (1, False), "E2": (2, True), "F2": (2, False)}
+    return {
+        name: [image(j, r, raising) for j in range(n + 1)]
+        for name, (r, raising) in ops.items()
+    }
+
+
+def coproduct_images(m_weights, m_images, n_weights, n_images) -> dict:
+    """The images of v_a (x) v_b, at index a * len(n_weights) + b, by the
+    coproduct in ``tensor``'s docstring applied to vectors, from the images
+    of the basis vectors of each factor."""
+    dn = len(n_weights)
+    out: dict[str, list[dict]] = {name: [] for name in m_images}
+    for a, wa in enumerate(m_weights):
+        for b, wb in enumerate(n_weights):
+            va, vb = {a: ONE}, {b: ONE}
+            mi = {name: images[a] for name, images in m_images.items()}
+            ni = {name: images[b] for name, images in n_images.items()}
+            terms = {
+                "E": [(mi["E"], vb, ONE), (va, ni["E"], i_power(wa))],
+                "F": [(mi["F"], vb, i_power(-wb)), (va, ni["F"], ONE)],
+                "E2": [
+                    (mi["E2"], vb, ONE),
+                    (mi["E"], ni["E"], I * i_power(wa)),
+                    (va, ni["E2"], i_power(2 * wa)),
+                ],
+                "F2": [
+                    (mi["F2"], vb, i_power(-2 * wb)),
+                    (mi["F"], ni["F"], I * i_power(-wb)),
+                    (va, ni["F2"], ONE),
+                ],
+            }
+            for name, parts in terms.items():
+                total: dict = {}
+                for x, y, c in parts:
+                    for i, u in x.items():
+                        for k, v in y.items():
+                            key = i * dn + k
+                            total[key] = total.get(key, ZERO) + c * u * v
+                out[name].append({k: v for k, v in total.items() if v})
+    return out
+
+
+class TestOrientation:
+    """Row j of each stored operator is the image of basis vector v_j."""
+
+    @staticmethod
+    def assert_rows(m: QMod, images: dict) -> None:
+        for name, op in m.operators():
+            assert rows_of(op) == images[name], name
+
+    def test_weyl_and_dual_weyl(self):
+        for n in range(13):
+            self.assert_rows(weyl(n), formula_images(n, dual=False))
+            self.assert_rows(dual_weyl(n), formula_images(n, dual=True))
+
+    def test_frobenius_simple(self):
+        # E2 v_j = (n-j+1) v_{j-1} and F2 v_j = (j+1) v_{j+1}; E = F = 0.
+        for n in range(13):
+            d = n + 1
+            self.assert_rows(
+                frobenius_simple(n),
+                {
+                    "E": [{}] * d,
+                    "F": [{}] * d,
+                    "E2": [{j - 1: n - j + 1} if j else {} for j in range(d)],
+                    "F2": [{j + 1: j + 1} if j < n else {} for j in range(d)],
+                },
+            )
+
+    def test_even_simple(self):
+        # simple(2n) is spun up inside dual_weyl(2n) on the vectors
+        # v_{2k}, each with lead 1, in order of k.
+        for n in range(13):
+            images = formula_images(2 * n, dual=True)
+            evens = {name: rows[::2] for name, rows in images.items()}
+            assert all(i % 2 == 0 for rows in evens.values() for r in rows for i in r)
+            want = {
+                name: [{i // 2: v for i, v in row.items()} for row in rows]
+                for name, rows in evens.items()
+            }
+            self.assert_rows(simple(2 * n), want)
+
+    def test_projective(self):
+        # P(6) = simple(7) (x) simple(1), and both factors are Weyl modules.
+        images = coproduct_images(
+            weyl(7).weights,
+            formula_images(7, dual=False),
+            weyl(1).weights,
+            formula_images(1, dual=False),
+        )
+        self.assert_rows(projective(6), images)
+
+
 class TestJsonDump:
     def test_shape_and_entry_format(self):
-        d = weyl(1).to_json_dict()
+        d = to_json_dict(weyl(1))
         assert d["weights"] == [1, -1]
         assert d["E"][0][1] == "1"
-        t = tensor(simple(1), simple(1)).to_json_dict()
+        t = to_json_dict(tensor(simple(1), simple(1)))
         flat = [x for row in t["E"] for x in row]
         assert "0+1*i" in flat  # K(x)E contributes a coefficient i
 
@@ -373,28 +495,34 @@ class TestIntegrityMutations:
         "E@F - F@E != diag([w])",
         "E@E2 != E2@E",
         "E@F2 - F2@E != F@diag([w-1])",
+        "E2@F - F@E2 != diag([w-1])@E",
     }
 
     @staticmethod
     def with_e(m: QMod, e: QMatrix) -> QMod:
-        return QMod(m.weights, e, m.f, m.e2, m.f2)
+        """m with E replaced by e, given in the column convention."""
+        return QMod(m.weights, e.transpose(), m.f, m.e2, m.f2)
 
     def test_changed_e_entry_names_the_broken_identities(self):
         p = projective(2)
         assert integrity_violations(p) == []
-        entries = list(p.e.nonzero_entries())
+        e = dict(column_operators(p))["E"]
+        entries = list(e.nonzero_entries())
         assert entries
         for i, j, v in entries:
-            rows = {a: dict(p.e.row(a)) for a in range(p.dim)}
+            rows = dict(enumerate(rows_of(e)))
             rows[i][j] = v * 2
             bad = self.with_e(p, QMatrix.from_row_dicts(p.dim, p.dim, rows))
             # F@F = 0 and F@F2 = F2@F do not involve E and must still hold.
+            # E2@F2 - F2@E2 meets E only through F@diag([w-2])@E, and [w-2]
+            # is 0 at the even weights of P(2).
             assert set(integrity_violations(bad)) == self.E_IDENTITIES, (i, j)
 
     def test_misplaced_e_entry_names_the_weight_shift(self):
         p = projective(2)
-        i, j, v = next(p.e.nonzero_entries())
-        rows = {a: dict(p.e.row(a)) for a in range(p.dim)}
+        e = dict(column_operators(p))["E"]
+        i, j, v = next(e.nonzero_entries())
+        rows = dict(enumerate(rows_of(e)))
         rows[i].pop(j)
         rows.setdefault(j, {})[j] = v
         found = integrity_violations(
@@ -402,6 +530,20 @@ class TestIntegrityMutations:
         )
         w = p.weights[j]
         assert f"E[{j},{j}] maps weight {w} to {w}, expected shift 2" in found
+
+    # Both keep the character and pass identities 1-6; only E2@F2 - F2@E2
+    # (Lusztig's rule at r = s = 2) sees them.
+    E2_F2 = "E2@F2 - F2@E2 != F@diag([w-2])@E + diag([w choose 2])"
+
+    def test_frobenius_simple_without_f2(self):
+        fs = frobenius_simple(3)
+        bad = QMod(fs.weights, fs.e, fs.f, fs.e2, QMatrix.zeros(fs.dim, fs.dim))
+        assert integrity_violations(bad) == [self.E2_F2]
+
+    def test_frobenius_simple_with_doubled_e2(self):
+        fs = frobenius_simple(3)
+        bad = QMod(fs.weights, fs.e, fs.f, fs.e2.scale(2), fs.f2)
+        assert integrity_violations(bad) == [self.E2_F2]
 
 
 def reference_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
@@ -423,10 +565,9 @@ def reference_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     if not positions:
         return []
     rows = []
-    for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
-        op_m_rows = [op_m.row(c) for c in range(m.dim)]
-        op_n_t = op_n.transpose()
-        op_n_cols = [op_n_t.row(c) for c in range(n.dim)]
+    for (_, op_m), (_, op_n) in zip(column_operators(m), column_operators(n)):
+        op_m_rows = rows_of(op_m)
+        op_n_cols = rows_of(op_n.transpose())
         eqs: dict[tuple[int, int], dict] = {}
         for k, (a, c) in enumerate(positions):
             for b, v in op_m_rows[c].items():
@@ -458,7 +599,7 @@ def dense_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     added wherever the weights differ."""
     size = n.dim * m.dim
     rows = []
-    for (_, op_m), (_, op_n) in zip(m.operators(), n.operators()):
+    for (_, op_m), (_, op_n) in zip(column_operators(m), column_operators(n)):
         for a in range(n.dim):
             for b in range(m.dim):
                 row = [ZERO] * size
@@ -610,13 +751,13 @@ class TestSpin:
         m = direct_sum(projective(2), simple(2))
         spin = Spin(m)
         spin.add([{0: ONE}, {m.dim - 1: ONE}])
-        ops = qsl2._columns(m)
+        ops = [op for _, op in m.operators()]
         cols: dict[int, dict] = {}
         for source, op, steps, lead, scale in spin.words:
             if source is None:
                 out = dict(spin.seeds[op])
             else:
-                out = qsl2._apply(ops[op], cols[source])
+                out = vecmat(cols[source], ops[op])
             for c, f in steps:
                 for i, v in cols[c].items():
                     out[i] = out.get(i, ZERO) - f * v
@@ -653,16 +794,16 @@ def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
         for i, _, v in col.nonzero_entries():
             stacked.setdefault(i, {})[k] = v
     b = QMatrix.from_row_dicts(m.dim, len(columns), stacked)
-    return QMod(
+    return from_column_operators(
         tuple(weights),
-        *(reference_solve_matrix(b, op @ b) for _, op in m.operators()),
+        *(reference_solve_matrix(b, op @ b) for _, op in column_operators(m)),
     )
 
 
 def reference_image(x: QMatrix) -> list[QMatrix]:
     """Canonical basis of the column space of x, in reduced column echelon
     form: the columns ``simple(2m)`` was built on before the spin."""
-    pivots = reduce_rows(x.transpose().row(j) for j in range(x.cols))
+    pivots = reduce_rows(rows_of(x.transpose()))
     return [
         QMatrix.from_row_dicts(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
         for c in sorted(pivots)

@@ -29,12 +29,9 @@ CALLERS = [
     REPO_ROOT / "perfbench" / "traced.py",
 ]
 
-# Kept although nothing listed above calls them; each entry says why.
-ALLOWED = {
-    # Builds the decomposable modules the corruption tests feed to the
-    # locality check and to the gauge fixing of `verify zigzag`.
-    "qsl2.direct_sum",
-}
+# Kept although nothing listed above calls them; each entry says why.  Code
+# that only tests use lives in tests/ instead (modules.py, reports.py).
+ALLOWED: set[str] = set()
 
 
 def _package_trees() -> dict[str, ast.Module]:
