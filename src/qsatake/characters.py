@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import DomainError, NotACharacterError
 from .record import Record
@@ -40,8 +40,11 @@ SUPERSCRIPT = {PLUS: "⁺", MINUS: "⁻"}
 
 
 def display_order(keys) -> list:
-    """(n, sign) keys sorted for display: n descending, "+" before "-"."""
-    return sorted(keys, key=lambda k: (-k[0], k[1]))
+    """(n, sign) keys sorted for display: n descending, "+" before "-".
+
+    Two stable sorts with C-level keys, by sign and then by n.
+    """
+    return sorted(sorted(keys, key=itemgetter(1)), key=itemgetter(0), reverse=True)
 
 
 def _check_sign(sign: str) -> None:
@@ -104,6 +107,11 @@ class SignedCharacter:
     def __add__(self, other: "SignedCharacter") -> "SignedCharacter":
         if not isinstance(other, SignedCharacter):
             return NotImplemented
+        # Characters are immutable, so a sum with zero can share the other.
+        if not other.mults:
+            return self
+        if not self.mults:
+            return other
         out = dict(self.mults)
         for k, c in other.mults.items():
             out[k] = out.get(k, 0) + c
@@ -344,18 +352,22 @@ def _simple_keys(n: int, sign: str) -> list[tuple[int, str]]:
 
 
 def simple_char_sum(multiset: Counter | dict) -> SignedCharacter:
-    """Sum of simple characters of a (n, sign) multiset; inverse of jh_decompose."""
+    """Sum of simple characters of a (n, sign) multiset; inverse of jh_decompose.
+
+    Raises NotACharacterError on a multiplicity that is not a nonnegative
+    int.  Each multiplicity is checked once, so the sum needs no check.
+    """
     mults: dict = {}
-    for (n, sign), mult in multiset.items():
-        _check_sign(sign)
-        if n < 0:
-            raise DomainError(f"simple_char requires n >= 0, got {n}")
-        for key in _simple_keys(n, sign):
-            mults[key] = mults.get(key, 0) + mult
-    return _signed(_checked(mults.items(), "sum of simple characters"))
+    for label, mult in _checked(multiset.items(), "multiset of simples").items():
+        added = dict.fromkeys(simple_char(*label).mults, mult)
+        for key in added.keys() & mults.keys():
+            added[key] += mults[key]
+        mults.update(added)
+    return _signed(mults)
 
 
-# Keyed by (n, sign); the character suites at --max 48 reach 147 keys.
+# Keyed by (n, sign).  The bgg suite at --max M reads the labels up to
+# 2M + 5 of both signs, so 256 entries cover --max 61.
 @lru_cache(maxsize=256)
 def simple_char(n: int, sign: str) -> SignedCharacter:
     """Character of the simple object with leading weight n (see _simple_keys).
@@ -363,15 +375,22 @@ def simple_char(n: int, sign: str) -> SignedCharacter:
     Cached by value: a ``SignedCharacter`` is immutable and its ``mults`` is
     never written, so callers can share one.
     """
-    return simple_char_sum({(n, sign): 1})
+    _check_sign(sign)
+    if n < 0:
+        raise DomainError(f"simple_char requires n >= 0, got {n}")
+    return _signed(dict.fromkeys(_simple_keys(n, sign), 1))
 
 
+# Keyed by (n, sign), like simple_char: the bgg suite builds every label up
+# to 2M + 5 of both signs, and projectives and their filtrations reread them.
+@lru_cache(maxsize=256)
 def standard_char(n: int, sign: str) -> SignedCharacter:
     """Shared character of the standard and costandard objects at weight n.
 
     For sign '+': k+ in weight n, k+ and k- in each interior weight
     n-2, ..., -n+2, and k- tensored with itself n times (k- for odd n, k+ for
-    even) in weight -n.  Sign '-' swaps k+ and k- throughout.
+    even) in weight -n.  Sign '-' swaps k+ and k- throughout.  Cached by
+    value, as ``simple_char`` is.
     """
     _check_sign(sign)
     if n < 0:
@@ -393,42 +412,55 @@ def _triangular_jh(low: int, step: int, coeffs, signed: bool) -> Counter:
     The strip is a polynomial: ``coeffs[i]`` (a list or bytes) is the
     coefficient of the exponent low + step*i, which is 3w + digit for the key
     (w, sign) of a signed character (see ``_DIGIT``; digit 2, which a product
-    of two k- leaves, is k+ too) and w for a weight character.
+    of two k- leaves, is k+ too) and w for a weight character.  Its first and
+    last coefficients are nonzero.
 
-    An exponent mod 6 (signed) or mod 2 gives the parity of its weight and
-    its sign, so slices of the strip fill four planes (two for weight
-    characters): the multiplicities of one sign at the weights of one
-    parity, padded to -top, ..., top by 2, so that each is symmetric about
-    weight 0.  The simple character led by a key is multiplicity-free on its
-    chain (see ``_CHAINS``) down to its mirror at the negated weight: by 4
-    in its own plane at even weight, by 2 at odd weight, where a signed
-    chain alternates between the two signs' planes.  So a character is a
-    sum of simples exactly when each plane equals the reverse of its mirror
-    plane (itself, or at odd weight the other sign's), and no simple led at
-    weight w >= 0 has a negative multiplicity: the plane's entry at w minus
-    that of the link above, at w + 4 in the plane itself at even weight, at
-    w + 2 in the mirror plane at odd weight.  The chains do not interact.
+    The simple character led by a key is multiplicity-free on its chain (see
+    ``_CHAINS``) down to its mirror at the negated weight: by 4 at even
+    weight, in one sign, and by 2 at odd weight, where a signed chain
+    alternates between the signs.  Every ``period``-th coefficient of the
+    strip is one sign at weights ``spacing`` apart.  Such slices fill planes:
+    the multiplicities of one sign at the weights of one parity, by 2, or at
+    even weights 4 apart when the spacing allows it, so that a chain is read
+    at its own stride.  A plane spans -T..T, T its largest weight up to the
+    top weight, so its mirror plane (the other sign's at odd weight in a
+    signed strip, else itself) reversed holds the mirrors.  So a character
+    is a sum of simples exactly when each plane equals its reversed mirror
+    plane, and no simple led at weight w >= 0 has a negative multiplicity:
+    the plane's entry at w minus that of the link above, in the mirror
+    plane.  The chains do not interact.
 
     Leading-key elimination meets the keys from the largest down, so it
     breaks at the largest link of weight >= 0 whose multiplicity is
     negative, or, when there is none, at the largest link below 0 whose
     residual, its multiplicity minus its mirror's, is nonzero; that link and
-    residual raise.  A strip is dense over its weights: the routine takes
-    time and memory in the span of the weights, not in the number of keys.
+    residual raise.
+
+    The planes span at most 2T + 1 weights, T the top weight, which is no
+    more than the strip holds when T is at most its length.  Beyond that
+    they are bounded by the number n of nonzero coefficients, not by the
+    weights: a character with top weight T has a chain of T/2 + 1 or more
+    nonzero links, so T < 4n.  When that holds the planes span -T..T, and a
+    key below -T, which has no mirror, breaks only when no link above it
+    does.  Otherwise the chain of the top key breaks among its n + 1 links
+    down to T - 4n >= 0, and the planes span only those weights.  The
+    factors come out with their keys descending.
     """
-    modulus = 6 if signed else 2
-    period = modulus // gcd(step, modulus)
-    # The exponents of one slice lie ``spacing`` apart in weight, an even
-    # number, and every weight of the strip lies within ``bound`` of 0.
-    spacing = step * period
-    high = low + step * (len(coeffs) - 1)
-    if signed:
-        spacing //= 3
-        bound = max(-(low // 3), high // 3)
-    else:
-        bound = max(-low, high)
-    planes: dict = {}  # (parity, sign): multiplicities at weights -top..top by 2
-    for i in range(min(period, len(coeffs))):
+    out = Counter.__new__(Counter)  # Counter() without its Python-level __init__
+    if not coeffs:
+        return out
+    scale = 3 if signed else 1
+    top = (low + step * (len(coeffs) - 1)) // scale
+    n = len(coeffs)
+    if top > n:  # the planes could outgrow the strip: count its nonzeros
+        n -= coeffs.count(0)
+    full = top < 4 * n
+    floor = -top if full else top - 4 * n
+    start = max(0, (scale * floor - low + step - 1) // step)  # first at >= floor
+    period = 2 * scale // gcd(step, 2 * scale)
+    spacing = step * period // scale  # even
+    planes: dict = {}  # (weight mod the plane's step, sign): multiplicities
+    for i in range(start, min(start + period, len(coeffs))):
         part = coeffs[i::period]
         if not any(part):
             continue
@@ -436,46 +468,62 @@ def _triangular_jh(low: int, step: int, coeffs, signed: bool) -> Counter:
         if signed:
             w, digit = divmod(w, 3)
             sign = _DIGIT_SIGN[digit]
-        top = bound + (bound - w) % 2
-        at = (w + top) // 2
-        where = slice(at, at + spacing // 2 * len(part), spacing // 2)
-        plane = planes.get((w & 1, sign))
+        by = 2 if w & 1 or spacing % 4 else 4  # the plane's step in weight
+        cls = w % by
+        last = top - (top - cls) % by
+        lo = -last if full else floor + (cls - floor) % by
+        at, stride = (w - lo) // by, spacing // by
+        where = slice(at, at + stride * len(part), stride)
+        plane = planes.get((cls, sign))
         if plane is None:
-            plane = planes[w & 1, sign] = [0] * (top + 1)
+            plane = planes[cls, sign] = [0] * ((last - lo) // by + 1)
             plane[where] = part
-            if w & 1 and sign:
-                planes.setdefault((1, _OPPOSITE[sign]), [0] * (top + 1))
+            if w & 1 and sign and (1, _OPPOSITE[sign]) not in planes:
+                planes[1, _OPPOSITE[sign]] = [0] * len(plane)
         else:  # a digit-2 slice, or the odd plane its partner made
             plane[where] = map(add, plane[where], part)
-    items = []
-    upper_breaks = {}  # link: negative multiplicity, at weight >= 0
-    lower_breaks = {}  # link: nonzero residual, below 0
-    for (parity, sign), plane in planes.items():
-        other = planes[1, _OPPOSITE[sign]] if parity and sign else plane
-        half = len(plane) // 2  # plane[half] is at weight ``parity``
-        mults = list(map(sub, plane[half:], other[half + 2 - parity :] + [0, 0]))
-        weights = range(parity, len(plane), 2)
+    # Each link that breaks its rule: a negative multiplicity at weight >= 0,
+    # or a nonzero residual below 0; the largest is where elimination stops.
+    broken = {}
+    factors = []  # each plane's factors, keys descending
+    for (cls, sign), plane in planes.items():
+        by = 2 if cls & 1 or spacing % 4 else 4
+        mirror = (planes[1, _OPPOSITE[sign]] if cls == 1 and sign else plane)[::-1]
+        # From the plane's largest weight down to 0: each entry minus that of
+        # the link above, a chain step up the mirror plane.
+        shift = (2 if cls & 1 else 4) // by
+        size = len(plane) - len(plane) // 2 if full else len(plane)
+        mults = list(map(sub, reversed(plane), [0] * shift + mirror[: size - shift]))
+        weights = range(top - (top - cls) % by, -1, -by)
         if min(mults) < 0:
             for w, m in zip(weights, mults):
                 if m < 0:
-                    upper_breaks[w if sign is None else (w, sign)] = m
-        elif not upper_breaks and plane != other[::-1]:
-            for j in range(half):
-                if plane[j] != other[-1 - j]:
-                    w = 2 * j + 1 - len(plane)
-                    residual = plane[j] - other[-1 - j]
-                    lower_breaks[w if sign is None else (w, sign)] = residual
-        keys = compress(weights, mults)
-        if sign is not None:
-            keys = zip(keys, repeat(sign))
-        items += zip(keys, filter(None, mults))
-    broken = upper_breaks or lower_breaks
+                    broken[w if sign is None else (w, sign)] = m
+        elif full and plane != mirror:
+            for j in range(len(plane) // 2):
+                residual = plane[j] - mirror[j]
+                if residual:
+                    w = by * j - weights[0]
+                    broken[w if sign is None else (w, sign)] = residual
+        elif any(mults):
+            keys = compress(weights, mults)
+            if signed:
+                keys = zip(keys, repeat(sign))
+            factors.append(zip(keys, filter(None, mults)))
+    if not broken and start:
+        # Every key below the planes lies below -top and has no mirror, so
+        # its residual is its multiplicity.
+        for i in compress(range(start), coeffs):
+            e = low + step * i
+            key = (e // 3, _DIGIT_SIGN[e % 3]) if signed else e
+            broken[key] = broken.get(key, 0) + coeffs[i]
     if broken:
         key = max(broken)
         raise NotACharacterError(f"multiplicity {broken[key]} at {key}: not a character")
-    items.sort(reverse=True)
-    out: Counter = Counter()
-    dict.update(out, items)
+    if len(factors) == 1:
+        dict.update(out, factors[0])
+    elif factors:  # the planes' runs interleave: timsort merges them
+        dict.update(out, sorted(chain.from_iterable(factors), reverse=True))
     return out
 
 

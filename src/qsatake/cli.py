@@ -4,9 +4,10 @@ Commands: ``char`` and ``jh`` print character-level data for one labelled
 object, ``homdim`` prints one quantum Hom dimension, and ``verify`` runs a
 named verification suite to a truncation bound.  Output is deterministic
 (byte-identical across runs); exit codes are 0 for success, 1 for a
-verification failure, 2 for usage errors.  ``verify`` writes each report item
-as its suite yields it, so no report is held whole in memory, and a run of
-items that share lhs, rhs and pass with one join.
+verification failure, 2 for usage errors.  ``verify`` writes its report in
+pieces of about 64 KiB as its suite yields the items, so no report is held
+whole in memory, and a run of items that share lhs, rhs and pass with one
+join.
 
 ``main`` returns the exit code and never ends the process; ``run``, the
 process entry point, ends it with ``os._exit`` once the output is flushed.
@@ -16,19 +17,16 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
-from json.encoder import encode_basestring_ascii as _quote
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import equivalence, modtools, satake, zigzag
 from .characters import display_order
 from .errors import DomainError, VerificationError
 
 MAX_GUARD = 24
-_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +136,11 @@ def _jh_items(multiset: Counter) -> list[dict]:
 
 def _emit_one(args, value, text: str) -> int:
     """Write one result: ``value`` as compact JSON, or ``text``."""
-    _emit((_JSON.encode(value) if args.fmt == "json" else text, "\n"), args.output)
+    if args.fmt == "json":
+        import json  # here only, so that text output never loads it
+
+        text = json.dumps(value, separators=(",", ":"))
+    _emit((text, "\n"), args.output)
     return 0
 
 
@@ -251,37 +253,53 @@ _SUITE_RUNNERS = {
     "frobenius": _suite_frobenius,
 }
 SUITES = (*_SUITE_RUNNERS, "all")
-_SINGLE = ("",)
+# ``verify`` hands its report to ``_emit`` in pieces of about this many
+# characters: a write per item costs about as much as formatting it.
+_PIECE = 1 << 16
 
 
 def _format_run(
-    relation: str, tails: Sequence[str], item: dict, sep: str | None
+    relation: str,
+    tails: Sequence[str] | None,
+    item: dict,
+    quote: Callable[[str], str] | None,
 ) -> str:
     """The report lines of a run: one item per entry of ``tails``, each
-    with the relation ``relation + tail`` and ``item``'s lhs, rhs and pass.
-    A single item is the run with the one tail "".
+    with the relation ``relation + tail`` and ``item``'s lhs, rhs and pass,
+    or the single item with the relation ``relation`` when ``tails`` is None.
 
-    ``sep`` is None for text, or the JSON separator before the first item.
-    Each form is one ``str.join``.  Escaping works character by character,
-    so a JSON relation is the escaped head followed by the escaped tail; a
-    tail is escaped on its own only when some tail needs escaping at all.
+    ``quote`` is None for text, or JSON's ``encode_basestring_ascii``.  A
+    single item is formatted directly.  A run is one ``str.join`` of its
+    tails between a head, the relation up to its tail, and an end, the rest
+    of the line.  Escaping works character by character, so a JSON relation
+    is the escaped head followed by the escaped tail; a tail is escaped on
+    its own only when some tail needs escaping at all.
     """
     ok = item["pass"]
-    if sep is None:
+    if tails is None:
+        if quote is None:
+            if ok:
+                return f"PASS {relation}\n"
+            return f"FAIL {relation}: lhs={item['lhs']} rhs={item['rhs']}\n"
+        return (
+            f'{{"relation":{quote(relation)},"lhs":{quote(item["lhs"])},'
+            f'"rhs":{quote(item["rhs"])},"pass":{"true" if ok else "false"}}}'
+        )
+    if quote is None:
         if ok:
             head, end = f"PASS {relation}", "\n"
         else:
             head, end = f"FAIL {relation}", f": lhs={item['lhs']} rhs={item['rhs']}\n"
         return head + (end + head).join(tails) + end
     body = "".join(tails)
-    if len(_quote(body)) != len(body) + 2:
-        tails = [_quote(tail)[1:-1] for tail in tails]
-    head = f'{{"relation":{_quote(relation)[:-1]}'
+    if len(quote(body)) != len(body) + 2:
+        tails = [quote(tail)[1:-1] for tail in tails]
+    head = f'{{"relation":{quote(relation)[:-1]}'
     end = (
-        f'","lhs":{_quote(item["lhs"])},"rhs":{_quote(item["rhs"])},'
+        f'","lhs":{quote(item["lhs"])},"rhs":{quote(item["rhs"])},'
         f'"pass":{"true" if ok else "false"}}}'
     )
-    return sep + head + (end + "," + head).join(tails) + end
+    return head + (end + "," + head).join(tails) + end
 
 
 def cmd_verify(args) -> int:
@@ -289,8 +307,7 @@ def cmd_verify(args) -> int:
     summary, or the bytes of ``json.dumps(items, separators=(",", ":"))``.
 
     An item with a ``"run"`` key stands for one item per entry of it (see
-    ``_format_run``) and counts as that many checks; any other item is a run
-    with the one tail ""."""
+    ``_format_run``) and counts as that many checks."""
     if args.max_n < 0:
         raise DomainError("--max must be >= 0")
     if args.max_n > MAX_GUARD and not args.force:
@@ -304,21 +321,36 @@ def cmd_verify(args) -> int:
 
     def report() -> Iterator[str]:
         nonlocal checks, failures
-        sep = ""
+        quote = None
+        piece = []  # formatted items not yet handed to _emit
+        size = 0  # their length
+        sep = ""  # before the next item: "," once a JSON item is written
         if as_json:
-            yield "["
+            # Here only, once per report, so that text output never loads json.
+            from json.encoder import encode_basestring_ascii as quote
+
+            piece.append("[")
         for name in names:
             for item in _SUITE_RUNNERS[name](args.max_n):
-                tails = item.get("run", _SINGLE)
-                checks += len(tails)
-                failures += 0 if item["pass"] else len(tails)
+                tails = item.get("run")
+                count = 1 if tails is None else len(tails)
+                checks += count
+                failures += 0 if item["pass"] else count
                 relation = f"{name}: {item['relation']}"
-                yield _format_run(relation, tails, item, sep if as_json else None)
-                sep = ","
+                text = sep + _format_run(relation, tails, item, quote)
+                piece.append(text)
+                size += len(text)
+                if size >= _PIECE:
+                    yield "".join(piece)
+                    piece.clear()
+                    size = 0
+                if as_json:
+                    sep = ","
         if as_json:
-            yield "]\n"
+            piece.append("]\n")
         else:
-            yield f"{args.suite}: {checks} checks, {failures} failures\n"
+            piece.append(f"{args.suite}: {checks} checks, {failures} failures\n")
+        yield "".join(piece)
 
     _emit(report(), args.output)
     return 1 if failures else 0

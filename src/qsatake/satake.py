@@ -124,38 +124,33 @@ def formal(kind: str, n: int, sign: str) -> FormalPerv:
     return FormalPerv(kind, n, sign, character, jh_decompose(character), filtration)
 
 
-def _item(relation: str, lhs, rhs) -> dict:
-    """A report item comparing two characters; equal characters print the
-    same, so a passing item formats one of them."""
-    ok = lhs == rhs
-    lhs_text = str(lhs)
-    return {
-        "relation": relation,
-        "lhs": lhs_text,
-        "rhs": lhs_text if ok else str(rhs),
-        "pass": ok,
-    }
-
-
 def verify_odd_ses(n: int) -> list[dict]:
     """Character additivity of the odd short exact sequences at weight 2n+1.
 
     0 -> L(2n-1) -> standard(2n+1) -> L(2n+1) -> 0 and its costandard mirror,
-    for both signs, with L(-1) = 0.
+    for both signs, with L(-1) = 0.  Equal characters print the same, so a
+    passing item formats one side, and the character that a standard shares
+    with its costandard is formatted once.
     """
     if n < 1:
         raise DomainError(f"verify_odd_ses requires n >= 1, got {n}")
     items = []
     for sign in SIGNS:
         pieces = simple_char(2 * n - 1, sign) + simple_char(2 * n + 1, sign)
+        shown = None  # (character, its text) of the kind before
         for kind in (STANDARD, COSTANDARD):
+            character = formal(kind, 2 * n + 1, sign).character
+            if shown is None or shown[0] is not character:
+                shown = character, str(character)
+            ok = character == pieces
             items.append(
-                _item(
-                    f"ch {kind}({2 * n + 1}){sign} == "
+                {
+                    "relation": f"ch {kind}({2 * n + 1}){sign} == "
                     f"ch L({2 * n - 1}){sign} + ch L({2 * n + 1}){sign}",
-                    formal(kind, 2 * n + 1, sign).character,
-                    pieces,
-                )
+                    "lhs": shown[1],
+                    "rhs": shown[1] if ok else str(pieces),
+                    "pass": ok,
+                }
             )
     return items
 
@@ -168,6 +163,10 @@ def verify_bgg(max_n: int) -> list[dict]:
     L(2n+1)+ in costandard(m), and both equal 1 exactly for sign + with
     m in {2n+1, 2n+3}.  Each costandard is built once, and only its
     Jordan-Holder content is kept.
+
+    Consecutive checks of one n that agree in lhs, rhs and pass form a run:
+    an item whose ``"run"`` lists the tails of their relations after the
+    common head ``"[P(2n+1)+ : standard("`` (see ``cli._format_run``).
     """
     if max_n < 0:
         raise DomainError(f"verify_bgg requires n >= 0, got {max_n}")
@@ -178,22 +177,26 @@ def verify_bgg(max_n: int) -> list[dict]:
     }
     items = []
     for n in range(max_n + 1):
-        filt = Counter(formal(PROJECTIVE, 2 * n + 1, PLUS).standard_filtration)
+        label = 2 * n + 1
+        top = (label, PLUS)
+        filt = Counter(formal(PROJECTIVE, label, PLUS).standard_filtration)
+        head = f"[P({label})+ : standard("
+        shared = None  # (lhs, rhs, pass) of the run being built
         for m in range(2 * n + 6):
             for sign in SIGNS:
                 left = filt.get((m, sign), 0)
-                right = costandard_jh[(m, sign)].get((2 * n + 1, PLUS), 0)
-                expected = 1 if sign == PLUS and m in (2 * n + 1, 2 * n + 3) else 0
-                items.append(
-                    {
-                        "relation": (
-                            f"[P({2 * n + 1})+ : standard({m}){sign}] == "
-                            f"[costandard({m}){sign} : L({2 * n + 1})+] == {expected}"
-                        ),
-                        "lhs": str(left),
-                        "rhs": str(right),
-                        "pass": left == right == expected,
-                    }
+                right = costandard_jh[m, sign].get(top, 0)
+                expected = 1 if sign == PLUS and m in (label, label + 2) else 0
+                outcome = (str(left), str(right), left == right == expected)
+                if outcome != shared:
+                    shared = outcome
+                    lhs, rhs, ok = outcome
+                    tails = []
+                    items.append(
+                        {"relation": head, "run": tails, "lhs": lhs, "rhs": rhs, "pass": ok}
+                    )
+                tails.append(
+                    f"{m}){sign}] == [costandard({m}){sign} : L({label})+] == {expected}"
                 )
     return items
 
@@ -242,6 +245,9 @@ def verify_steinberg(n: int) -> list[dict]:
     return [_multiset_item(relation, got, expected, format_multiset(expected))]
 
 
+_PLUS_JOIN = f"){SUPERSCRIPT[PLUS]}, L("
+
+
 def expected_clebsch_gordan(n: int, m: int) -> Counter:
     """Labels 2(n+m), 2(n+m)-4, ..., 2|n-m| with multiplicity one."""
     return Counter(range(2 * (n + m), 2 * abs(n - m) - 1, -4))
@@ -254,8 +260,9 @@ def verify_clebsch_gordan(n: int, m: int) -> list[dict]:
     got = product_jh(simple_char(2 * n, PLUS), simple_char(2 * m, PLUS))
     labels = expected_clebsch_gordan(n, m)
     expected = {(k, PLUS): 1 for k in labels}
-    # format_multiset(expected): the labels descend and each has multiplicity 1.
-    rhs = ", ".join([f"L({k}){SUPERSCRIPT[PLUS]}" for k in labels])
+    # format_multiset(expected): the labels descend, each once, and there is
+    # at least one.
+    rhs = f"L({_PLUS_JOIN.join(map(str, labels))}){SUPERSCRIPT[PLUS]}"
     return [_multiset_item(f"clebsch-gordan({n},{m})", got, expected, rhs)]
 
 

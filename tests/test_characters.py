@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -520,6 +521,31 @@ class TestJhDecompose:
             ((0, "+"), 1),
         ]
 
+    def test_a_lone_far_key_costs_no_weight_span(self):
+        # The top key's chain breaks within a few links of it, so the routine
+        # needs no planes down to weight 0 (about 2 MB at 10**5 when it did).
+        # The last case's strip of 10**4 + 1 bytes holds three nonzeros, so
+        # the planes span a dozen weights, not four per byte of the strip.
+        far = 10**5
+        unit = WeightCharacter({0: 1})
+        sparse = {far: 1, far - 1: 1, far - 10**4: 1}
+        cases = [
+            (jh_decompose, [SignedCharacter({far: 1})], {(far, "+"): 1}, True),
+            (jh_decompose, [SignedCharacter((), {far + 1: 2})], {(far + 1, "-"): 2}, True),
+            (jh_weight_character, [WeightCharacter({far: 3})], {far: 3}, False),
+            (product_jh, [WeightCharacter({far: 1}), unit], {far: 1}, False),
+            (product_jh, [WeightCharacter(sparse), unit], sparse, False),
+        ]
+        for jh, args, mults, signed in cases:
+            tracemalloc.start()
+            try:
+                got = outcome(jh, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == outcome(reference_key_jh, mults, signed)
+            assert peak < 64 * 1024
+
     def test_error_names_the_first_key_greedy_stops_at(self):
         # L(3)+ with its k-(1) missing: the residual -1 shows at (1, "-")
         # before the stray k+(-1) and k-(-3) below it.
@@ -641,6 +667,10 @@ class TestSimpleCharSum:
     def test_rejects_negative_multiplicity(self):
         with pytest.raises(NotACharacterError):
             simple_char_sum({(1, "+"): -1})
+        # Each multiplicity is checked before the sum, where -ch L(1)+ would
+        # cancel against ch L(3)- and leave k-(3) + k+(-3).
+        with pytest.raises(NotACharacterError, match=r"multiplicity -1 at \(1, '\+'\)"):
+            simple_char_sum({(1, "+"): -1, (3, "-"): 1})
 
     def test_single_labels_match_per_copy_sum(self):
         for n in range(13):

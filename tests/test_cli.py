@@ -640,8 +640,9 @@ class TestRuns:
             "pass": True,
         },
         {"relation": "é*", "run": ("f", "g"), "lhs": "l\t", "rhs": "r", "pass": False},
-        # A single item that JSON escapes.
+        # Single items that JSON escapes, failing and passing.
         {"relation": 'one "é"\\\n', "lhs": "\u2028", "rhs": "😀", "pass": False},
+        {"relation": '\x00"two"\\', "lhs": "😀\x1f", "rhs": "😀\x1f", "pass": True},
     ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -651,9 +652,9 @@ class TestRuns:
         assert code == 1
         assert out == render_items("zigzag", self.ITEMS, fmt)
         if fmt == "text":
-            assert out.endswith("zigzag: 13 checks, 4 failures\n")
+            assert out.endswith("zigzag: 14 checks, 4 failures\n")
         else:
-            assert len(json.loads(out)) == 13
+            assert len(json.loads(out)) == 14
 
     def test_passing_runs_exit_0(self, capsys, monkeypatch):
         items = [self.ITEMS[0], self.ITEMS[2]]
@@ -708,6 +709,32 @@ class TestProcessLevel:
         done = subprocess.run(cmd, capture_output=True, env=env, check=True)
         assert done.stdout == (
             b"[]\n1\n1\nFalse\nzigzag: 143 checks, 0 failures\nFalse\nFalse\n"
+        )
+
+    def test_text_output_never_imports_json(self):
+        # Run with -S, so that no site hook can load json first.
+        script = "\n".join(
+            [
+                "import io",
+                "import sys",
+                "import qsatake.cli",
+                "out, sys.stdout = sys.stdout, io.StringIO()",
+                "code = qsatake.cli.main(['verify', 'relations', '--max', '1'])",
+                "qsatake.cli.main(['verify', 'bgg', '--max', '1'])",
+                "sys.stdout = out",
+                "print(code, 'json' in sys.modules)",
+                "qsatake.cli.main(['jh', 'simple', '3', '+'])",
+                "print('json' in sys.modules)",
+                "qsatake.cli.main(['jh', 'simple', '3', '+', '--format', 'json'])",
+                "print('json' in sys.modules)",
+            ]
+        )
+        env = {"PYTHONPATH": str(REPO_ROOT / "src")}
+        cmd = [sys.executable, "-S", "-c", script]
+        done = subprocess.run(cmd, capture_output=True, env=env, check=True)
+        assert done.stdout.decode("utf-8") == (
+            "0 False\nL(3)⁺\nFalse\n"
+            '[{"n":3,"sign":"+","mult":1}]\nTrue\n'
         )
 
     def test_closed_stdout_exits_2(self):

@@ -24,6 +24,7 @@ from qsatake.satake import (
     verify_odd_ses,
     verify_steinberg,
 )
+from reports import expand_runs
 
 
 def all_pass(items):
@@ -208,7 +209,8 @@ class TestVerifiers:
             assert all_pass(items)
 
     def test_odd_ses_formats_a_passing_character_once(self, monkeypatch):
-        # Equal characters print the same, so a passing item prints one side.
+        # Equal characters print the same, so a passing item prints one side,
+        # and a standard and its costandard share one character, printed once.
         calls = []
         real = SignedCharacter.__str__
         monkeypatch.setattr(
@@ -216,7 +218,7 @@ class TestVerifiers:
         )
         items = [it for n in range(1, 41) for it in verify_odd_ses(n)]
         assert all_pass(items) and len(items) == 160
-        assert len(calls) == 160
+        assert len(calls) == 80
         assert all(it["lhs"] == it["rhs"] for it in items)
 
     def test_odd_ses_example(self):
@@ -231,6 +233,9 @@ class TestVerifiers:
             if it["lhs"] == "1"
         ]
         assert len(hits) == 2  # m = 1 and m = 3, sign +
+        # Consecutive checks that agree in lhs, rhs and pass share one item:
+        # the two hits split the twelve checks into five runs.
+        assert [len(it["run"]) for it in items] == [2, 1, 3, 1, 5]
 
     def test_bgg_range(self):
         assert all_pass(verify_bgg(6))
@@ -238,7 +243,7 @@ class TestVerifiers:
     def test_bgg_matches_per_n_reference(self):
         for max_n in range(9):
             want = [it for n in range(max_n + 1) for it in reference_bgg(n)]
-            assert verify_bgg(max_n) == want
+            assert expand_runs(verify_bgg(max_n)) == want
 
     def test_bgg_builds_each_costandard_once(self, monkeypatch):
         built = Counter()
@@ -275,7 +280,7 @@ class TestVerifiers:
             verify_bgg(-1)
 
     def test_bgg_specific_zeros(self):
-        items = {it["relation"]: it for it in verify_bgg(2)}
+        items = {it["relation"]: it for it in expand_runs(verify_bgg(2))}
         key = "[P(5)+ : standard(3)+] == [costandard(3)+ : L(5)+] == 0"
         assert items[key]["pass"] and items[key]["lhs"] == "0"
 
@@ -321,13 +326,13 @@ class TestVerifierCorruptions:
 
     def test_bgg_with_wrong_costandard(self, twist_at):
         twist_at("standard_char", 3)
-        assert failed(verify_bgg(0)) == [
+        assert failed(expand_runs(verify_bgg(0))) == [
             f"[P(1)+ : standard(3){s}] == [costandard(3){s} : L(1)+] == {want}"
             for s, want in (("+", 1), ("-", 0))
         ]
         # P(3)+ has a standard(3)+ factor, so its m = 3 items fail as well;
         # from P(5)+ on both sides read 0 at m = 3 and pass.
-        assert failed(verify_bgg(4)) == [
+        assert failed(expand_runs(verify_bgg(4))) == [
             f"[P({p})+ : standard(3){s}] == [costandard(3){s} : L({p})+] == {want}"
             for p in (1, 3)
             for s, want in (("+", 1), ("-", 0))
