@@ -9,27 +9,42 @@ pieces of about 64 KiB as its suite yields the items, so no report is held
 whole in memory, and a run of items that share lhs, rhs and pass with one
 join.
 
+A process loads only what its command runs.  ``main`` reads a plain command
+line itself (``_plain_args``) and hands any other line, help and errors
+included, to the argparse parser of ``build_parser``, the one source of usage,
+help and error text.  JSON is written with the escaper of the C module
+``_json`` (``_json_quote``), so the ``json`` package is imported only where
+that module is missing.  Each command or suite imports the modules it runs
+(``modtools``, ``zigzag``, ``equivalence``) when it runs.
+
 ``main`` returns the exit code and never ends the process; ``run``, the
 process entry point, ends it with ``os._exit`` once the output is flushed.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from types import SimpleNamespace
 
-from . import equivalence, modtools, satake, zigzag
+from . import satake
 from .characters import display_order
 from .errors import DomainError, VerificationError
 
 MAX_GUARD = 24
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser, used only for lines ``_plain_args`` does not read.
+
+    It is the one source of usage, help and error text.  Its positionals come
+    from ``_POSITIONALS``, so both readers take the same grammar.
+    """
+    import argparse  # here only: a plain command line never loads it
+
     parser = argparse.ArgumentParser(
         prog="qsatake",
         description=(
@@ -38,48 +53,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", dest="fmt"
-        )
+    for command, help_text in (
+        ("char", "print the signed character of one object"),
+        ("jh", "print the Jordan-Holder multiset of one object"),
+        ("verify", "run a verification suite"),
+        ("homdim", "dim Hom(P(a), P(b)) between quantum projectives"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        for dest, choices in _POSITIONALS[command]:
+            if choices is int:
+                p.add_argument(dest, type=int)
+            else:
+                p.add_argument(dest, choices=choices)
+        if command == "verify":
+            p.add_argument(
+                "--max",
+                type=int,
+                default=6,
+                dest="max_n",
+                help=f"truncation bound (default 6, capped at {MAX_GUARD})",
+            )
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help=f"allow truncations above {MAX_GUARD} (runtimes grow quickly)",
+            )
+        p.add_argument("--format", choices=_FORMATS, default="text", dest="fmt")
         p.add_argument("--output", default=None, help="write the report to a file")
-
-    p_char = sub.add_parser("char", help="print the signed character of one object")
-    p_char.add_argument("kind", choices=satake.KINDS)
-    p_char.add_argument("n", type=int)
-    p_char.add_argument("sign", choices=("+", "-"))
-    add_common(p_char)
-
-    p_jh = sub.add_parser("jh", help="print the Jordan-Holder multiset of one object")
-    p_jh.add_argument("kind", choices=satake.KINDS)
-    p_jh.add_argument("n", type=int)
-    p_jh.add_argument("sign", choices=("+", "-"))
-    add_common(p_jh)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument(
-        "--max",
-        type=int,
-        default=6,
-        dest="max_n",
-        help=f"truncation bound (default 6, capped at {MAX_GUARD})",
-    )
-    p_verify.add_argument(
-        "--force",
-        action="store_true",
-        help=f"allow truncations above {MAX_GUARD} (runtimes grow quickly)",
-    )
-    add_common(p_verify)
-
-    p_homdim = sub.add_parser(
-        "homdim", help="dim Hom(P(a), P(b)) between quantum projectives"
-    )
-    p_homdim.add_argument("a", type=int)
-    p_homdim.add_argument("b", type=int)
-    add_common(p_homdim)
-
     return parser
 
 
@@ -134,12 +134,40 @@ def _jh_items(multiset: Counter) -> list[dict]:
     ]
 
 
+def _json_quote() -> Callable[[str], str]:
+    """JSON's escaper: a str as an ASCII JSON string literal.
+
+    It is ``_json.encode_basestring_ascii``, the C function ``json.encoder``
+    itself uses, imported here so that text output loads neither it nor the
+    ``json`` package, whose decoder compiles regular expressions on import.
+    """
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:  # an interpreter built without the C accelerator
+        from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
+
+
+def _to_json(value, quote: Callable[[str], str]) -> str:
+    """``json.dumps(value, separators=(",", ":"))`` for dicts with str keys,
+    lists, strs and ints; any other type, bool included, raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return quote(value)
+    if kind is int:
+        return str(value)
+    if kind is list:
+        return "[" + ",".join([_to_json(v, quote) for v in value]) + "]"
+    if kind is dict:
+        items = [f"{quote(k)}:{_to_json(v, quote)}" for k, v in value.items()]
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+
 def _emit_one(args, value, text: str) -> int:
     """Write one result: ``value`` as compact JSON, or ``text``."""
     if args.fmt == "json":
-        import json  # here only, so that text output never loads it
-
-        text = json.dumps(value, separators=(",", ":"))
+        text = _to_json(value, _json_quote())
     _emit((text, "\n"), args.output)
     return 0
 
@@ -160,11 +188,15 @@ def cmd_homdim(args) -> int:
             raise DomainError(
                 f"homdim labels must be even in 0..{2 * MAX_GUARD}, got {label}"
             )
+    from . import modtools
+
     dim = len(modtools.hom(modtools.projective(args.a), modtools.projective(args.b)))
     return _emit_one(args, {"a": args.a, "b": args.b, "dim": dim}, str(dim))
 
 
 def _suite_relations(max_n: int) -> Iterator[dict]:
+    from . import zigzag
+
     for n in range(max_n + 1):
         report = zigzag.verify_algebra(zigzag.make(n))
         yield {
@@ -181,6 +213,8 @@ def _suite_zigzag(max_n: int) -> Iterator[dict]:
     N - 1, so every Hom space is solved once, and each gauge extends the one
     of N - 1 when ``gauge_fix`` finds its quiver unchanged.  After a failure
     the next truncation starts from scratch."""
+    from . import equivalence
+
     prev = None  # (quiver, gauge) of N - 1, if both were built
     for n in range(max_n + 1):
         try:
@@ -236,6 +270,8 @@ def _suite_bgg(max_n: int) -> Iterator[dict]:
 
 
 def _suite_frobenius(max_n: int) -> Iterator[dict]:
+    from . import equivalence
+
     for n in range(max_n + 1):
         for m in range(max_n + 1):
             yield from equivalence.frobenius_action_check(n, m)
@@ -326,9 +362,7 @@ def cmd_verify(args) -> int:
         size = 0  # their length
         sep = ""  # before the next item: "," once a JSON item is written
         if as_json:
-            # Here only, once per report, so that text output never loads json.
-            from json.encoder import encode_basestring_ascii as quote
-
+            quote = _json_quote()
             piece.append("[")
         for name in names:
             for item in _SUITE_RUNNERS[name](args.max_n):
@@ -364,12 +398,81 @@ _COMMANDS = {
 }
 
 
+_FORMATS = ("text", "json")
+_SIGNS = ("+", "-")
+# Each command's positionals in order, as (dest, choices), with ``int`` in
+# place of choices for an integer: the grammar ``build_parser`` and
+# ``_plain_args`` share.
+_POSITIONALS = {
+    "char": (("kind", satake.KINDS), ("n", int), ("sign", _SIGNS)),
+    "jh": (("kind", satake.KINDS), ("n", int), ("sign", _SIGNS)),
+    "verify": (("suite", SUITES),),
+    "homdim": (("a", int), ("b", int)),
+}
+# The options ``_plain_args`` reads that take a value, as (dest, choices),
+# with None for any string; ``verify`` also takes ``--max`` and ``--force``.
+_OPTIONS = {"--format": ("fmt", _FORMATS), "--output": ("output", None)}
+_VERIFY_OPTIONS = {**_OPTIONS, "--max": ("max_n", int)}
+
+
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """``argv`` read as argparse reads it, if it is a plain command line;
+    otherwise None, and ``build_parser`` reads it.
+
+    A plain line is a command word, then its positionals and, in any order,
+    the exact options ``--format text|json`` and ``--output PATH``, and for
+    ``verify`` ``--max INT`` and ``--force``, each value its own token.  A
+    lone ``-`` is a positional, as for argparse.  Any other token that starts
+    with ``-`` (help, ``--opt=value``, an abbreviation, a negative number,
+    ``--``) and every line argparse would reject give None, so argparse alone
+    writes usage, help and errors.  The result has the attributes, and the
+    defaults, of argparse's namespace for the same line.
+    """
+    grammar = _POSITIONALS.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    verify = argv[0] == "verify"
+    options = _VERIFY_OPTIONS if verify else _OPTIONS
+    values = {"command": argv[0], "fmt": "text", "output": None}
+    if verify:
+        values.update(max_n=6, force=False)
+    positionals, settings = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+        elif token == "--force" and verify:
+            values["force"] = True
+        elif token in options:
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and value != "-"):
+                return None
+            settings.append((options[token], value))
+        else:
+            return None
+    if len(positionals) != len(grammar):
+        return None
+    for (dest, choices), token in [*zip(grammar, positionals), *settings]:
+        if choices is int:
+            try:
+                token = int(token)
+            except ValueError:
+                return None
+        elif choices is not None and token not in choices:
+            return None
+        values[dest] = token
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
     except (DomainError, OSError) as exc:

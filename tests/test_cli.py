@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import signal
@@ -13,9 +15,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modules import direct_sum
-from qsatake import cli, equivalence, modtools, qsl2
+from qsatake import cli, equivalence, modtools, qsl2, satake
+from qsatake.errors import DomainError
 from qsatake.modtools import hom
 from qsatake.qsl2 import simple
 from reports import expand_runs, render_items
@@ -673,6 +677,123 @@ class TestUsage:
         assert run(capsys, "char", "simple")[0] == 2
 
 
+def argparse_reading(argv):
+    """The namespace argparse makes of ``argv``, or None where it exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+# Tokens drawn one category at a time, so that a drawn line is often plain.
+TOKENS = st.one_of(
+    st.sampled_from(("char", "jh", "verify", "homdim")),
+    st.sampled_from(cli.SUITES),
+    st.sampled_from(satake.KINDS),
+    st.sampled_from(("+", "-")),
+    st.sampled_from(("7", "-2", "+3", "1_0", "\u0663", " 7")),
+    st.sampled_from(("text", "json", "xml", "", "-", "out.txt")),
+    st.sampled_from(
+        (
+            "--format",
+            "--form",
+            "--format=json",
+            "--output",
+            "--max",
+            "--m",
+            "--force",
+            "--fo",
+            "-h",
+            "--help",
+            "--",
+        )
+    ),
+)
+
+
+class TestPlainReader:
+    """``_plain_args`` reads a plain line as argparse does, and leaves every
+    other line to argparse."""
+
+    @given(st.lists(TOKENS, max_size=7))
+    @settings(max_examples=400, deadline=None)
+    @example(["verify", "zigzag"])
+    @example(["verify", "--force", "all", "--max", "8", "--output", "-"])
+    @example(["char", "standard", "3", "-", "--format", "json"])
+    @example(["jh", "simple", "+3", "+", "--output", ""])
+    @example(["homdim", "\u0663", " 7", "--format", "text"])
+    @example(["homdim", "2", "-2"])
+    @example(["verify", "zigzag", "--max", "-2"])
+    def test_agrees_with_argparse(self, argv):
+        mine, theirs = cli._plain_args(argv), argparse_reading(argv)
+        if theirs is None:
+            assert mine is None
+        elif mine is not None:
+            assert vars(mine) == vars(theirs)
+
+    def test_plain_lines_take_the_plain_path(self):
+        # The property holds for a reader that reads nothing; these it reads.
+        lines = [invocation.split() for invocation in GOLDEN]  # the benchmark's
+        lines += [
+            ["verify", "zigzag"],
+            ["char", "standard", "3", "-"],
+            ["jh", "simple", "+3", "+", "--output", ""],
+        ]
+        for argv in lines:
+            assert cli._plain_args(argv) is not None, argv
+
+
+class TestJsonWriter:
+    """``_to_json`` writes what ``json.dumps`` writes, for the values it takes."""
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, separators=(",", ":"))
+
+    def test_every_small_command_value(self):
+        quote = cli._json_quote()
+        values = []
+        for n in range(13):
+            for kind in satake.KINDS:
+                for sign in ("+", "-"):
+                    try:
+                        formal = satake.formal(kind, n, sign)
+                    except DomainError:
+                        continue
+                    values.append(formal.character.to_json_dict())
+                    values.append(cli._jh_items(formal.jh))
+        for a in range(0, 13, 2):
+            for b in range(0, 13, 2):
+                dim = len(modtools.hom(modtools.projective(a), modtools.projective(b)))
+                values.append({"a": a, "b": b, "dim": dim})
+        assert len(values) > 100
+        for value in values:
+            assert cli._to_json(value, quote) == self.dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            'q"uote\\back\x00\x1f\t\n\r\x7f',
+            "é \u2028 \U0001f600 \ud800",
+            {},
+            [],
+            [{}, [], "", 0, -12, 10**30],
+            {"": {"k\u00e9y": ["\U0001f600", {"x": []}]}},
+        ],
+    )
+    def test_escapes_and_empty_containers(self, value):
+        assert cli._to_json(value, cli._json_quote()) == self.dumps(value)
+
+    @pytest.mark.parametrize(
+        "value", [True, False, None, 1.5, {"a": True}, [None], {"a": [0.0]}, (1,)]
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._to_json(value, cli._json_quote())
+
+
 class TestProcessLevel:
     def test_byte_identical_across_processes(self):
         cmd = [*CLI, "verify", "zigzag", "--max", "1"]
@@ -734,8 +855,90 @@ class TestProcessLevel:
         done = subprocess.run(cmd, capture_output=True, env=env, check=True)
         assert done.stdout.decode("utf-8") == (
             "0 False\nL(3)⁺\nFalse\n"
-            '[{"n":3,"sign":"+","mult":1}]\nTrue\n'
+            '[{"n":3,"sign":"+","mult":1}]\nFalse\n'
         )
+
+    def test_plain_lines_import_only_what_they_run(self):
+        # Run with -S, so that no site hook can load these first.
+        script = "\n".join(
+            [
+                "import io",
+                "import sys",
+                "import qsatake.cli",
+                "def loaded(extra=()):",
+                "    names = ('argparse', 'gettext', 'locale', 'json', *extra)",
+                "    print(sorted(set(names) & set(sys.modules)))",
+                "qsatake.cli.main(['homdim', '2', '4', '--format', 'json'])",
+                "loaded(['qsatake.equivalence', 'qsatake.zigzag'])",
+                "out, sys.stdout = sys.stdout, io.StringIO()",
+                "qsatake.cli.main(['verify', 'relations', '--max', '1'])",
+                "report, sys.stdout = sys.stdout.getvalue(), out",
+                "print(report.splitlines()[-1])",
+                "loaded(['qsatake.equivalence'])",
+                "qsatake.cli.main(['jh', 'simple', '3', '+', '--format', 'json'])",
+                "loaded()",
+            ]
+        )
+        env = {"PYTHONPATH": str(REPO_ROOT / "src")}
+        cmd = [sys.executable, "-S", "-c", script]
+        done = subprocess.run(cmd, capture_output=True, env=env, check=True)
+        assert done.stdout.decode("utf-8") == (
+            '{"a":2,"b":4,"dim":1}\n[]\n'
+            "relations: 2 checks, 0 failures\n[]\n"
+            '[{"n":3,"sign":"+","mult":1}]\n[]\n'
+        )
+
+    EMPTY = hashlib.sha256(b"").hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ["--help"],
+                0,
+                "67dc98bceab01501cd237845d89e2b3512b117a11f0aa8bb2048c102daae5778",
+                EMPTY,
+            ),
+            (
+                ["verify", "--help"],
+                0,
+                "55664a0fcb8e8e6cd98f7d83e2e8bc1c327e9b27450e2cfb309f8b9334de6e3c",
+                EMPTY,
+            ),
+            (
+                ["verify", "nosuch"],
+                2,
+                EMPTY,
+                "454c5781d106d2daab0db55283905b4d41d85c0f6f8a35a89a72216ea999b6e1",
+            ),
+            (
+                ["homdim", "1"],
+                2,
+                EMPTY,
+                "857caf4c9c60140e1e5668fb396e10f1f215c09adbe2332951ccdce8246cdca9",
+            ),
+            (
+                ["verify", "zigzag", "--max", "x"],
+                2,
+                EMPTY,
+                "47a1a4c07e89083b59a30e33e1857f033ad0aa6b9e7bb117a0ae847d324c052c",
+            ),
+            (
+                ["char", "standard", "3", "-"],
+                0,
+                "6270e7dc48ebd75ce7596629801682028d91f7670c1489ef54ae6a14956f8408",
+                EMPTY,
+            ),
+        ],
+        ids=["help", "verify-help", "bad-suite", "missing-label", "bad-max", "lone-dash"],
+    )
+    def test_help_errors_and_lone_dash_keep_their_bytes(self, argv, code, out, err):
+        # Recorded from the CLI that parsed every line with argparse, under
+        # CPython 3.11; the help is wrapped at 80 columns, as on a pipe.
+        done = subprocess.run([*CLI, *argv], capture_output=True, env=PROCESS_ENV)
+        assert done.returncode == code
+        assert hashlib.sha256(done.stdout).hexdigest() == out
+        assert hashlib.sha256(done.stderr).hexdigest() == err
 
     def test_closed_stdout_exits_2(self):
         # As a broken pipe does: one error line, no traceback.
