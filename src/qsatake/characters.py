@@ -317,16 +317,9 @@ def _packed_product(a, b) -> tuple:
 def conv(a: SignedCharacter, b: SignedCharacter) -> SignedCharacter:
     """Graded tensor product: k- tensor k- is k+, weights add.
 
-    One packed product over the exponents 3w + digit (see ``_DIGIT``).  When
-    its step is a multiple of 3, every exponent has the digit of the lowest,
-    so the keys all have one sign and no two exponents share a key.
+    One packed product over the exponents 3w + digit (see ``_DIGIT``).
     """
     low, step, coeffs = _packed_product(a, b)
-    if step % 3 == 0:
-        w, digit = divmod(low, 3)
-        sign = _DIGIT_SIGN[digit]
-        weights = count(w, step // 3)
-        return _signed({(v, sign): c for v, c in zip(weights, coeffs) if c})
     out: dict = {}
     for e, c in zip(count(low, step), coeffs):
         if c:

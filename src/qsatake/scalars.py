@@ -1,27 +1,20 @@
 """Exact scalars: Gaussian rationals and quantum integers at q = i.
 
 ``GaussianRational`` is the coefficient field Q(i) of all linear algebra
-here.  It stores three plain ints ``a``, ``b``, ``d`` for the value
-``(a + b*i)/d`` in lowest terms, so arithmetic is integer arithmetic plus one
-gcd, and none at all while every denominator is 1 (the intertwiner systems
-start integral).  ``fractions.Fraction`` appears only at its edges: it is
-accepted as input and returned by the ``re``/``im`` parts of a non-integral
-value.  So ``fractions`` is imported there, on first use, and not with the
-package: in the constructor for a value whose type is not exactly ``int``,
-and in ``re``/``im`` when ``d != 1``, which ``str`` of a non-integral value
-goes through; ``hash`` computes what ``Fraction.__hash__`` would from the
-ints.  Operands of mixed arithmetic are checked against ``numbers.Rational``,
-which ``int``, ``bool`` and ``Fraction`` all are.  Quantum integers and
-Gaussian binomials are evaluated at the fourth root of unity ``i`` directly;
-no polynomial in a formal ``q`` is built.
+here, built from ints only.  It stores three plain ints ``a``, ``b``, ``d``
+for the value ``(a + b*i)/d`` in lowest terms, so arithmetic is integer
+arithmetic plus one gcd, and none at all while every denominator is 1 (the
+intertwiner systems start integral; a denominator only ever comes from
+``inverse``).  The constructor and ``coerce`` take ints; ``+``, ``-``,
+``*`` and ``==`` also take an int as the other operand, except ``int - g``.
+Quantum integers and Gaussian binomials are evaluated at the fourth root of
+unity ``i`` directly; no polynomial in a formal ``q`` is built.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import gcd
-from numbers import Rational
 
 from .errors import DomainError
 
@@ -36,36 +29,20 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __new__(cls, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            return _make(re, im, 1)
-        from fractions import Fraction
-
-        re, im = Fraction(re), Fraction(im)
-        return _make(
-            re.numerator * im.denominator,
-            im.numerator * re.denominator,
-            re.denominator * im.denominator,
-        )
+        """The value re + im*i of two ints; a bool is stored as 0 or 1."""
+        if not (isinstance(re, int) and isinstance(im, int)):
+            raise TypeError(f"GaussianRational takes ints, got ({re!r}, {im!r})")
+        return _make(int(re), int(im), 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
-
-    @property
-    def re(self):
-        """The real part: an ``int``, or a ``Fraction`` when ``d != 1``."""
-        return self.a if self.d == 1 else _fraction(self.a, self.d)
-
-    @property
-    def im(self):
-        """The imaginary part: an ``int``, or a ``Fraction`` when ``d != 1``."""
-        return self.b if self.d == 1 else _fraction(self.b, self.d)
 
     @staticmethod
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, Rational):
-            return _make(value.numerator, 0, value.denominator)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
     def __bool__(self) -> bool:
@@ -74,22 +51,22 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, Rational):
-            return not self.b and self.a * other.denominator == other.numerator * self.d
+        if isinstance(other, int):
+            return self.a == other and not self.b and self.d == 1
         return NotImplemented
 
     def __hash__(self):
-        """hash(re) for a real value, else hash((re, im)), as for the ``int``
-        or ``Fraction`` parts."""
-        if not self.b:
-            return _rational_hash(self.a, self.d)
-        return hash((_rational_hash(self.a, self.d), _rational_hash(self.b, self.d)))
+        """hash(n) for an integer n, so a value hashes like the int it
+        equals; hash((a, b, d)) otherwise."""
+        if not self.b and self.d == 1:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, Rational):
+            if not isinstance(other, int):
                 return NotImplemented
-            other = GaussianRational.coerce(other)
+            other = _make(int(other), 0, 1)
         d1, d2 = self.d, other.d
         return _make(
             self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
@@ -99,25 +76,22 @@ class GaussianRational:
 
     def __sub__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, Rational):
+            if not isinstance(other, int):
                 return NotImplemented
-            other = GaussianRational.coerce(other)
+            other = _make(int(other), 0, 1)
         d1, d2 = self.d, other.d
         return _make(
             self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
         )
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, Rational):
+            if not isinstance(other, int):
                 return NotImplemented
-            other = GaussianRational.coerce(other)
+            other = _make(int(other), 0, 1)
         a, b, c, e = self.a, self.b, other.a, other.b
         return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
@@ -130,49 +104,21 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero in Q(i)")
         return _make(d * a, -d * b, n)
 
-    def __truediv__(self, other):
-        if isinstance(other, Rational):
-            other = GaussianRational.coerce(other)
-        if isinstance(other, GaussianRational):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
-
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.re)
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        """Each part as ``n`` or ``n/m`` in lowest terms, e.g. ``1/2-3/4*i``."""
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _part(a, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_part(a, d)}{sign}{_part(abs(b), d)}*i"
 
     __repr__ = __str__
 
 
-_MODULUS = sys.hash_info.modulus
-_INF = sys.hash_info.inf
-
-
-def _rational_hash(numerator: int, denominator: int) -> int:
-    """hash(Fraction(numerator, denominator)) for denominator > 0, computed
-    as ``Fraction.__hash__`` does: |n| / d modulo the hash prime, signed."""
-    if denominator == 1:
-        return hash(numerator)
-    g = gcd(numerator, denominator)
-    n, d = numerator // g, denominator // g
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS))
-    except ValueError:  # d is a multiple of the prime
-        h = _INF
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
-
-
-def _fraction(numerator: int, denominator: int):
-    from fractions import Fraction
-
-    return Fraction(numerator, denominator)
+def _part(n: int, d: int) -> str:
+    """n/d in lowest terms for d > 0, written ``n`` when it is an integer."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 _new = object.__new__

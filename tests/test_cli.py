@@ -810,17 +810,21 @@ class TestProcessLevel:
                 "import io",
                 "import sys",
                 "import qsatake.cli",
-                "unneeded = ('dataclasses', 'fractions', 'decimal', 'inspect', 'typing')",
+                "unneeded = ('dataclasses', 'fractions', 'decimal', 'inspect', 'typing',"
+                " 'numbers')",
                 "print(sorted(set(unneeded) & set(sys.modules)))",
+                # Q(i) loads with the first command that solves over it.
+                "q_i = ('qsatake.scalars', 'qsatake.linalg', 'qsatake.qsl2')",
+                "print(sorted(set(q_i) & set(sys.modules)))",
                 "qsatake.cli.main(['homdim', '2', '4'])",
                 "qsatake.cli.main(['homdim', '24', '22'])",
-                "print('fractions' in sys.modules)",
+                "print(sorted({'fractions', 'numbers'} & set(sys.modules)))",
                 # Non-integral values first appear at N = 2, and are hashed.
                 "out, sys.stdout = sys.stdout, io.StringIO()",
                 "qsatake.cli.main(['verify', 'zigzag', '--max', '2'])",
                 "report, sys.stdout = sys.stdout.getvalue(), out",
                 "print(report.splitlines()[-1])",
-                "print('fractions' in sys.modules)",
+                "print(sorted({'fractions', 'numbers'} & set(sys.modules)))",
                 # Only --output stages the report in a temporary file.
                 "print('tempfile' in sys.modules)",
             ]
@@ -829,7 +833,7 @@ class TestProcessLevel:
         cmd = [sys.executable, "-S", "-c", script]
         done = subprocess.run(cmd, capture_output=True, env=env, check=True)
         assert done.stdout == (
-            b"[]\n1\n1\nFalse\nzigzag: 143 checks, 0 failures\nFalse\nFalse\n"
+            b"[]\n[]\n1\n1\n[]\nzigzag: 143 checks, 0 failures\n[]\nFalse\n"
         )
 
     def test_text_output_never_imports_json(self):

@@ -7,10 +7,13 @@ no verifier, criterion or benchmark layer runs.  References are found by name
 (a bare name, an attribute, an imported name or a string constant, outside the
 definition itself); a method counts as referenced by an attribute or string of
 its name only, so it shares those with every same-named attribute.
-``__init__.py`` re-exports are not references.  The package also imports
-nothing outside the standard library, and every cache in it is bounded.  The
-installed command is ``cli.run``, as for ``python -m qsatake.cli``, and since
-``run`` ends the process with ``os._exit``, nothing registers ``atexit`` work.
+``__init__.py`` holds only the package docstring and ``__version__``; it
+re-exports nothing, so library code imports from the modules themselves, as
+the README's library example does, which runs here as written.  The package
+also imports nothing outside the standard library, and every cache in it is
+bounded.  The installed command is ``cli.run``, as for ``python -m
+qsatake.cli``, and since ``run`` ends the process with ``os._exit``, nothing
+registers ``atexit`` work.
 """
 
 from __future__ import annotations
@@ -157,3 +160,10 @@ def test_package_registers_no_exit_handler():
         if "atexit" in _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert users == [], f"modules that use atexit: {users}"
+
+
+def test_readme_library_example_runs():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
