@@ -106,6 +106,8 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
         raise IsADirectoryError(f"is a directory: {output!r}")
     if os.path.exists(output):
         fault = 0 if os.access(output, os.W_OK) else errno.EACCES
+    elif not output:  # open("") fails, however writable "." is
+        fault = errno.ENOENT
     else:
         # A dangling symlink stays: the new file is made where it points.
         target = os.path.realpath(output) if os.path.islink(output) else output

@@ -3,7 +3,9 @@
 Matrices keep only their nonzero entries, and every operation walks those
 alone; module operators shift weight, so almost all of their entries are 0.
 Products, sums, scalings and elimination steps all accumulate a row at a time
-through the one update loop ``scalars.axpy``.
+through the one update loop ``scalars.axpy``.  There is no dense form and no
+transpose: module operators are stored once, row j the image of basis vector
+j, and every product and check reads those rows.
 
 Everything is deterministic: pivoting always takes the first nonzero entry,
 so reduced row echelon form (and therefore every reported basis) is canonical.
@@ -22,37 +24,19 @@ from .scalars import GaussianRational, ONE, ZERO, axpy
 class QMatrix:
     """A rows x cols matrix of GaussianRationals that stores only its nonzeros.
 
-    The entries live in ``{row: {col: value}}`` form, the row format that
-    ``reduce_rows`` consumes; a stored value is never zero and a stored row is
-    never empty, so equal matrices have equal storage.  Instances are
-    immutable, and the row dictionaries are never mutated once wrapped, which
-    lets operations share untouched rows between their operands and result
-    and lets the hash be computed once and kept in ``_hash``.
+    ``QMatrix(rows, cols, {row: {col: value}})`` is the one public
+    constructor; results built here are adopted unchecked by ``_wrap``.  The
+    entries live in that form, the row format that ``reduce_rows`` consumes;
+    a stored value is never zero and a stored row is never empty, so equal
+    matrices have equal storage.  Instances are immutable, and the row
+    dictionaries are never mutated once wrapped, which lets operations share
+    untouched rows between their operands and result and lets the hash be
+    computed once and kept in ``_hash``.
     """
 
     __slots__ = ("rows", "cols", "_data", "_hash")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        """Build from a dense row-major sequence of rows * cols values."""
-        if len(entries) != rows * cols:
-            raise ValueError("entry count must equal rows * cols")
-        data: dict[int, dict] = {}
-        for k, e in enumerate(entries):
-            v = GaussianRational.coerce(e)
-            if v:
-                i, j = divmod(k, cols)
-                data.setdefault(i, {})[j] = v
-        _init(self, rows, cols, data)
-
-    @classmethod
-    def _wrap(cls, rows: int, cols: int, data: dict) -> "QMatrix":
-        """Adopt ``data`` as storage: no zero values, no empty rows, in range."""
-        self = object.__new__(cls)
-        _init(self, rows, cols, data)
-        return self
-
-    @classmethod
-    def from_row_dicts(cls, rows: int, cols: int, data: Mapping) -> "QMatrix":
+    def __init__(self, rows: int, cols: int, data: Mapping):
         """Build from ``{row: {col: value}}``; zero values may be present and
         are dropped, indices must lie inside the shape."""
         out: dict[int, dict] = {}
@@ -68,7 +52,14 @@ class QMatrix:
                     kept[j] = v
             if kept:
                 out[i] = kept
-        return cls._wrap(rows, cols, out)
+        _init(self, rows, cols, out)
+
+    @classmethod
+    def _wrap(cls, rows: int, cols: int, data: dict) -> "QMatrix":
+        """Adopt ``data`` as storage: no zero values, no empty rows, in range."""
+        self = object.__new__(cls)
+        _init(self, rows, cols, data)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
@@ -84,16 +75,7 @@ class QMatrix:
     @classmethod
     def diagonal(cls, values: Sequence) -> "QMatrix":
         n = len(values)
-        return cls.from_row_dicts(n, n, {k: {k: v} for k, v in enumerate(values)})
-
-    @property
-    def entries(self) -> tuple:
-        """Dense row-major view, built on each access."""
-        flat = [ZERO] * (self.rows * self.cols)
-        for i, row in self._data.items():
-            for j, v in row.items():
-                flat[i * self.cols + j] = v
-        return tuple(flat)
+        return cls(n, n, {k: {k: v} for k, v in enumerate(values)})
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
@@ -119,21 +101,22 @@ class QMatrix:
         return h
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
+        """The sum; a row stored in only one operand is shared with it."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in +")
-        return _combine(self, other, ONE)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in -")
-        return _combine(self, other, _MINUS_ONE)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix._wrap(
-            self.rows,
-            self.cols,
-            {i: {j: -v for j, v in row.items()} for i, row in self._data.items()},
-        )
+        data = dict(self._data)
+        for i, brow in other._data.items():
+            row = data.get(i)
+            if row is None:
+                data[i] = brow
+                continue
+            row = dict(row)
+            axpy(row, ONE, brow)
+            if row:
+                data[i] = row
+            else:
+                del data[i]
+        return QMatrix._wrap(self.rows, self.cols, data)
 
     def scale(self, c) -> "QMatrix":
         """c times this matrix; by 1 that is this matrix itself, as it is
@@ -159,13 +142,6 @@ class QMatrix:
                 data[i] = acc
         return QMatrix._wrap(self.rows, other.cols, data)
 
-    def transpose(self) -> "QMatrix":
-        data: dict[int, dict] = {}
-        for i, row in self._data.items():
-            for j, v in row.items():
-                data.setdefault(j, {})[i] = v
-        return QMatrix._wrap(self.cols, self.rows, data)
-
     def is_zero(self) -> bool:
         return not self._data
 
@@ -176,42 +152,12 @@ class QMatrix:
             for j in sorted(row):
                 yield i, j, row[j]
 
-    def __str__(self) -> str:
-        flat = [str(v) for v in self.entries]
-        body = "; ".join(
-            " ".join(flat[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        )
-        return f"[{body}]"
-
-    __repr__ = __str__
-
-
-_EMPTY_ROW: dict = {}
-_MINUS_ONE = GaussianRational(-1)
-
 
 def _init(m: QMatrix, rows: int, cols: int, data: dict) -> None:
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "_data", data)
     object.__setattr__(m, "_hash", None)
-
-
-def _combine(a: QMatrix, b: QMatrix, f: GaussianRational) -> QMatrix:
-    """a + f * b; rows only in a, and for f = 1 rows only in b, are shared."""
-    data = dict(a._data)
-    for i, brow in b._data.items():
-        if i not in data and f is ONE:
-            data[i] = brow
-            continue
-        row = dict(data.get(i, _EMPTY_ROW))
-        axpy(row, f, brow)
-        if row:
-            data[i] = row
-        else:
-            del data[i]
-    return QMatrix._wrap(a.rows, a.cols, data)
 
 
 def vecmat(vec: Mapping, m: QMatrix) -> dict:

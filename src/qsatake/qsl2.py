@@ -65,37 +65,41 @@ def integrity_violations(m: QMod) -> list[str]:
        [w choose 2] = [1 - w choose 2] for w < 0 and is 0 at w = 0, 1.
 
     6 and 7 are Lusztig's commutation rule for E^(r) F^(s) at (r, s) = (2, 1)
-    and (2, 2).  A module has none; the list is not claimed to be complete,
-    so an empty one does not prove that m is a module.
+    and (2, 2).  Each is checked on m's rows as its transpose, products
+    reversed and differences written as sums.  A module has none; the list is
+    not claimed to be complete, so an empty one does not prove that m is a
+    module.
     """
-    e, f, e2, f2 = (op.transpose() for _, op in m.operators())
     out = []
-    for (name, shift), op in zip(OP_WEIGHT_SHIFT.items(), (e, f, e2, f2)):
-        for i, j, _ in op.nonzero_entries():
+    for name, op in m.operators():
+        shift = OP_WEIGHT_SHIFT[name]
+        # Entry [i, j] acting on columns is stored at [j, i].
+        for i, j in sorted((i, j) for j, i, _ in op.nonzero_entries()):
             if m.weights[i] != m.weights[j] + shift:
                 out.append(
                     f"{name}[{i},{j}] maps weight {m.weights[j]} to "
                     f"{m.weights[i]}, expected shift {shift}"
                 )
+    e, f, e2, f2 = m.e, m.f, m.e2, m.f2
     if not (e @ e).is_zero():
         out.append("E@E != 0")
     if not (f @ f).is_zero():
         out.append("F@F != 0")
     h = QMatrix.diagonal([qint(w) for w in m.weights])
-    if e @ f - f @ e != h:
+    if f @ e != e @ f + h:
         out.append("E@F - F@E != diag([w])")
-    if e @ e2 != e2 @ e:
+    if e2 @ e != e @ e2:
         out.append("E@E2 != E2@E")
-    if f @ f2 != f2 @ f:
+    if f2 @ f != f @ f2:
         out.append("F@F2 != F2@F")
     hm1 = QMatrix.diagonal([qint(w - 1) for w in m.weights])
-    if e @ f2 - f2 @ e != f @ hm1:
+    if f2 @ e != e @ f2 + hm1 @ f:
         out.append("E@F2 - F2@E != F@diag([w-1])")
-    if e2 @ f - f @ e2 != hm1 @ e:
+    if f @ e2 != e2 @ f + e @ hm1:
         out.append("E2@F - F@E2 != diag([w-1])@E")
     hm2 = QMatrix.diagonal([qint(w - 2) for w in m.weights])
     c2 = QMatrix.diagonal([_binomial2(w) for w in m.weights])
-    if e2 @ f2 - f2 @ e2 != f @ hm2 @ e + c2:
+    if f2 @ e2 != e2 @ f2 + e @ hm2 @ f + c2:
         out.append("E2@F2 - F2@E2 != F@diag([w-2])@E + diag([w choose 2])")
     return out
 
@@ -104,6 +108,21 @@ def _binomial2(w: int) -> GaussianRational:
     """[w choose 2] at q = i, for every integer w."""
     top = w if w >= 0 else 1 - w
     return gauss_binomial(top, 2) if top >= 2 else ZERO
+
+
+def _divided_powers(n: int, e_n, f_n) -> QMod:
+    """The module on v_0 ... v_n, v_j of weight n - 2j, with E^(r) v_j =
+    [e_n(j, r), r] v_{j-r} and F^(r) v_j = [f_n(j, r), r] v_{j+r}."""
+    d = n + 1
+    e, e2 = (
+        QMatrix(d, d, {j: {j - r: gauss_binomial(e_n(j, r), r)} for j in range(r, d)})
+        for r in (1, 2)
+    )
+    f, f2 = (
+        QMatrix(d, d, {j: {j + r: gauss_binomial(f_n(j, r), r)} for j in range(d - r)})
+        for r in (1, 2)
+    )
+    return QMod(tuple(n - 2 * j for j in range(d)), e, f, e2, f2)
 
 
 # Keyed by highest weight.  Every sweep reads weyl(n) and dual_weyl(n) again
@@ -118,17 +137,7 @@ def weyl(n: int) -> QMod:
     """
     if n < 0:
         raise DomainError(f"weyl requires n >= 0, got {n}")
-    d = n + 1
-    ops = (
-        {j: {j - 1: gauss_binomial(n - j + 1, 1)} for j in range(1, d)},
-        {j: {j + 1: gauss_binomial(j + 1, 1)} for j in range(d - 1)},
-        {j: {j - 2: gauss_binomial(n - j + 2, 2)} for j in range(2, d)},
-        {j: {j + 2: gauss_binomial(j + 2, 2)} for j in range(d - 2)},
-    )
-    return QMod(
-        tuple(n - 2 * j for j in range(d)),
-        *(QMatrix.from_row_dicts(d, d, op) for op in ops),
-    )
+    return _divided_powers(n, lambda j, r: n - j + r, lambda j, r: j + r)
 
 
 @lru_cache(maxsize=64)
@@ -139,14 +148,7 @@ def dual_weyl(n: int) -> QMod:
     """
     if n < 0:
         raise DomainError(f"dual_weyl requires n >= 0, got {n}")
-    w = weyl(n)
-    return QMod(
-        w.weights,
-        w.f.transpose(),
-        w.e.transpose(),
-        w.f2.transpose(),
-        w.e2.transpose(),
-    )
+    return _divided_powers(n, lambda j, r: j, lambda j, r: n - j)
 
 
 class Spin:
@@ -214,7 +216,7 @@ class Spin:
         d = len(index)
         return QMod(
             tuple(m.weights[lead] for lead in index),
-            *(QMatrix.from_row_dicts(d, d, op) for op in ops),
+            *(QMatrix(d, d, op) for op in ops),
         )
 
 
@@ -357,7 +359,7 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
         for p, v in reduced[key].items():
             i, b = divmod(-p, m.dim)
             data.setdefault(i, {})[b] = v
-        basis.append(QMatrix.from_row_dicts(n.dim, m.dim, data))
+        basis.append(QMatrix(n.dim, m.dim, data))
     return basis
 
 
@@ -432,8 +434,8 @@ def frobenius_simple(m: int) -> QMod:
         tuple(2 * m - 4 * j for j in range(d)),
         zero,
         zero,
-        QMatrix.from_row_dicts(d, d, {j: {j - 1: m - j + 1} for j in range(1, d)}),
-        QMatrix.from_row_dicts(d, d, {j: {j + 1: j + 1} for j in range(d - 1)}),
+        QMatrix(d, d, {j: {j - 1: m - j + 1} for j in range(1, d)}),
+        QMatrix(d, d, {j: {j + 1: j + 1} for j in range(d - 1)}),
     )
 
 

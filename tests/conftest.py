@@ -27,7 +27,7 @@ def with_doubled_arrow():
     def corrupt(hq: HomQuiver, entry: int = 0) -> HomQuiver:
         arrow = hq.hom(0, 1)[0]
         i, j, v = list(arrow.nonzero_entries())[entry]
-        bumped = arrow + QMatrix.from_row_dicts(arrow.rows, arrow.cols, {i: {j: v}})
+        bumped = arrow + QMatrix(arrow.rows, arrow.cols, {i: {j: v}})
         homs = [list(row) for row in hq.homs]
         homs[0][1] = (bumped,)
         return HomQuiver(hq.n, hq.modules, tuple(tuple(row) for row in homs))

@@ -1,5 +1,6 @@
 """Module helpers for the tests: direct sums, operators in the column
-convention, and the JSON dump the pinned closure digest was recorded from.
+convention, the JSON dump the pinned closure digest was recorded from, and the
+dense matrix forms (builder, transpose, text) that only the tests use.
 
 A ``QMod`` stores each operator with row j the image of basis vector j.  The
 column convention is its transpose: entry [i, j] is the coefficient of v_i in
@@ -8,8 +9,36 @@ the image of v_j, so that X @ op_m == op_n @ X for an intertwiner X: m -> n.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from qsatake.linalg import QMatrix
 from qsatake.qsl2 import QMod
+
+
+def dense_matrix(rows: int, cols: int, entries: Sequence) -> QMatrix:
+    """The rows x cols matrix of a dense row-major sequence of values."""
+    if len(entries) != rows * cols:
+        raise ValueError("entry count must equal rows * cols")
+    data: dict[int, dict] = {}
+    for k, v in enumerate(entries):
+        i, j = divmod(k, cols)
+        data.setdefault(i, {})[j] = v
+    return QMatrix(rows, cols, data)
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    data: dict[int, dict] = {}
+    for i, j, v in m.nonzero_entries():
+        data.setdefault(j, {})[i] = v
+    return QMatrix(m.cols, m.rows, data)
+
+
+def dense_str(m: QMatrix) -> str:
+    """Every entry, rows joined by "; ": "[a b; c d]"."""
+    body = "; ".join(
+        " ".join(str(m[i, j]) for j in range(m.cols)) for i in range(m.rows)
+    )
+    return f"[{body}]"
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -18,7 +47,7 @@ def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
         data.setdefault(i, {})[j] = v
     for i, j, v in b.nonzero_entries():
         data.setdefault(a.rows + i, {})[a.cols + j] = v
-    return QMatrix.from_row_dicts(a.rows + b.rows, a.cols + b.cols, data)
+    return QMatrix(a.rows + b.rows, a.cols + b.cols, data)
 
 
 def direct_sum(m: QMod, n: QMod) -> QMod:
@@ -30,12 +59,12 @@ def direct_sum(m: QMod, n: QMod) -> QMod:
 
 def column_operators(m: QMod) -> tuple:
     """(name, matrix) for E, F, E2, F2 in the column convention."""
-    return tuple((name, op.transpose()) for name, op in m.operators())
+    return tuple((name, transpose(op)) for name, op in m.operators())
 
 
 def from_column_operators(weights: tuple, *ops: QMatrix) -> QMod:
     """The module with E, F, E2, F2 given in the column convention."""
-    return QMod(weights, *(op.transpose() for op in ops))
+    return QMod(weights, *(transpose(op) for op in ops))
 
 
 def to_json_dict(m: QMod) -> dict:

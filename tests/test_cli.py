@@ -182,6 +182,14 @@ class TestVerify:
         assert calls == []  # no suite ran
         assert os.listdir(tmp_path) == ["file"]
 
+    def test_empty_output_exits_2_before_any_suite_runs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "blocks", calls.append)
+        code, out, err = run(capsys, "verify", "blocks", "--max", "3", "--output", "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert calls == []
+
     def test_new_output_in_a_read_only_directory_exits_2(
         self, capsys, monkeypatch, tmp_path
     ):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from modules import column_operators, direct_sum, to_json_dict
+from modules import column_operators, dense_matrix, dense_str, direct_sum, to_json_dict
 from qsatake.errors import DomainError, NotACharacterError
 from qsatake.linalg import QMatrix
 from qsatake.modtools import (
@@ -31,7 +31,7 @@ from qsatake.scalars import GaussianRational
 
 
 def unit_vector(dim, k):
-    return QMatrix(dim, 1, [1 if i == k else 0 for i in range(dim)])
+    return dense_matrix(dim, 1, [1 if i == k else 0 for i in range(dim)])
 
 
 class TestHom:
@@ -75,7 +75,7 @@ class TestHom:
         # These bases have non-integral entries, so their text goes through
         # the scalars' reduced-denominator path.  Digests were recorded while
         # GaussianRational still stored a pair of Fractions.
-        text = "\n".join(str(x) for x in hom(projective(a), projective(b)))
+        text = "\n".join(dense_str(x) for x in hom(projective(a), projective(b)))
         assert "/" in text
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
@@ -171,7 +171,7 @@ class TestSubmoduleClosure:
 
     def test_non_homogeneous_seed_splits(self):
         w = weyl(2)
-        seed = QMatrix(3, 1, [0, 1, 1])  # weight-0 plus weight-(-2) parts
+        seed = dense_matrix(3, 1, [0, 1, 1])  # weight-0 plus weight-(-2) parts
         sub = submodule(w, seed)
         assert sub.dim == 3
 
@@ -263,7 +263,7 @@ class TestIndecomposable:
             z = radical_element(hom(p, p))
             assert not z.is_zero()
             assert (z @ z).is_zero()
-            lead = next(v for v in z.entries if v)
+            _, _, lead = next(z.nonzero_entries())
             assert lead == GaussianRational(1)
 
 

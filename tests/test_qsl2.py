@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from laurent import LaurentPoly, gauss_binomial_poly, qint_poly
 from modules import (
     column_operators,
+    dense_matrix,
     direct_sum,
     from_column_operators,
     rows_of,
     to_json_dict,
+    transpose,
 )
 from test_linalg import reference_solve_matrix
 from qsatake.characters import WeightCharacter, simple_weights
@@ -235,19 +237,22 @@ class TestDualWeyl:
         assert dual_weyl(1) == weyl(1)
 
     def test_transpose_structure(self):
-        n = 4
-        w, d = weyl(n), dual_weyl(n)
-        assert d.e == w.f.transpose()
-        assert d.f == w.e.transpose()
-        assert d.e2 == w.f2.transpose()
-        assert d.f2 == w.e2.transpose()
-        assert d.weights == w.weights
+        # Up to 49, the largest Weyl label homdim builds (simple(49) for
+        # P(48)): dual_weyl is written from its own formula, and checked here
+        # against the transposed and swapped weyl.
+        for n in range(50):
+            w, d = weyl(n), dual_weyl(n)
+            assert d.e == transpose(w.f), n
+            assert d.f == transpose(w.e), n
+            assert d.e2 == transpose(w.f2), n
+            assert d.f2 == transpose(w.e2), n
+            assert d.weights == w.weights
 
     def test_lowest_weight_vector_killed_by_e(self):
         # In dual_weyl(2) the [2] = 0 degeneracy moves to the bottom: the
         # lowest weight vector generates only the two-dimensional simple.
         ops = dict(column_operators(dual_weyl(2)))
-        assert (ops["E"] @ QMatrix(3, 1, [0, 0, 1])).is_zero()
+        assert (ops["E"] @ dense_matrix(3, 1, [0, 0, 1])).is_zero()
         assert ops["E2"][0, 2] == 1
 
 
@@ -290,8 +295,8 @@ class TestSimple:
         assert s.weights == (2, -2)
         ops = dict(column_operators(s))
         assert ops["E"].is_zero() and ops["F"].is_zero()
-        assert ops["E2"] == QMatrix(2, 2, [0, 1, 0, 0])
-        assert ops["F2"] == QMatrix(2, 2, [0, 0, 1, 0])
+        assert ops["E2"] == dense_matrix(2, 2, [0, 1, 0, 0])
+        assert ops["F2"] == dense_matrix(2, 2, [0, 0, 1, 0])
 
     def test_even_dimensions_and_weights(self):
         for m in range(7):
@@ -501,7 +506,7 @@ class TestIntegrityMutations:
     @staticmethod
     def with_e(m: QMod, e: QMatrix) -> QMod:
         """m with E replaced by e, given in the column convention."""
-        return QMod(m.weights, e.transpose(), m.f, m.e2, m.f2)
+        return QMod(m.weights, transpose(e), m.f, m.e2, m.f2)
 
     def test_changed_e_entry_names_the_broken_identities(self):
         p = projective(2)
@@ -512,7 +517,7 @@ class TestIntegrityMutations:
         for i, j, v in entries:
             rows = dict(enumerate(rows_of(e)))
             rows[i][j] = v * 2
-            bad = self.with_e(p, QMatrix.from_row_dicts(p.dim, p.dim, rows))
+            bad = self.with_e(p, QMatrix(p.dim, p.dim, rows))
             # F@F = 0 and F@F2 = F2@F do not involve E and must still hold.
             # E2@F2 - F2@E2 meets E only through F@diag([w-2])@E, and [w-2]
             # is 0 at the even weights of P(2).
@@ -526,10 +531,24 @@ class TestIntegrityMutations:
         rows[i].pop(j)
         rows.setdefault(j, {})[j] = v
         found = integrity_violations(
-            self.with_e(p, QMatrix.from_row_dicts(p.dim, p.dim, rows))
+            self.with_e(p, QMatrix(p.dim, p.dim, rows))
         )
         w = p.weights[j]
         assert f"E[{j},{j}] maps weight {w} to {w}, expected shift 2" in found
+
+    def test_weight_shift_messages_follow_the_column_convention(self):
+        # Stored rows 0 and 1 hold E's entries [0, 3] and [1, 2], which act on
+        # columns as E[3,0] and E[2,1]: the messages come in the row-major
+        # order of the latter, the reverse of the stored one.
+        w = weyl(3)
+        e = QMatrix(4, 4, {0: {3: 1}, 1: {2: 1}})
+        assert integrity_violations(QMod(w.weights, e, w.f, w.e2, w.f2)) == [
+            "E[2,1] maps weight 1 to -1, expected shift 2",
+            "E[3,0] maps weight 3 to -3, expected shift 2",
+            "E@F - F@E != diag([w])",
+            "E@E2 != E2@E",
+            "E2@F2 - F2@E2 != F@diag([w-2])@E + diag([w choose 2])",
+        ]
 
     # Both keep the character and pass identities 1-6; only E2@F2 - F2@E2
     # (Lusztig's rule at r = s = 2) sees them.
@@ -567,7 +586,7 @@ def reference_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     rows = []
     for (_, op_m), (_, op_n) in zip(column_operators(m), column_operators(n)):
         op_m_rows = rows_of(op_m)
-        op_n_cols = rows_of(op_n.transpose())
+        op_n_cols = rows_of(transpose(op_n))
         eqs: dict[tuple[int, int], dict] = {}
         for k, (a, c) in enumerate(positions):
             for b, v in op_m_rows[c].items():
@@ -589,7 +608,7 @@ def reference_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
         for k, v in vec.items():
             a, b = positions[k]
             x.setdefault(a, {})[b] = v
-        basis.append(QMatrix.from_row_dicts(n.dim, m.dim, x))
+        basis.append(QMatrix(n.dim, m.dim, x))
     return basis
 
 
@@ -616,7 +635,7 @@ def dense_intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
                 rows.append(row)
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     return [
-        QMatrix(n.dim, m.dim, [v.get(j, ZERO) for j in range(size)])
+        dense_matrix(n.dim, m.dim, [v.get(j, ZERO) for j in range(size)])
         for v in kernel(sparse, size)
     ]
 
@@ -793,7 +812,7 @@ def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
         weights.append(w)
         for i, _, v in col.nonzero_entries():
             stacked.setdefault(i, {})[k] = v
-    b = QMatrix.from_row_dicts(m.dim, len(columns), stacked)
+    b = QMatrix(m.dim, len(columns), stacked)
     return from_column_operators(
         tuple(weights),
         *(reference_solve_matrix(b, op @ b) for _, op in column_operators(m)),
@@ -803,9 +822,9 @@ def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
 def reference_image(x: QMatrix) -> list[QMatrix]:
     """Canonical basis of the column space of x, in reduced column echelon
     form: the columns ``simple(2m)`` was built on before the spin."""
-    pivots = reduce_rows(rows_of(x.transpose()))
+    pivots = reduce_rows(rows_of(transpose(x)))
     return [
-        QMatrix.from_row_dicts(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
+        QMatrix(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
         for c in sorted(pivots)
     ]
 
@@ -815,7 +834,7 @@ def spun_columns(m: QMod, seeds: list[dict]) -> list[QMatrix]:
     spin = Spin(m)
     spin.add(seeds)
     return [
-        QMatrix.from_row_dicts(m.dim, 1, {i: {0: v} for i, v in col.items()})
+        QMatrix(m.dim, 1, {i: {0: v} for i, v in col.items()})
         for _, col in sorted(spin.pivots.items())
     ]
 
@@ -833,7 +852,7 @@ class TestSubmodule:
         ]
         for m in corpus:
             for i in range(m.dim):
-                unit = QMatrix.from_row_dicts(m.dim, 1, {i: {0: 1}})
+                unit = QMatrix(m.dim, 1, {i: {0: 1}})
                 want = reference_restrict_to_span(m, spun_columns(m, [{i: ONE}]))
                 assert submodule(m, unit) == want
 
@@ -843,7 +862,7 @@ class TestSubmodule:
         # (the reverse order spins up other columns here).
         m = direct_sum(projective(2), dual_weyl(4))
         assert (m.weights[0], m.weights[1], m.weights[12]) == (4, 2, -4)
-        x = QMatrix.from_row_dicts(m.dim, 2, {0: {0: 1}, 1: {0: 2}, 12: {1: 1}})
+        x = QMatrix(m.dim, 2, {0: {0: 1}, 1: {0: 2}, 12: {1: 1}})
         seeds = [{1: GaussianRational(2)}, {0: ONE}, {12: ONE}]
         sub = submodule(m, x)
         assert sub == reference_restrict_to_span(m, spun_columns(m, seeds))
