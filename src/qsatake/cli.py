@@ -104,7 +104,9 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
         return
     if os.path.isdir(output):
         raise IsADirectoryError(f"is a directory: {output!r}")
-    if os.path.exists(output):
+    if "\0" in output:  # os.path reads it as missing; open() raises ValueError
+        fault = errno.EINVAL
+    elif os.path.exists(output):
         fault = 0 if os.access(output, os.W_OK) else errno.EACCES
     elif not output:  # open("") fails, however writable "." is
         fault = errno.ENOENT

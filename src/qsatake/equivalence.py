@@ -327,10 +327,11 @@ def frobenius_action_check(n: int, m: int) -> list[dict]:
     Character side: decompose the convolution of the weight-doubled classical
     character of V(n) with the odd simple character of 2m+1, then relabel
     2k+1 -> 2k.  Quantum side: Jordan-Holder labels of
-    char(frobenius_simple(n)) * char(simple(2m)), the character of their
-    tensor product since weights add.  No tensor module is built: this is a
-    statement about characters, not a proof that the tensor product is
-    semisimple.  Both must equal the two-line decomposition 2(n+m),
+    char(frobenius_simple(n)) * image_char(2m), the character of the tensor
+    product of frobenius_simple(n) with the image of the solved canonical map
+    weyl(2m) -> dual_weyl(2m), since weights add.  No tensor module is built:
+    this is a statement about characters, not a proof that the tensor product
+    is semisimple.  Both must equal the two-line decomposition 2(n+m),
     2(n+m)-4, ..., 2|n-m|; a quantum side that is not a character fails.
     """
     if n < 0 or m < 0:
@@ -347,7 +348,7 @@ def frobenius_action_check(n: int, m: int) -> list[dict]:
         char_side[label - 1] += mult
     try:
         quantum_side = product_jh(
-            qsl2.char(qsl2.frobenius_simple(n)), qsl2.char(qsl2.simple(2 * m))
+            qsl2.char(qsl2.frobenius_simple(n)), qsl2.image_char(2 * m)
         )
         rhs = _labels_str(quantum_side)
     except NotACharacterError as exc:

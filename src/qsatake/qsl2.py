@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
-from .linalg import QMatrix, insert_row, kernel, kronecker, rank, reduce_rows, vecmat
+from .linalg import QMatrix, insert_row, kernel, kronecker, reduce_rows, vecmat
 from .record import Record
 from .scalars import GaussianRational, I, ONE, ZERO, axpy, gauss_binomial, i_power, qint
 
@@ -125,9 +125,9 @@ def _divided_powers(n: int, e_n, f_n) -> QMod:
     return QMod(tuple(n - 2 * j for j in range(d)), e, f, e2, f2)
 
 
-# Keyed by highest weight.  Every sweep reads weyl(n) and dual_weyl(n) again
-# only inside the simple(n) that builds them (canonical_map, then the rank
-# test), with no other label in between, so 64 entries cover every --max.
+# Keyed by highest weight.  Of the labels a sweep reads, only weyl(1) is read
+# again: the zigzag sweep reads simple(1) = weyl(1) for every projective, with
+# only weyl(2N + 1) in between, so 64 entries cover every --max.
 @lru_cache(maxsize=64)
 def weyl(n: int) -> QMod:
     """Weyl module with basis v_0 ... v_n generated by the highest weight vector.
@@ -140,7 +140,6 @@ def weyl(n: int) -> QMod:
     return _divided_powers(n, lambda j, r: n - j + r, lambda j, r: j + r)
 
 
-@lru_cache(maxsize=64)
 def dual_weyl(n: int) -> QMod:
     """Contravariant dual of weyl(n): transpose and exchange E <-> F, E2 <-> F2.
 
@@ -199,26 +198,6 @@ class Spin:
         self.words.append((source, op, steps, lead, scale))
         return True
 
-    def module(self, m: QMod) -> QMod:
-        """The spun subspace of m as a module, on the pivot columns in order
-        of lead, with each operator read off the words: operator ``op`` sends
-        the column led by ``source`` to the sum of f * (column led by c) over
-        ``steps``, plus (column led by ``lead``) / ``scale`` when the column
-        was kept.  Stored columns never change, so these are exact."""
-        index = {lead: k for k, lead in enumerate(sorted(self.pivots))}
-        ops: list[dict[int, dict]] = [{} for _ in self._ops]
-        for source, op, steps, lead, scale in self.words:
-            if source is None:
-                continue
-            ops[op][index[source]] = image = {index[c]: f for c, f in steps}
-            if lead is not None:
-                image[index[lead]] = scale.inverse()
-        d = len(index)
-        return QMod(
-            tuple(m.weights[lead] for lead in index),
-            *(QMatrix(d, d, op) for op in ops),
-        )
-
 
 def _generating_spin(m: QMod) -> Spin:
     """The spin of m from basis vectors that generate it, chosen by one rule.
@@ -245,9 +224,8 @@ def _generating_spin(m: QMod) -> Spin:
 
 # Every Hom solve out of a source replays its spin, so the spin is kept per
 # source module.  The zigzag sweep replays every P(2a), a < N, into P(2N) at
-# each N, after spinning weyl(2N + 1) for simple(2N + 1) and P(2N) itself, so
-# at most N other sources come between two reads of one: 256 entries cover
-# --max 255.
+# each N, and P(2N) into all of them, so at most N other sources come between
+# two reads of one: 256 entries cover --max 255.
 @lru_cache(maxsize=256)
 def _spun_source(m: QMod) -> tuple:
     """The spin of m from its generators, independent of any target:
@@ -386,36 +364,26 @@ def canonical_map(n: int) -> QMatrix:
     return x.scale(top.inverse())
 
 
-def submodule(m: QMod, x: QMatrix) -> QMod:
-    """The smallest submodule of m containing the columns of x, on the
-    columns of its spin (``Spin.module``).  Each column of x is split into
-    its weight components, in increasing order of weight, to seed the spin."""
-    columns: dict[int, dict[int, dict]] = {}
-    for i, j, v in x.nonzero_entries():
-        columns.setdefault(j, {}).setdefault(m.weights[i], {})[i] = v
-    spin = Spin(m)
-    spin.add([col[w] for _, col in sorted(columns.items()) for w in sorted(col)])
-    return spin.module(m)
-
-
-# Keyed by highest weight.  The frobenius sweep reads simple(2m), m = 0..M,
-# once for each n, so M + 1 labels cycle: 256 entries cover --max 255.  The
-# zigzag sweep reads simple(1) and one new odd label at each N.
+# Keyed by highest weight.  The frobenius sweep reads image_char(2m), m = 0..M,
+# once for each n, so M + 1 labels cycle: 256 entries cover --max 255.
 @lru_cache(maxsize=256)
-def simple(n: int) -> QMod:
-    """Simple module of highest weight n: the image of the canonical map.
+def image_char(n: int) -> WeightCharacter:
+    """Weight multiset of the image of canonical_map(n), the simple module of
+    highest weight n.
 
-    For odd n the canonical map is invertible and the Weyl module itself is
-    returned; for even n = 2m the image is the submodule of dual_weyl(n)
-    spun up from the columns of the map, of dimension m + 1 with weights
-    2m, 2m-4, ..., -2m.
+    The map is weight-preserving and weyl(n) has one basis vector per weight,
+    so the image has weight n - 2j exactly when the entry (j, j) is nonzero.
     """
+    x = canonical_map(n)
+    return WeightCharacter(Counter(n - 2 * j for j in range(n + 1) if x[j, j]))
+
+
+def simple(n: int) -> QMod:
+    """Simple module of highest weight n, by Lusztig's tensor product theorem
+    at q = i: weyl(n) for odd n, frobenius_simple(n // 2) for even n."""
     if n < 0:
         raise DomainError(f"simple requires n >= 0, got {n}")
-    x = canonical_map(n)
-    if rank(x) == n + 1:
-        return weyl(n)
-    return submodule(dual_weyl(n), x)
+    return weyl(n) if n % 2 else frobenius_simple(n // 2)
 
 
 # Keyed by label.  The frobenius sweep reads frobenius_simple(n) once for

@@ -1,6 +1,7 @@
 """Module helpers for the tests: direct sums, operators in the column
-convention, the JSON dump the pinned closure digest was recorded from, and the
-dense matrix forms (builder, transpose, text) that only the tests use.
+convention, the JSON dump of a module, the dense matrix forms (builder,
+transpose, text) that only the tests use, and the reference construction of
+the even simples as the image of the canonical map.
 
 A ``QMod`` stores each operator with row j the image of basis vector j.  The
 column convention is its transpose: entry [i, j] is the coefficient of v_i in
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from qsatake.linalg import QMatrix
+from qsatake.errors import NoSolutionError
+from qsatake.linalg import QMatrix, reduce_rows
 from qsatake.qsl2 import QMod
 
 
@@ -82,3 +84,60 @@ def rows_of(m: QMatrix) -> list[dict]:
     for i, j, v in m.nonzero_entries():
         rows[i][j] = v
     return rows
+
+
+def reference_solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The unique echelon solution X of a @ X = b (free variables set to 0);
+    NoSolutionError if any column of b is outside the column space."""
+    if a.rows != b.rows:
+        raise ValueError("shape mismatch in solve")
+    n = a.cols
+    rows = []
+    for i in sorted(a._data.keys() | b._data.keys()):
+        row = dict(a._data.get(i, {}))
+        for j, v in b._data.get(i, {}).items():
+            row[n + j] = v
+        if row:
+            rows.append(row)
+    pivots = reduce_rows(rows)
+    data = {}
+    for c, row in pivots.items():
+        if c >= n:
+            raise NoSolutionError("inconsistent linear system")
+        sol = {j - n: v for j, v in row.items() if j >= n}
+        if sol:
+            data[c] = sol
+    return QMatrix(n, b.cols, data)
+
+
+def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
+    """The submodule of m on the given weight-homogeneous, operator-stable
+    columns, with each operator solved for in the new basis by
+    ``reference_solve_matrix``."""
+    if not columns:
+        z = QMatrix.zeros(0, 0)
+        return QMod((), z, z, z, z)
+    weights = []
+    stacked: dict[int, dict] = {}
+    for k, col in enumerate(columns):
+        (w,) = {m.weights[i] for i, _, _ in col.nonzero_entries()}
+        weights.append(w)
+        for i, _, v in col.nonzero_entries():
+            stacked.setdefault(i, {})[k] = v
+    b = QMatrix(m.dim, len(columns), stacked)
+    return from_column_operators(
+        tuple(weights),
+        *(reference_solve_matrix(b, op @ b) for _, op in column_operators(m)),
+    )
+
+
+def reference_image(x: QMatrix) -> list[QMatrix]:
+    """Canonical basis of the column space of x, in reduced column echelon
+    form.  reference_restrict_to_span(dual_weyl(n), reference_image(
+    canonical_map(n))) is the image of the canonical map as a module, the
+    construction of the even simples before they were built in closed form."""
+    pivots = reduce_rows(rows_of(transpose(x)))
+    return [
+        QMatrix(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
+        for c in sorted(pivots)
+    ]

@@ -190,6 +190,19 @@ class TestVerify:
         assert err == "error: [Errno 2] No such file or directory: ''\n"
         assert calls == []
 
+    def test_output_with_a_nul_byte_exits_2_before_any_suite_runs(
+        self, capsys, monkeypatch
+    ):
+        # os.path reads such a path as missing; open() would raise ValueError.
+        calls = []
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "blocks", calls.append)
+        code, out, err = run(
+            capsys, "verify", "blocks", "--max", "3", "--output", "a\0b"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 22] Invalid argument: 'a\\x00b'\n"
+        assert calls == []
+
     def test_new_output_in_a_read_only_directory_exits_2(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -486,14 +499,14 @@ class TestSweepReuse:
         dims = [4 * a + 4 for a in range(7)]
         assert sorted(solves) == [(m, n) for m in dims for n in dims]
 
-    def test_frobenius_builds_each_simple_once_at_max_64(self, monkeypatch):
-        # simple(2m), m = 0..64, is read once per n: 65 labels cycle.
+    def test_frobenius_solves_each_canonical_map_once_at_max_64(self, monkeypatch):
+        # image_char(2m), m = 0..64, is read once per n: 65 labels cycle.
         maps = []
         real = qsl2.canonical_map
         monkeypatch.setattr(
             qsl2, "canonical_map", lambda n: maps.append(n) or real(n)
         )
-        qsl2.simple.cache_clear()
+        qsl2.image_char.cache_clear()
         assert all(item["pass"] for item in cli._suite_frobenius(64))
         assert maps == [2 * m for m in range(65)]
 

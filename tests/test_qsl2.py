@@ -8,16 +8,17 @@ from modules import (
     column_operators,
     dense_matrix,
     direct_sum,
-    from_column_operators,
+    reference_image,
+    reference_restrict_to_span,
     rows_of,
     to_json_dict,
     transpose,
 )
-from test_linalg import reference_solve_matrix
 from qsatake.characters import WeightCharacter, simple_weights
 from qsatake import qsl2
+from qsatake.cli import MAX_GUARD
 from qsatake.errors import DomainError, InternalInconsistencyError
-from qsatake.linalg import QMatrix, kernel, rank, reduce_rows, vecmat
+from qsatake.linalg import QMatrix, kernel, rank, vecmat
 from qsatake.modtools import projective
 from qsatake.qsl2 import (
     QMod,
@@ -26,14 +27,14 @@ from qsatake.qsl2 import (
     char,
     dual_weyl,
     frobenius_simple,
+    image_char,
     integrity_violations,
     intertwiner_basis,
     simple,
-    submodule,
     tensor,
     weyl,
 )
-from qsatake.scalars import I, ONE, ZERO, GaussianRational, gauss_binomial, i_power
+from qsatake.scalars import I, ONE, ZERO, gauss_binomial, i_power
 
 # ---------------------------------------------------------------------------
 # Generic-q oracle: the action formulas and the coproduct convention are
@@ -261,9 +262,15 @@ class TestCanonicalMap:
         assert canonical_map(0) == QMatrix.identity(1)
 
     def test_odd_invertible(self):
-        for m in range(7):
+        # Up to the largest Weyl label homdim and verify build without
+        # --force: simple(n) = weyl(n) for odd n rests on this.
+        for m in range(MAX_GUARD + 1):
             x = canonical_map(2 * m + 1)
             assert rank(x) == 2 * m + 2
+
+    def test_image_char_is_the_simple_character(self):
+        for n in range(2 * MAX_GUARD + 2):
+            assert image_char(n) == char(simple(n)), n
 
     def test_even_frozen_example(self):
         x = canonical_map(2)
@@ -461,17 +468,10 @@ class TestOrientation:
             )
 
     def test_even_simple(self):
-        # simple(2n) is spun up inside dual_weyl(2n) on the vectors
-        # v_{2k}, each with lead 1, in order of k.
+        # simple(2n) is frobenius_simple(n), whose rows test_frobenius_simple
+        # pins.
         for n in range(13):
-            images = formula_images(2 * n, dual=True)
-            evens = {name: rows[::2] for name, rows in images.items()}
-            assert all(i % 2 == 0 for rows in evens.values() for r in rows for i in r)
-            want = {
-                name: [{i // 2: v for i, v in row.items()} for row in rows]
-                for name, rows in evens.items()
-            }
-            self.assert_rows(simple(2 * n), want)
+            assert simple(2 * n) is frobenius_simple(n)
 
     def test_projective(self):
         # P(6) = simple(7) (x) simple(1), and both factors are Weyl modules.
@@ -797,81 +797,15 @@ class TestSpin:
         assert [w for w in spin.words if w[0] is None] == [(None, 0, [], 0, ONE)]
 
 
-def reference_restrict_to_span(m: QMod, columns: list[QMatrix]) -> QMod:
-    """The submodule of m on the given weight-homogeneous, operator-stable
-    columns, with each operator solved for in the new basis by
-    ``reference_solve_matrix``: the read-out ``qsl2.submodule`` made before
-    ``Spin.module``."""
-    if not columns:
-        z = QMatrix.zeros(0, 0)
-        return QMod((), z, z, z, z)
-    weights = []
-    stacked: dict[int, dict] = {}
-    for k, col in enumerate(columns):
-        (w,) = {m.weights[i] for i, _, _ in col.nonzero_entries()}
-        weights.append(w)
-        for i, _, v in col.nonzero_entries():
-            stacked.setdefault(i, {})[k] = v
-    b = QMatrix(m.dim, len(columns), stacked)
-    return from_column_operators(
-        tuple(weights),
-        *(reference_solve_matrix(b, op @ b) for _, op in column_operators(m)),
-    )
-
-
-def reference_image(x: QMatrix) -> list[QMatrix]:
-    """Canonical basis of the column space of x, in reduced column echelon
-    form: the columns ``simple(2m)`` was built on before the spin."""
-    pivots = reduce_rows(rows_of(transpose(x)))
-    return [
-        QMatrix(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
-        for c in sorted(pivots)
-    ]
-
-
-def spun_columns(m: QMod, seeds: list[dict]) -> list[QMatrix]:
-    """The pivot columns of the spin of the seeds, in order of lead."""
-    spin = Spin(m)
-    spin.add(seeds)
-    return [
-        QMatrix(m.dim, 1, {i: {0: v} for i, v in col.items()})
-        for _, col in sorted(spin.pivots.items())
-    ]
-
-
 class TestSubmodule:
-    def test_matches_the_solved_restriction_on_unit_seeds(self):
-        # The corpus of the closure digest in test_modtools.py.
-        corpus = [
-            projective(0),
-            projective(2),
-            projective(4),
-            dual_weyl(6),
-            weyl(5),
-            tensor(simple(3), simple(2)),
-        ]
-        for m in corpus:
-            for i in range(m.dim):
-                unit = QMatrix(m.dim, 1, {i: {0: 1}})
-                want = reference_restrict_to_span(m, spun_columns(m, [{i: ONE}]))
-                assert submodule(m, unit) == want
-
-    def test_columns_split_into_weight_components(self):
-        # Column 0 has parts of weight 4 and 2, column 1 one of weight -4; the
-        # spin is seeded column by column, each in increasing order of weight
-        # (the reverse order spins up other columns here).
-        m = direct_sum(projective(2), dual_weyl(4))
-        assert (m.weights[0], m.weights[1], m.weights[12]) == (4, 2, -4)
-        x = QMatrix(m.dim, 2, {0: {0: 1}, 1: {0: 2}, 12: {1: 1}})
-        seeds = [{1: GaussianRational(2)}, {0: ONE}, {12: ONE}]
-        sub = submodule(m, x)
-        assert sub == reference_restrict_to_span(m, spun_columns(m, seeds))
-        swapped = [seeds[1], seeds[0], seeds[2]]
-        assert sub != reference_restrict_to_span(m, spun_columns(m, swapped))
-        assert integrity_violations(sub) == []
+    """The image of the canonical map, a submodule of dual_weyl(n)."""
 
     def test_even_simples_match_the_image_of_the_canonical_map(self):
-        for m in range(25):
+        # simple(2m), built in closed form, is isomorphic to the image: one
+        # intertwiner, of full rank.
+        for m in range(MAX_GUARD + 1):
             n = 2 * m
-            image = reference_image(canonical_map(n))
-            assert simple(n) == reference_restrict_to_span(dual_weyl(n), image)
+            columns = reference_image(canonical_map(n))
+            image = reference_restrict_to_span(dual_weyl(n), columns)
+            basis = intertwiner_basis(simple(n), image)
+            assert len(basis) == 1 and rank(basis[0]) == m + 1, m
