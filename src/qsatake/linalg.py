@@ -192,8 +192,9 @@ def insert_row(pivots: dict, row: Mapping, steps: list | None = None) -> dict | 
     row's multiple is subtracted.  A leftover is scaled to 1 at its lead,
     stored in ``pivots`` and returned; None means the row was dependent.
     Stored rows are not back-substituted.  A ``steps`` list receives
-    (pivot column, factor) for each subtraction and, when the row is kept,
-    a last (lead, scale) pair, so the same steps can be replayed elsewhere.
+    (pivot column, factor) for each step, the factor being the multiple of
+    that pivot row added to the row, and, when the row is kept, a last
+    (lead, scale) pair, so the same steps can be replayed elsewhere by adding.
     """
     row = dict(row)
     while row:
@@ -206,10 +207,10 @@ def insert_row(pivots: dict, row: Mapping, steps: list | None = None) -> dict | 
             pivots[c] = scaled = {}
             axpy(scaled, inv, row)
             return scaled
-        f = row.pop(c)
+        f = -row.pop(c)
         if steps is not None:
             steps.append((c, f))
-        axpy(row, -f, piv, c)
+        axpy(row, f, piv, c)
     return None
 
 

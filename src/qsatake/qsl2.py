@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
-from .linalg import QMatrix, insert_row, kernel, kronecker, reduce_rows, vecmat
+from .linalg import QMatrix, insert_row, kronecker, reduce_rows, vecmat
 from .record import Record
 from .scalars import GaussianRational, I, ONE, ZERO, axpy, gauss_binomial, i_power, qint
 
@@ -163,9 +163,10 @@ class Spin:
     (source, op, steps, lead, scale): the column was ``seeds[op]`` when
     ``source`` is None, else operator ``op`` of ``m.operators()`` applied to
     the pivot column led by ``source``; ``steps`` are the (pivot lead,
-    factor) subtractions made; a kept column was scaled by ``scale`` and
-    stored under ``lead``, and a dependent one has ``lead`` None.  Seed
-    columns must be weight-homogeneous.
+    factor) pairs of ``insert_row``, each adding factor times that pivot
+    column; a kept column was scaled by ``scale`` and stored under ``lead``,
+    and a dependent one has ``lead`` None.  Seed columns must be
+    weight-homogeneous.
     """
 
     def __init__(self, m: QMod):
@@ -191,11 +192,11 @@ class Spin:
         steps: list = []
         if insert_row(self.pivots, col, steps) is None:
             if source is not None:
-                self.words.append((source, op, steps, None, None))
+                self.words.append((source, op, tuple(steps), None, None))
             return False
         lead, scale = steps.pop()
         queue.append(lead)
-        self.words.append((source, op, steps, lead, scale))
+        self.words.append((source, op, tuple(steps), lead, scale))
         return True
 
 
@@ -229,10 +230,9 @@ def _generating_spin(m: QMod) -> Spin:
 @lru_cache(maxsize=256)
 def _spun_source(m: QMod) -> tuple:
     """The spin of m from its generators, independent of any target:
-    (generator weights, words, back).  ``words`` are those of ``Spin.words``
-    with each step's factor negated, (pivot lead, -factor), as the replay
-    adds them; ``back[c]`` writes basis vector c as {pivot lead: coefficient}
-    over the spun columns.
+    (generator weights, words, back).  ``words`` are ``Spin.words``;
+    ``back[c]`` writes basis vector c as {pivot lead: coefficient} over the
+    spun columns.
 
     Raises InternalInconsistencyError when the generators do not span m.
     """
@@ -242,29 +242,27 @@ def _spun_source(m: QMod) -> tuple:
             f"{len(spin.seeds)} generators spin up {len(spin.pivots)} of "
             f"{m.dim} dimensions"
         )
-    # Row c of the reduced [columns | identity] is [e_c | e_c in the columns].
-    reduced = reduce_rows(
-        [{**col, m.dim + lead: ONE} for lead, col in spin.pivots.items()]
-    )
-    back = tuple(
-        {j - m.dim: v for j, v in reduced[c].items() if j >= m.dim}
-        for c in range(m.dim)
-    )
+    # Every spun column has 1 at its lead and entries only after it, so basis
+    # vector c is column c less the later basis vectors it holds: back-
+    # substitution from the last lead writes them all.
+    back: list[dict] = [{}] * m.dim
+    for c in range(m.dim - 1, -1, -1):
+        back[c] = row = {c: ONE}
+        for j, v in spin.pivots[c].items():
+            if j != c:
+                axpy(row, -v, back[j])
     weights = tuple(m.weights[min(seed)] for seed in spin.seeds)
-    words = tuple(
-        (source, op, tuple((c, -f) for c, f in steps), lead, scale)
-        for source, op, steps, lead, scale in spin.words
-    )
-    return weights, words, back
+    return weights, tuple(spin.words), tuple(back)
 
 
 def _standard_map(back: tuple, image: dict, dim: int) -> dict:
-    """X in the standard basis, {a * dim + b: X[a, b]}, from the images of the
-    spun columns and each basis vector b written over them in ``back[b]``."""
+    """X in the standard basis at negated positions, {-(a * dim + b): X[a, b]},
+    from the images of the spun columns and each basis vector b written over
+    them in ``back[b]``."""
     x: dict[int, GaussianRational] = {}
     for b, column in enumerate(back):
         for lead, c in column.items():
-            axpy(x, c, {i * dim + b: v for i, v in image[lead].items()})
+            axpy(x, c, {-(i * dim + b): v for i, v in image[lead].items()})
     return x
 
 
@@ -278,66 +276,74 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     generator g goes into n's weight space at g's weight: those coordinates
     are the unknowns, and a target with no such weight has none.  The spin of
     m from its generators (``_generating_spin``, kept per source by
-    ``_spun_source``) is replayed on n's side, carrying each spun column's
-    image as a function of the unknowns.  Every word that reduces to 0 in m
-    gives linear equations on the unknowns; once they force all unknowns to
-    0 the replay stops.  Each solution is written in the standard basis
-    through the spun columns, and the solutions are returned in reduced
-    echelon form from the right over the entries X[a, b] in row-major order:
-    each has 1 at its last nonzero entry and 0 there in the others, in
-    increasing order of that entry.  This is exactly the basis
+    ``_spun_source``) is replayed on n's side for each free unknown, carrying
+    each spun column's image under the map at which that unknown is 1, the
+    other free ones 0, and the pinned ones as the equations so far fix them.
+    A word that reduces to 0 in m must give 0 in n; every coordinate where
+    it does not is an equation, which pins its first unknown: that unknown's
+    images are folded into the others' and it is dropped, so a relation that
+    holds costs nothing more, and once no unknown is free the replay stops.
+    The free unknowns left span the solutions.  Each is written in the
+    standard basis through the spun columns, and the solutions are returned
+    in reduced echelon form from the right over the entries X[a, b] in
+    row-major order: each has 1 at its last nonzero entry and 0 there in the
+    others, in increasing order of that entry.  This is exactly the basis
     ``linalg.kernel`` reads off the system of all weight-matched entries of X.
     """
     weights, words, back = _spun_source(m)
     unknowns = [
         (g, a) for g, w in enumerate(weights) for a in range(n.dim) if n.weights[a] == w
     ]
-    if not unknowns:
-        return []
     ops = tuple(op for _, op in n.operators())
-    # images[k][lead]: the image of the spun column ``lead`` when unknown k is
-    # 1 and the others are 0.
-    images: list[dict[int, dict]] = [{} for _ in unknowns]
-    equations: dict[int, dict] = {}
-    for source, op, negated, lead, scale in words:
-        rows: dict[int, dict] = {}
-        for k, (g, a) in enumerate(unknowns):
-            image = images[k]
+    # images[k][lead]: the image of the spun column ``lead`` under the map of
+    # free unknown k.  A pinned unknown's generator was seeded before the word
+    # that pinned it, so a seed word sends generator g to the coordinates of
+    # g's own unknowns alone, whatever was folded.
+    images: dict[int, dict[int, dict]] = {k: {} for k in range(len(unknowns))}
+    for source, op, steps, lead, scale in words:
+        if not images:
+            return []
+        outs: dict[int, dict] = {}
+        for k, image in images.items():
             if source is None:
+                g, a = unknowns[k]
                 out = {a: ONE} if op == g else {}
             else:
                 out = vecmat(image[source], ops[op])
-            for c, f in negated:
+            for c, f in steps:
                 axpy(out, f, image[c])
             if lead is not None:
                 image[lead] = scaled = {}
                 axpy(scaled, scale, out)
-            else:
-                for i, v in out.items():
-                    rows.setdefault(i, {})[k] = v
-        for row in rows.values():
-            insert_row(equations, row)
-        if len(equations) == len(unknowns):
-            return []
-    maps: dict[int, dict] = {}  # unknown k -> its X as {a * m.dim + b: value}
-    solutions = []
-    for sol in kernel(equations.values(), len(unknowns)):
-        row: dict[int, GaussianRational] = {}
-        for k, t in sol.items():
-            if k not in maps:
-                # Negated positions: reduce_rows pivots on the last entry.
-                x = _standard_map(back, images[k], m.dim)
-                maps[k] = {-p: v for p, v in x.items()}
-            axpy(row, t, maps[k])
-        solutions.append(row)
-    reduced = reduce_rows(solutions)
+            elif out:
+                outs[k] = out
+        while outs:
+            # Solve coordinate i of the word for its first unknown k0, and
+            # fold k0 into each unknown met there, which clears i in them.
+            k0 = min(outs)
+            out0 = outs.pop(k0)
+            image0 = images.pop(k0)
+            i, v = next(iter(out0.items()))
+            pivot = -v.inverse()
+            for k, out in list(outs.items()):
+                if i in out:
+                    c = out[i] * pivot
+                    image = images[k]
+                    for j, column in image0.items():
+                        axpy(image[j], c, column)
+                    axpy(out, c, out0)
+                    if not out:
+                        del outs[k]
+    # At negated positions the first entry reduce_rows pivots on is the last
+    # entry of X.
+    reduced = reduce_rows([_standard_map(back, x, m.dim) for x in images.values()])
     basis = []
     for key in sorted(reduced, reverse=True):
         data: dict[int, dict] = {}
         for p, v in reduced[key].items():
             i, b = divmod(-p, m.dim)
             data.setdefault(i, {})[b] = v
-        basis.append(QMatrix(n.dim, m.dim, data))
+        basis.append(QMatrix._wrap(n.dim, m.dim, data))
     return basis
 
 

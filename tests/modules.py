@@ -1,7 +1,8 @@
 """Module helpers for the tests: direct sums, operators in the column
 convention, the JSON dump of a module, the dense matrix forms (builder,
-transpose, text) that only the tests use, and the reference construction of
-the even simples as the image of the canonical map.
+transpose, text) that only the tests use, the reference construction of
+the even simples as the image of the canonical map, and the general inverse
+of a spin's columns.
 
 A ``QMod`` stores each operator with row j the image of basis vector j.  The
 column convention is its transpose: entry [i, j] is the coefficient of v_i in
@@ -15,6 +16,7 @@ from collections.abc import Sequence
 from qsatake.errors import NoSolutionError
 from qsatake.linalg import QMatrix, reduce_rows
 from qsatake.qsl2 import QMod
+from qsatake.scalars import ONE
 
 
 def dense_matrix(rows: int, cols: int, entries: Sequence) -> QMatrix:
@@ -141,3 +143,14 @@ def reference_image(x: QMatrix) -> list[QMatrix]:
         QMatrix(x.rows, 1, {i: {0: v} for i, v in pivots[c].items()})
         for c in sorted(pivots)
     ]
+
+
+def reference_back(pivots: dict, dim: int) -> tuple:
+    """Each basis vector c written over the echelon columns {lead: column} that
+    span all dim coordinates, as {lead: coefficient}: row c of the reduced
+    [columns | identity] is [e_c | e_c over the columns].  This general
+    inverse is what ``qsl2._spun_source`` used before it back-substituted."""
+    reduced = reduce_rows([{**col, dim + lead: ONE} for lead, col in pivots.items()])
+    return tuple(
+        {j - dim: v for j, v in reduced[c].items() if j >= dim} for c in range(dim)
+    )

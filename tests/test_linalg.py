@@ -284,11 +284,11 @@ class TestRankRref:
         row = {0: GaussianRational(3), 1: I, 2: GaussianRational(6)}
         steps = []
         assert insert_row(pivots, row, steps) == {1: ONE}
-        # Subtract 3 * pivot 0, then scale the leftover i at lead 1 by 1/i.
-        assert steps == [(0, GaussianRational(3)), (1, MI)]
+        # Add -3 * pivot 0, then scale the leftover i at lead 1 by 1/i.
+        assert steps == [(0, GaussianRational(-3)), (1, MI)]
         steps = []
         assert insert_row(pivots, {0: I, 1: ONE, 2: 2 * I}, steps) is None
-        assert steps == [(0, I), (1, ONE)]
+        assert steps == [(0, -I), (1, -ONE)]
 
 
 class TestSolveImage:
