@@ -4,14 +4,13 @@ whether End is local.
 
 ``hom`` solves its Hom space at every call; it keeps no memo.  The zigzag
 suite asks for each pair once, since ``equivalence.hom_quiver`` extends the
-quiver of N - 1 by the pairs that involve the new projective.
-``projective`` is memoized by label.
+quiver of N - 1 by the pairs that involve the new projective, and keeps
+the projectives it built, so ``projective`` keeps no memo either.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from . import qsl2
 from .characters import jh_weight_character
@@ -29,11 +28,6 @@ def hom(m: QMod, n: QMod) -> tuple[QMatrix, ...]:
     return tuple(qsl2.intertwiner_basis(m, n))
 
 
-# One entry per even label.  The zigzag sweep builds each P(2a) once and
-# keeps it in its quiver, so the memo serves a quiver built from scratch
-# (after a failed truncation, or by a caller without ``prev``), which asks
-# again for every label up to 2N: 64 entries cover --max 63.
-@lru_cache(maxsize=64)
 def projective(two_n: int) -> QMod:
     """Indecomposable projective of the even block: simple(2n+1) tensor simple(1)."""
     if two_n < 0 or two_n % 2 != 0:

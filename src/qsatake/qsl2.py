@@ -26,9 +26,10 @@ class QMod(Record):
 
     ``weights`` is a tuple of ints; ``e``, ``f``, ``e2``, ``f2`` are the
     square ``QMatrix`` operators on it, row j the image of basis vector j.
+    ``_spin`` is filled by the first Hom solve out of it (see ``_spun_source``).
     """
 
-    __slots__ = ("weights", "e", "f", "e2", "f2")
+    __slots__ = ("weights", "e", "f", "e2", "f2", "_spin")
 
     def __post_init__(self):
         d = len(self.weights)
@@ -125,10 +126,6 @@ def _divided_powers(n: int, e_n, f_n) -> QMod:
     return QMod(tuple(n - 2 * j for j in range(d)), e, f, e2, f2)
 
 
-# Keyed by highest weight.  Of the labels a sweep reads, only weyl(1) is read
-# again: the zigzag sweep reads simple(1) = weyl(1) for every projective, with
-# only weyl(2N + 1) in between, so 64 entries cover every --max.
-@lru_cache(maxsize=64)
 def weyl(n: int) -> QMod:
     """Weyl module with basis v_0 ... v_n generated by the highest weight vector.
 
@@ -223,19 +220,19 @@ def _generating_spin(m: QMod) -> Spin:
     return spin
 
 
-# Every Hom solve out of a source replays its spin, so the spin is kept per
-# source module.  The zigzag sweep replays every P(2a), a < N, into P(2N) at
-# each N, and P(2N) into all of them, so at most N other sources come between
-# two reads of one: 256 entries cover --max 255.
-@lru_cache(maxsize=256)
 def _spun_source(m: QMod) -> tuple:
     """The spin of m from its generators, independent of any target:
     (generator weights, words, back).  ``words`` are ``Spin.words``;
     ``back[c]`` writes basis vector c as {pivot lead: coefficient} over the
-    spun columns.
+    spun columns.  Every Hom solve out of m replays it, so the first one
+    keeps it in m's ``_spin`` slot (m is immutable, so it never goes stale).
 
     Raises InternalInconsistencyError when the generators do not span m.
     """
+    try:
+        return m._spin
+    except AttributeError:
+        pass
     spin = _generating_spin(m)
     if len(spin.pivots) != m.dim:
         raise InternalInconsistencyError(
@@ -252,7 +249,9 @@ def _spun_source(m: QMod) -> tuple:
             if j != c:
                 axpy(row, -v, back[j])
     weights = tuple(m.weights[min(seed)] for seed in spin.seeds)
-    return weights, tuple(spin.words), tuple(back)
+    spun = weights, tuple(spin.words), tuple(back)
+    object.__setattr__(m, "_spin", spun)
+    return spun
 
 
 def _standard_map(back: tuple, image: dict, dim: int) -> dict:
@@ -275,7 +274,7 @@ def intertwiner_basis(m: QMod, n: QMod) -> list[QMatrix]:
     An intertwiner is fixed by where it sends generators of m, and each
     generator g goes into n's weight space at g's weight: those coordinates
     are the unknowns, and a target with no such weight has none.  The spin of
-    m from its generators (``_generating_spin``, kept per source by
+    m from its generators (``_generating_spin``, kept on m by
     ``_spun_source``) is replayed on n's side for each free unknown, carrying
     each spun column's image under the map at which that unknown is 1, the
     other free ones 0, and the pinned ones as the equations so far fix them.

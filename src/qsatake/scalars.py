@@ -8,13 +8,12 @@ intertwiner systems start integral; a denominator only ever comes from
 ``inverse``).  The constructor and ``coerce`` take ints; ``+``, ``-``,
 ``*`` and ``==`` also take an int as the other operand, except ``int - g``.
 Quantum integers and Gaussian binomials are evaluated at the fourth root of
-unity ``i`` directly; no polynomial in a formal ``q`` is built.
+unity ``i`` in closed form; no polynomial in a formal ``q`` is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .errors import DomainError
 
@@ -215,20 +214,13 @@ def qint(n: int) -> GaussianRational:
     return GaussianRational(_QINT_AT_I[n % 4])
 
 
-# weyl(n) asks for [k, 1] and [k, 2] with k <= n, and the recurrence for
-# [k, r] with r <= 2: 145 keys for n <= 49 (the homdim cap 48).
-@lru_cache(maxsize=256)
 def gauss_binomial(n: int, r: int) -> GaussianRational:
-    """Balanced Gaussian binomial [n choose r] evaluated at q = i.
-
-    Pascal recurrence: [n r] = q^(n-r) [n-1 r-1] + q^-r [n-1 r].  It never
-    divides, so it stays exact at the root of unity where the quotient of
-    quantum factorials degenerates to 0/0.
-    """
+    """Balanced Gaussian binomial [n choose r] evaluated at q = i, in closed
+    form by q-Lucas (q^2 = -1 has order 2): 0 for even n and odd r, otherwise
+    (-1)^(r(n-r)/2) * C(n // 2, r // 2), in constant time for any n."""
     if n < 0 or r < 0 or r > n:
         raise DomainError(f"gauss_binomial requires 0 <= r <= n, got ({n}, {r})")
-    if r == 0 or r == n:
-        return ONE
-    return i_power(n - r) * gauss_binomial(n - 1, r - 1) + i_power(-r) * gauss_binomial(
-        n - 1, r
-    )
+    if n % 2 == 0 and r % 2:
+        return ZERO
+    c = comb(n // 2, r // 2)
+    return GaussianRational(-c if r * (n - r) // 2 % 2 else c)

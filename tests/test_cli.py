@@ -499,6 +499,16 @@ class TestSweepReuse:
         dims = [4 * a + 4 for a in range(7)]
         assert sorted(solves) == [(m, n) for m in dims for n in dims]
 
+    def test_zigzag_spins_each_projective_once(self, monkeypatch):
+        # The quiver keeps P(0..2N), and each keeps its spin for the next N.
+        spins = []
+        real = qsl2._generating_spin
+        monkeypatch.setattr(
+            qsl2, "_generating_spin", lambda m: spins.append(m.dim) or real(m)
+        )
+        assert all(item["pass"] for item in expand_runs(cli._suite_zigzag(6)))
+        assert spins == [4 * a + 4 for a in range(7)]
+
     def test_frobenius_solves_each_canonical_map_once_at_max_64(self, monkeypatch):
         # image_char(2m), m = 0..64, is read once per n: 65 labels cycle.
         maps = []

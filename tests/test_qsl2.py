@@ -35,7 +35,7 @@ from qsatake.qsl2 import (
     tensor,
     weyl,
 )
-from qsatake.scalars import I, ONE, ZERO, gauss_binomial, i_power
+from qsatake.scalars import I, ONE, ZERO, gauss_binomial, i_power, qint
 
 # ---------------------------------------------------------------------------
 # Generic-q oracle: the action formulas and the coproduct convention are
@@ -227,6 +227,14 @@ class TestWeyl:
         for n in range(9):
             assert_module(weyl(n))
             assert_module(dual_weyl(n))
+
+    def test_large_label_builds(self):
+        # Its binomials [k, r], k <= n, take constant time at any n.
+        n = 1200
+        w = weyl(n)
+        assert w.dim == n + 1
+        assert all(w.e[j, j - 1] == qint(n - j + 1) for j in range(1, n + 1))
+        assert w.f2[n - 2, n] == gauss_binomial(n, 2) == 600
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -673,13 +681,15 @@ class TestIntertwinerBasis:
         def fail(*args):
             raise AssertionError("elimination on a target with no unknowns")
 
-        for a in range(2, 8):
-            qsl2._spun_source(projective(2 * a))  # the source side eliminates once
+        # Each source keeps its spin, made here once before the patch.
+        sources = {a: projective(2 * a) for a in range(2, 8)}
+        for p in sources.values():
+            qsl2._spun_source(p)
         monkeypatch.setattr(qsl2, "reduce_rows", fail)
         monkeypatch.setattr(qsl2, "insert_row", fail)
-        for a in range(2, 8):
+        for a, p in sources.items():
             for b in range(a - 1):
-                assert intertwiner_basis(projective(2 * a), projective(2 * b)) == []
+                assert intertwiner_basis(p, projective(2 * b)) == []
 
 
 # Sources and targets for the reference comparison: every constructor, small
@@ -781,25 +791,24 @@ class TestSpunIntertwiners:
             return spin
 
         monkeypatch.setattr(qsl2, "_generating_spin", first_generator_only)
-        qsl2._spun_source.cache_clear()
         with pytest.raises(InternalInconsistencyError, match="spin up 4 of 6"):
             intertwiner_basis(m, m)
 
-    def test_source_cache_is_bounded(self):
-        assert qsl2._spun_source.cache_info().maxsize is not None
-
-    def test_equal_sources_share_one_spin(self, monkeypatch):
+    def test_a_module_keeps_its_spin(self, monkeypatch):
         p2 = projective(2)
         first = qsl2._spun_source(p2)
-        rebuilt = tensor(simple(3), simple(1))
-        assert rebuilt is not p2 and rebuilt == p2
         spins = []
         real = qsl2._generating_spin
         monkeypatch.setattr(
             qsl2, "_generating_spin", lambda m: spins.append(1) or real(m)
         )
-        assert qsl2._spun_source(rebuilt) is first
+        assert qsl2._spun_source(p2) is first
         assert spins == []
+        # An equal module built apart spins on its own, to the same result.
+        rebuilt = tensor(simple(3), simple(1))
+        assert rebuilt is not p2 and rebuilt == p2
+        assert qsl2._spun_source(rebuilt) == first
+        assert spins == [1]
 
 
 class TestSpin:

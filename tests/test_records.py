@@ -21,6 +21,7 @@ from qsatake.characters import (
 )
 from qsatake.errors import DomainError, InternalInconsistencyError
 from qsatake.linalg import QMatrix
+from qsatake.record import Record
 
 
 def _fields(record, names):
@@ -30,6 +31,7 @@ def _fields(record, names):
 def _cases():
     """(record, field names, a record of the same class with other fields)."""
     m = qsl2.simple(1)
+    qsl2._spun_source(m)  # kept in its _spin slot, which is no field
     other_m = modtools.projective(0)
     cell = CellDescriptor(AFFINE_SPACE, 2, True)
     return [
@@ -88,6 +90,26 @@ class TestValueSemantics:
         assert text.startswith(type(record).__name__ + "(")
         for name in names:
             assert f"{name}={getattr(record, name)!r}" in text
+
+
+class TestUnderscoreSlots:
+    """A slot named with a leading ``_`` holds a value kept on the record,
+    such as ``QMod._spin``: it is no field."""
+
+    class Memo(Record):
+        __slots__ = ("x", "_memo")
+
+    def test_not_a_field(self):
+        a = self.Memo(1)
+        with pytest.raises(TypeError, match="takes 1 fields, got 2"):
+            self.Memo(1, 2)
+        with pytest.raises(AttributeError):
+            a._memo
+        b = self.Memo(1)
+        object.__setattr__(b, "_memo", "kept")
+        assert a == b and hash(a) == hash(b) == hash((1,))
+        assert repr(b) == repr(a) == "TestUnderscoreSlots.Memo(x=1)"
+        assert a != self.Memo(2)
 
 
 def test_cell_descriptor_repr():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -328,14 +329,19 @@ class TestQint:
             assert q_minus * qint_poly(n) == expected
 
 
-def lucas_value(n: int, r: int) -> int:
-    """q-Lucas oracle at q = i: i^(r(n-r)) * C(n//2, r//2) * [n%2 choose r%2]."""
-    if n % 2 == 0 and r % 2 == 1:
-        return 0
-    exponent = r * (n - r)
-    assert exponent % 2 == 0
-    sign = -1 if (exponent // 2) % 2 else 1
-    return sign * math.comb(n // 2, r // 2)
+def pascal_rows(r_max: int):
+    """Rows n = 0, 1, 2, ... of [n choose r] at q = i for 0 <= r <= min(n, r_max),
+    by the Pascal recurrence [n r] = q^(n-r) [n-1 r-1] + q^-r [n-1 r],
+    with [n-1 n] = 0.  It never divides, so it is exact at q = i."""
+    row = [ONE]
+    n = 0
+    while True:
+        yield row
+        n += 1
+        row = [ONE] + [
+            i_power(n - r) * row[r - 1] + i_power(-r) * (row[r] if r < n else ZERO)
+            for r in range(1, min(n, r_max) + 1)
+        ]
 
 
 def pascal_unbalanced(n: int, r: int) -> dict[int, int]:
@@ -390,10 +396,15 @@ class TestGaussBinomial:
             for r in range(n + 1):
                 assert gauss_binomial(n, r) == gauss_binomial_poly(n, r).evaluate_at_i()
 
-    def test_q_lucas_oracle(self):
-        for n in range(31):
-            for r in range(n + 1):
-                assert gauss_binomial(n, r) == GaussianRational(lucas_value(n, r))
+    def test_matches_pascal_recurrence(self):
+        for n, row in zip(range(300), pascal_rows(300)):
+            assert [gauss_binomial(n, r) for r in range(n + 1)] == row, n
+
+    def test_large_n_takes_no_recursion(self):
+        rows = list(islice(pascal_rows(3), 3002))
+        assert gauss_binomial(2001, 2) == rows[2001][2] == GaussianRational(-1000)
+        assert gauss_binomial(3000, 3) == rows[3000][3] == ZERO
+        assert gauss_binomial(3001, 3) == rows[3001][3] == GaussianRational(-1500)
 
     def test_balanced_from_unbalanced(self):
         # Independent reconstruction: balanced(v) = v^(-r(n-r)) * unbalanced(v^2).

@@ -10,10 +10,10 @@ its name only, so it shares those with every same-named attribute.
 ``__init__.py`` holds only the package docstring and ``__version__``; it
 re-exports nothing, so library code imports from the modules themselves, as
 the README's library example does, which runs here as written.  The package
-also imports nothing outside the standard library, and every cache in it is
-bounded.  The installed command is ``cli.run``, as for ``python -m
-qsatake.cli``, and since ``run`` ends the process with ``os._exit``, nothing
-registers ``atexit`` work.
+also imports nothing outside the standard library, and its caches are
+bounded and are the seven that a sweep rereads.  The installed command is
+``cli.run``, as for ``python -m qsatake.cli``, and since ``run`` ends the
+process with ``os._exit``, nothing registers ``atexit`` work.
 """
 
 from __future__ import annotations
@@ -129,17 +129,37 @@ def test_package_imports_only_the_standard_library():
     assert foreign == [], f"imports outside the standard library: {foreign}"
 
 
-def test_every_cache_is_bounded():
-    # Caches are keyed by value and hold a fixed number of entries.
-    unbounded = []
+def _caches() -> dict:
+    """Every ``lru_cache`` the package defines, by ``module.name``."""
+    caches = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"qsatake.{path.stem}")
         for name, value in vars(module).items():
             info = getattr(value, "cache_info", None)
             if callable(info) and getattr(value, "__module__", None) == module.__name__:
-                if info().maxsize is None:
-                    unbounded.append(f"{path.stem}.{name}")
+                caches[f"{path.stem}.{name}"] = value
+    return caches
+
+
+def test_every_cache_is_bounded():
+    # Caches are keyed by value and hold a fixed number of entries.
+    caches = _caches()
+    unbounded = [name for name, f in caches.items() if f.cache_info().maxsize is None]
     assert unbounded == [], f"caches without a maxsize: {unbounded}"
+
+
+def test_caches_are_the_ones_a_sweep_rereads():
+    # Each serves a sweep that reads its keys again, named in its comment; a
+    # value derived from an immutable object is kept on the object instead.
+    assert sorted(_caches()) == [
+        "characters.simple_char",
+        "characters.standard_char",
+        "equivalence._independent",
+        "equivalence._product_matches",
+        "qsl2.frobenius_simple",
+        "qsl2.image_char",
+        "satake.formal",
+    ]
 
 
 def test_installed_command_is_the_process_entry_point():
