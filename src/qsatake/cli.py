@@ -276,9 +276,8 @@ def _suite_bgg(max_n: int) -> Iterator[dict]:
 def _suite_frobenius(max_n: int) -> Iterator[dict]:
     from . import equivalence
 
-    for n in range(max_n + 1):
-        for m in range(max_n + 1):
-            yield from equivalence.frobenius_action_check(n, m)
+    # Looked up at each call, as in _suite_blocks.
+    yield from equivalence.frobenius_action_check(max_n)
 
 
 # Each runner maps the truncation bound to an iterable of report items, in the

@@ -11,7 +11,10 @@ gauge-fixed generators with the zigzag algebra's nonzero products (0 for a
 pair that has none), computing each product once per value of the matrices
 it reads.  Only composable pairs and pairs the table stores need that work;
 the structural zeros between them, 0 on both sides, are reported as runs,
-one item standing for a stretch of passing pairs.  Everything is exact
+one item standing for a stretch of passing pairs.  ``frobenius_action_check``
+is the frobenius sweep: for every pair n, m <= max_n it compares convolution
+with a Satake image against tensoring with a Frobenius pullback, as
+characters, building each label's inputs once.  Everything is exact
 arithmetic over Q(i); a failed relation is report content, while a wrong
 Hom dimension pattern is a hard verification error.
 """
@@ -19,6 +22,7 @@ Hom dimension pattern is a hard verification error.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import lru_cache
 
 from . import modtools, qsl2, zigzag
@@ -321,8 +325,9 @@ def _labels_str(c: Counter) -> str:
     return "{" + ", ".join(f"{k}:{c[k]}" for k in sorted(c, reverse=True)) + "}"
 
 
-def frobenius_action_check(n: int, m: int) -> list[dict]:
-    """Match the two module actions at the level of characters.
+def frobenius_action_check(max_n: int) -> Iterator[dict]:
+    """Match the two module actions at the level of characters: one item
+    ``frobenius(n,m)`` for every pair n, m <= max_n, n major.
 
     Character side: decompose the convolution of the weight-doubled classical
     character of V(n) with the odd simple character of 2m+1, then relabel
@@ -333,33 +338,35 @@ def frobenius_action_check(n: int, m: int) -> list[dict]:
     this is a statement about characters, not a proof that the tensor product
     is semisimple.  Both must equal the two-line decomposition 2(n+m),
     2(n+m)-4, ..., 2|n-m|; a quantum side that is not a character fails.
+
+    Each label is built once: image_char(2m), one canonical-map solve, and
+    simple_char(2m+1, "+") before the first item, n's two characters per n.
     """
-    if n < 0 or m < 0:
-        raise DomainError("frobenius_action_check requires n, m >= 0")
-    char_side_signed = product_jh(
-        psi_double(classical_char(n)), simple_char(2 * m + 1, "+")
-    )
-    char_side: Counter = Counter()
-    for (label, sign), mult in char_side_signed.items():
-        if sign != "+" or label % 2 != 1:
-            raise InternalInconsistencyError(
-                f"unexpected factor ({label}, {sign}) on the character side"
-            )
-        char_side[label - 1] += mult
-    try:
-        quantum_side = product_jh(
-            qsl2.char(qsl2.frobenius_simple(n)), qsl2.image_char(2 * m)
-        )
-        rhs = _labels_str(quantum_side)
-    except NotACharacterError as exc:
-        quantum_side, rhs = None, f"<{exc}>"
-    want = expected_clebsch_gordan(n, m)
-    ok = char_side == quantum_side == want
-    return [
-        {
-            "relation": f"frobenius({n},{m}) == {_labels_str(want)}",
-            "lhs": _labels_str(char_side),
-            "rhs": rhs,
-            "pass": bool(ok),
-        }
-    ]
+    if max_n < 0:
+        raise DomainError(f"frobenius_action_check requires max_n >= 0, got {max_n}")
+    labels = range(max_n + 1)
+    images = [qsl2.image_char(2 * m) for m in labels]
+    odd = [simple_char(2 * m + 1, "+") for m in labels]
+    for n in labels:
+        pullback = qsl2.char(qsl2.frobenius_simple(n))
+        doubled = psi_double(classical_char(n))
+        for m in labels:
+            char_side: Counter = Counter()
+            for (k, sign), mult in product_jh(doubled, odd[m]).items():
+                if sign != "+" or k % 2 != 1:
+                    raise InternalInconsistencyError(
+                        f"unexpected factor ({k}, {sign}) on the character side"
+                    )
+                char_side[k - 1] += mult
+            try:
+                quantum_side = product_jh(pullback, images[m])
+                rhs = _labels_str(quantum_side)
+            except NotACharacterError as exc:
+                quantum_side, rhs = None, f"<{exc}>"
+            want = expected_clebsch_gordan(n, m)
+            yield {
+                "relation": f"frobenius({n},{m}) == {_labels_str(want)}",
+                "lhs": _labels_str(char_side),
+                "rhs": rhs,
+                "pass": char_side == quantum_side == want,
+            }

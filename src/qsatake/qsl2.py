@@ -12,7 +12,6 @@ weight shifts and seven defining relations among the four operators.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
@@ -369,9 +368,6 @@ def canonical_map(n: int) -> QMatrix:
     return x.scale(top.inverse())
 
 
-# Keyed by highest weight.  The frobenius sweep reads image_char(2m), m = 0..M,
-# once for each n, so M + 1 labels cycle: 256 entries cover --max 255.
-@lru_cache(maxsize=256)
 def image_char(n: int) -> WeightCharacter:
     """Weight multiset of the image of canonical_map(n), the simple module of
     highest weight n.
@@ -391,10 +387,6 @@ def simple(n: int) -> QMod:
     return weyl(n) if n % 2 else frobenius_simple(n // 2)
 
 
-# Keyed by label.  The frobenius sweep reads frobenius_simple(n) once for
-# each m = 0..M, in a row with no other label in between (at --max 9, 90 hits
-# and 10 misses), so each label is built once and 64 entries cover every --max.
-@lru_cache(maxsize=64)
 def frobenius_simple(m: int) -> QMod:
     """Pullback of the classical (m+1)-dimensional irreducible along quantum
     Frobenius: weights doubled, E = F = 0, divided squares act classically,

@@ -220,8 +220,6 @@ def test_criterion_09_main_theorem(tmp_path):
 
 
 def test_criterion_10_frobenius_compatibility():
-    ok = True
-    for n in range(6):
-        for m in range(6):
-            ok = ok and all(item["pass"] for item in frobenius_action_check(n, m))
+    items = list(frobenius_action_check(5))
+    ok = len(items) == 36 and all(item["pass"] for item in items)
     report(10, "nearby-cycles/Frobenius action match, n, m <= 5", ok)

@@ -510,15 +510,18 @@ class TestSweepReuse:
         assert spins == [4 * a + 4 for a in range(7)]
 
     def test_frobenius_solves_each_canonical_map_once_at_max_64(self, monkeypatch):
-        # image_char(2m), m = 0..64, is read once per n: 65 labels cycle.
-        maps = []
-        real = qsl2.canonical_map
+        # Each label's image and pullback are built once for the whole sweep.
+        maps, pullbacks = [], []
+        real_map, real_pullback = qsl2.canonical_map, qsl2.frobenius_simple
         monkeypatch.setattr(
-            qsl2, "canonical_map", lambda n: maps.append(n) or real(n)
+            qsl2, "canonical_map", lambda n: maps.append(n) or real_map(n)
         )
-        qsl2.image_char.cache_clear()
+        monkeypatch.setattr(
+            qsl2, "frobenius_simple", lambda n: pullbacks.append(n) or real_pullback(n)
+        )
         assert all(item["pass"] for item in cli._suite_frobenius(64))
         assert maps == [2 * m for m in range(65)]
+        assert pullbacks == list(range(65))
 
 
 class TestReportBytes:
@@ -538,8 +541,10 @@ class TestReportBytes:
     both operands afresh and the Jordan-Holder scan that built every link;
     the frobenius --max 9 and 24 and steinberg --max 40 ones, the first the
     benchmark's own invocation, from the per-key Jordan-Holder routine that
-    decomposed each product built as a character), so any change in a
-    printed coefficient or in the order of items fails here."""
+    decomposed each product built as a character; the frobenius --max 48
+    one, the first above the guard, from the sweep that read each label's
+    inputs through module-level caches), so any change in a printed
+    coefficient or in the order of items fails here."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -605,6 +610,10 @@ class TestReportBytes:
                 "6343120225814b5bef15b67e80b853176264d2452f1428be81981f9c9ee264e2",
             ),
             (
+                ("verify", "frobenius", "--max", "48", "--force", "--format", "json"),
+                "ddf7e94b3eb6fbd04ea1e3bef0d3551aa54969ab0d110012d9d24c65e80ad676",
+            ),
+            (
                 ("verify", "steinberg", "--max", "40", "--force", "--format", "json"),
                 "3ce5fa968ba8c70453ca2feb341975935fb15ebe26bac4f180e58cd98cec2bfb",
             ),
@@ -633,6 +642,7 @@ class TestReportBytes:
             "bgg-40-json",
             "frobenius-9-json",
             "frobenius-24-json",
+            "frobenius-48-json",
             "steinberg-40-json",
             "all-12-json",
             "all-24-text",

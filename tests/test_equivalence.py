@@ -18,6 +18,7 @@ from qsatake.equivalence import (
 )
 from qsatake.errors import (
     DomainError,
+    InternalInconsistencyError,
     NoSolutionError,
     NotACharacterError,
     VerificationError,
@@ -511,31 +512,42 @@ class TestProductCheck:
         assert not equivalence._product_matches(y1, x0, ((x0, 1),))
 
 
+def frobenius_items(max_n: int) -> dict:
+    """The items of the frobenius sweep to max_n by pair (n, m), after
+    checking that it yields one per pair, n major."""
+    items = list(frobenius_action_check(max_n))
+    pairs = [(n, m) for n in range(max_n + 1) for m in range(max_n + 1)]
+    relations = [item["relation"].split(" == ")[0] for item in items]
+    assert relations == [f"frobenius({n},{m})" for n, m in pairs]
+    return dict(zip(pairs, items))
+
+
 class TestFrobeniusAction:
     def test_unit_cases(self):
+        items = frobenius_items(5)
         for m in range(4):
-            item = frobenius_action_check(0, m)[0]
+            item = items[0, m]
             assert item["pass"]
             assert f"{2 * m}:1" in item["lhs"]
 
     def test_frozen_examples(self):
         assert expected_clebsch_gordan(1, 1) == Counter({4: 1, 0: 1})
         assert expected_clebsch_gordan(2, 1) == Counter({6: 1, 2: 1})
-        assert frobenius_action_check(1, 1)[0]["pass"]
-        assert frobenius_action_check(2, 1)[0]["pass"]
+        items = frobenius_items(5)
+        assert items[1, 1]["pass"]
+        assert items[2, 1]["pass"]
 
     def test_grid(self):
-        for n in range(4):
-            for m in range(4):
-                assert frobenius_action_check(n, m)[0]["pass"]
+        assert all(item["pass"] for item in frobenius_items(5).values())
 
     def test_quantum_side_matches_tensor(self):
         # The check reads characters only; the tensor module stays the reference.
+        items = frobenius_items(5)
         for n in range(4):
             for m in range(4):
                 want = jh(qsl2.tensor(qsl2.frobenius_simple(n), qsl2.simple(2 * m)))
                 labels = ", ".join(f"{k}:{want[k]}" for k in sorted(want, reverse=True))
-                assert frobenius_action_check(n, m)[0]["rhs"] == "{" + labels + "}"
+                assert items[n, m]["rhs"] == "{" + labels + "}"
 
     def test_shifted_weight_fails(self, monkeypatch):
         real = qsl2.frobenius_simple
@@ -546,10 +558,8 @@ class TestFrobeniusAction:
             return qsl2.QMod(weights, fs.e, fs.f, fs.e2, fs.f2)
 
         monkeypatch.setattr(qsl2, "frobenius_simple", shifted)
-        for n in range(3):
-            for m in range(3):
-                item = frobenius_action_check(n, m)[0]
-                assert not item["pass"], item
+        for item in frobenius_items(5).values():
+            assert not item["pass"], item
 
     def test_wrong_product_coefficient_names_the_per_key_error(self, monkeypatch):
         # The top coefficient of every weight-character product raised by
@@ -566,10 +576,11 @@ class TestFrobeniusAction:
             return low, step, coeffs
 
         monkeypatch.setattr(characters, "_packed_product", bumped)
-        item = frobenius_action_check(0, 0)[0]
+        items = frobenius_items(5)
+        item = items[0, 0]
         assert not item["pass"] and item["rhs"] == "{0:2}"
         for n, m in [(1, 1), (2, 1), (3, 2)]:
-            item = frobenius_action_check(n, m)[0]
+            item = items[n, m]
             fs, sm = qsl2.char(qsl2.frobenius_simple(n)), qsl2.char(qsl2.simple(2 * m))
             low, step, coeffs = bumped(fs, sm)
             product = {low + step * i: c for i, c in enumerate(coeffs) if c}
@@ -581,22 +592,25 @@ class TestFrobeniusAction:
         assert item["rhs"] == "<multiplicity -1 at -10: not a character>"
 
     def test_identity_canonical_map_fails(self, monkeypatch):
-        # The quantum side reads the solved map: taken as the identity, the
-        # image of weyl(2m) is all of it, which is not simple for m >= 1.
+        # The quantum side reads each label's own solved map: taking the one
+        # of weyl(4) as the identity, its image is all of weyl(4), which is
+        # not simple, and only the items of m = 2 fail.
         real = qsl2.canonical_map
 
-        def identity_if_even(n):
-            return QMatrix.identity(n + 1) if n % 2 == 0 else real(n)
+        def identity_at_4(n):
+            return QMatrix.identity(n + 1) if n == 4 else real(n)
 
-        monkeypatch.setattr(qsl2, "canonical_map", identity_if_even)
-        qsl2.image_char.cache_clear()
-        try:
-            for n in range(4):
-                for m in range(1, 5):
-                    assert not frobenius_action_check(n, m)[0]["pass"], (n, m)
-        finally:
-            qsl2.image_char.cache_clear()
+        monkeypatch.setattr(qsl2, "canonical_map", identity_at_4)
+        for (n, m), item in frobenius_items(4).items():
+            assert item["pass"] == (m != 2), (n, m)
+
+    def test_character_side_factor_of_sign_minus_is_an_error(self, monkeypatch):
+        # Convolving with the odd simples of sign - gives factors of sign -.
+        real = equivalence.simple_char
+        monkeypatch.setattr(equivalence, "simple_char", lambda n, sign: real(n, "-"))
+        with pytest.raises(InternalInconsistencyError, match="on the character side"):
+            list(frobenius_action_check(1))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            frobenius_action_check(-1, 0)
+            list(frobenius_action_check(-1))

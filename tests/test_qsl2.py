@@ -473,10 +473,10 @@ class TestOrientation:
             )
 
     def test_even_simple(self):
-        # simple(2n) is frobenius_simple(n), whose rows test_frobenius_simple
-        # pins.
+        # simple(2n) is a fresh frobenius_simple(n), whose rows
+        # test_frobenius_simple pins.
         for n in range(13):
-            assert simple(2 * n) is frobenius_simple(n)
+            assert simple(2 * n) == frobenius_simple(n)
 
     def test_projective(self):
         # P(6) = simple(7) (x) simple(1), and both factors are Weyl modules.
