@@ -216,10 +216,13 @@ def _suite_zigzag(max_n: int) -> Iterator[dict]:
     """Truncations N = 0..max_n in order.  Each quiver extends the one of
     N - 1, so every Hom space is solved once, and each gauge extends the one
     of N - 1 when ``gauge_fix`` finds its quiver unchanged.  After a failure
-    the next truncation starts from scratch."""
+    the next truncation starts from scratch.  One product memo, keyed by
+    matrix value, serves every truncation, so each product is computed once
+    per sweep, and is dropped with the sweep."""
     from . import equivalence
 
     prev = None  # (quiver, gauge) of N - 1, if both were built
+    memo: dict = {}  # compare_zigzag's products, by the matrices they read
     for n in range(max_n + 1):
         try:
             hq = equivalence.hom_quiver(n, prev[0] if prev else None)
@@ -235,7 +238,7 @@ def _suite_zigzag(max_n: int) -> Iterator[dict]:
         }
         try:
             gauge = equivalence.gauge_fix(hq, prev)
-            compared = equivalence.compare_zigzag(hq, gauge)
+            compared = equivalence.compare_zigzag(hq, gauge, memo)
         except VerificationError as exc:
             yield _failed(f"N={n}: gauge fixing", exc, "zigzag generators")
             prev = None

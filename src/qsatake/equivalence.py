@@ -8,10 +8,12 @@ two-step composites through neighbouring vertices agree, extending the gauge
 of N - 1 when it is given and its quiver is unchanged, and
 ``compare_zigzag`` then demands exact equality of every product of
 gauge-fixed generators with the zigzag algebra's nonzero products (0 for a
-pair that has none), computing each product once per value of the matrices
-it reads.  Only composable pairs and pairs the table stores need that work;
-the structural zeros between them, 0 on both sides, are reported as runs,
-one item standing for a stretch of passing pairs.  ``frobenius_action_check``
+pair that has none).  Each product is computed once per value of the
+matrices it reads, in a dict memo that the zigzag sweep owns and drops with
+the sweep; a passing relation prints the table's terms.  Only composable
+pairs and pairs the table stores need that work; the structural zeros
+between them, 0 on both sides, are reported as runs, one item standing for
+a stretch of passing pairs.  ``frobenius_action_check``
 is the frobenius sweep: for every pair n, m <= max_n it compares convolution
 with a Satake image against tensoring with a Frobenius pullback, as
 characters, building each label's inputs once.  Everything is exact
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from functools import lru_cache
 
 from . import modtools, qsl2, zigzag
 from .characters import (
@@ -39,7 +40,7 @@ from .errors import (
     NotACharacterError,
     VerificationError,
 )
-from .linalg import QMatrix, reduce_rows
+from .linalg import QMatrix
 from .modtools import coords_in_basis
 from .record import Record
 from .satake import expected_clebsch_gordan
@@ -192,19 +193,6 @@ def _gauge_basis(gauge: dict[Label, QMatrix], src: int, tgt: int):
     return labels, tuple(gauge[lab] for lab in labels)
 
 
-# The memos below are keyed by matrices, never by labels, so a corrupted
-# quiver or gauge can only meet its own entries.  The zigzag sweep reads at N
-# every gauge basis and product of the gauge it extended from N - 1, so the
-# LRU must hold one truncation: at --max M that needs 3 M + 2 bases and
-# 16 M - 2 products, and 1024 and 4096 entries cover --max 340 and 256.
-@lru_cache(maxsize=1024)
-def _independent(mats: tuple[QMatrix, ...]) -> bool:
-    """Whether the matrices are linearly independent."""
-    rows = [{i * m.cols + j: v for i, j, v in m.nonzero_entries()} for m in mats]
-    return len(reduce_rows(rows)) == len(rows)
-
-
-@lru_cache(maxsize=4096)
 def _product_matches(u: QMatrix, v: QMatrix, terms: tuple) -> bool:
     """Whether u @ v equals the sum of c * m over the (m, c) in ``terms``.
 
@@ -233,7 +221,9 @@ def _solved_lhs(prod: QMatrix, labels: list, mats: tuple) -> str:
     return zigzag.element_str({lab: c for lab, c in zip(labels, coords) if c})
 
 
-def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> list[dict]:
+def compare_zigzag(
+    hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None, memo: dict | None = None
+) -> list[dict]:
     """Recompute every product of gauge-fixed generators against the table.
 
     The report covers every ordered basis pair (u, v) of ZigzagAlgebra(N), u
@@ -251,20 +241,22 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
     ``u*v`` of those v, in order.  A run is never empty.
 
     A composable item is decided by whether gauge[u] @ gauge[v] equals the
-    table's value written in gauge matrices.  That test is memoized by the
-    matrices it reads (those of u, v and of the table's terms), so a
-    truncation whose gauge extends the one of N - 1 (``gauge_fix`` with
-    ``prev``) computes only the products of its new matrices.  ``lhs`` is
-    solved for only on FAIL: on PASS the product equals the table's terms,
-    which are labels of the gauge basis of its Hom space, and when that
-    basis is linearly independent (checked once per basis) they are its only
-    coordinates, so ``lhs`` is ``rhs``.  A dependent basis is solved for as
-    on FAIL.
+    table's value written in gauge matrices.  Each decision is kept in
+    ``memo`` (a fresh dict when None) under the matrices it reads, those of
+    u, v and of the table's terms, never under labels, so a corrupted gauge
+    meets only its own entries.  A sweep that passes one dict to every
+    truncation, each gauge extending the one of N - 1 (``gauge_fix`` with
+    ``prev``), computes only the products of the new matrices, and drops
+    them all with the dict.  On PASS ``lhs`` is ``rhs``: the product equals
+    the table's terms, labels of the gauge basis of its Hom space.  On FAIL
+    ``lhs`` is the product solved for its coordinates in that basis.
     """
     n = hq.n
     algebra = zigzag.make(n)
     if gauge is None:
         gauge = gauge_fix(hq)
+    if memo is None:
+        memo = {}
     basis, mult = algebra.basis, algebra.mult
     names = tuple(label_str(u) for u in basis)
     position = {u: k for k, u in enumerate(basis)}
@@ -297,12 +289,15 @@ def compare_zigzag(hq: HomQuiver, gauge: dict[Label, QMatrix] | None = None) -> 
                     }
                 )
                 continue
-            labels, mats = _gauge_basis(gauge, zigzag.source(v), u_target)
             terms = tuple((gauge[w], c) for w, c in expected.items())
-            ok = _product_matches(gauge[u], gauge[v], terms)
-            if ok and _independent(mats):
+            key = (gauge[u], gauge[v], terms)
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = _product_matches(*key)
+            if ok:
                 lhs = rhs
             else:
+                labels, mats = _gauge_basis(gauge, zigzag.source(v), u_target)
                 lhs = _solved_lhs(gauge[u] @ gauge[v], labels, mats)
             items.append({"relation": relation, "lhs": lhs, "rhs": rhs, "pass": ok})
         if start < len(basis):

@@ -421,7 +421,7 @@ class TestVerify:
         assert "FAIL blocks: forced" in out
 
     def test_gauge_failure_is_reported(self, capsys, monkeypatch, with_doubled_arrow):
-        # A clean run first fills the memos; they must not hide the failure.
+        # A clean run first; nothing it computed may hide the failure.
         code, out, _ = run(capsys, "verify", "zigzag", "--max", "2")
         assert code == 0
         assert out.splitlines()[-1] == "zigzag: 143 checks, 0 failures"
@@ -508,6 +508,18 @@ class TestSweepReuse:
         )
         assert all(item["pass"] for item in expand_runs(cli._suite_zigzag(6)))
         assert spins == [4 * a + 4 for a in range(7)]
+
+    def test_zigzag_compares_each_product_once(self, monkeypatch):
+        # 16 N + 5 products at --max N, each computed once; a second sweep
+        # computes them all again, so none outlives the sweep that made it.
+        calls = []
+        real = equivalence._product_matches
+        monkeypatch.setattr(
+            equivalence, "_product_matches", lambda *key: calls.append(1) or real(*key)
+        )
+        for sweeps in (1, 2):
+            assert all(item["pass"] for item in expand_runs(cli._suite_zigzag(6)))
+            assert len(calls) == sweeps * (16 * 6 + 5)
 
     def test_frobenius_solves_each_canonical_map_once_at_max_64(self, monkeypatch):
         # Each label's image and pullback are built once for the whole sweep.

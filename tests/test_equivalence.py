@@ -321,15 +321,12 @@ class TestCompareZigzag:
 
     def test_memo_is_keyed_by_value(self):
         # A clean run first fills the product memo; the corrupted gauge shares
-        # every label with it and must still fail.
+        # every label with it, reads the same memo and must still fail.
         hq = hom_quiver(2)
-        assert all(it["pass"] for it in compare_zigzag(hq))
-        items = compare_zigzag(hq, y2_scaled_gauge(hq))
+        memo: dict = {}
+        assert all(it["pass"] for it in compare_zigzag(hq, memo=memo))
+        items = compare_zigzag(hq, y2_scaled_gauge(hq), memo)
         assert [it["relation"] for it in items if not it["pass"]] == ["x1*y2", "y2*x1"]
-
-    def test_memos_are_bounded(self):
-        assert equivalence._product_matches.cache_info().maxsize is not None
-        assert equivalence._independent.cache_info().maxsize is not None
 
 
 def compared(hq: HomQuiver, gauge: dict | None = None) -> list[dict]:
@@ -340,7 +337,8 @@ def compared(hq: HomQuiver, gauge: dict | None = None) -> list[dict]:
 class TestAgainstReference:
     """The runs, the memo and the solve-on-FAIL rule give the items of the
     reference that lists every pair and solves every product afresh, on
-    passing and failing inputs."""
+    passing and failing inputs; only over a dependent gauge basis does a
+    passing lhs differ, being the table's terms."""
 
     @pytest.mark.parametrize("n", range(13))
     def test_clean(self, n):
@@ -381,14 +379,25 @@ class TestAgainstReference:
         assert compared(hq, gauge) == reference_compare_zigzag(hq, gauge)
 
     def test_dependent_gauge_basis_is_solved(self):
-        # z0 = 2 e0 makes the basis of End P(0) dependent; e0*z0 passes, but its
-        # lhs is the solver's coordinates, not the table's.
+        # z0 = 2 e0 makes the basis of End P(0) dependent.  A passing lhs is
+        # the table's terms, an exact expression of the product in that
+        # basis; only the failing z0*z0 is solved, as by the reference, which
+        # solves every lhs.
         hq = hom_quiver(0)
         gauge = gauge_fix(hq)
         gauge[("z", 0)] = gauge[("e", 0)].scale(2)
         items = compared(hq, gauge)
-        assert items == reference_compare_zigzag(hq, gauge)
-        assert {"relation": "e0*z0", "lhs": "2*e0", "rhs": "z0", "pass": True} in items
+        assert items == [
+            {"relation": "e0*e0", "lhs": "e0", "rhs": "e0", "pass": True},
+            {"relation": "e0*z0", "lhs": "z0", "rhs": "z0", "pass": True},
+            {"relation": "z0*e0", "lhs": "z0", "rhs": "z0", "pass": True},
+            {"relation": "z0*z0", "lhs": "4*e0", "rhs": "0", "pass": False},
+        ]
+        reference = reference_compare_zigzag(hq, gauge)
+        assert [{**it, "lhs": None} for it in items] == [
+            {**it, "lhs": None} for it in reference
+        ]
+        assert [it["lhs"] for it in reference if not it["pass"]] == ["4*e0"]
 
 
 def with_stored_product(monkeypatch, u, v, value) -> None:
