@@ -12,7 +12,6 @@ convention L(-1) = 0 is applied throughout.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from types import MappingProxyType
 
 from .characters import (
@@ -57,8 +56,8 @@ class FormalPerv(Record):
     ``character`` is a ``SignedCharacter``, ``jh`` a read-only view of a
     Counter of simple labels (a copy of the one given) and
     ``standard_filtration`` a tuple of standard labels or None.  The
-    constructor checks that they agree, and no field can change, so
-    ``formal`` can share one object among its callers.
+    constructor checks that they agree, and no field can change, so a
+    Counter given in can neither be changed through the object nor change it.
     """
 
     __slots__ = ("kind", "n", "sign", "character", "jh", "standard_filtration")
@@ -95,32 +94,25 @@ def _projective_char(n: int, sign: str) -> tuple[SignedCharacter, tuple | None]:
     return conv(simple_char(n + 1, sign), p1), None
 
 
-# Keyed by (kind, n, sign).  The bgg suite at --max M reads 7M + 13 labels
-# (standard(2n + 1) and costandard(2n + 1) in verify_odd_ses, costandard(m)
-# for m <= 2M + 5 and projective(2n + 1)+ in verify_bgg), the costandards
-# twice, so 512 entries cover --max 71.
-@lru_cache(maxsize=512)
 def formal(kind: str, n: int, sign: str) -> FormalPerv:
-    """The bookkeeping object for one label, cached by value: a
-    ``FormalPerv`` cannot change, so callers can share one."""
+    """The bookkeeping object for one label, built at each call.  A standard
+    and a costandard at one label have one character; the standard adds its
+    one-step standard filtration."""
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     if sign not in SIGNS:
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
     if n < 0:
         raise DomainError(f"label requires n >= 0, got {n}")
-    if kind == STANDARD:
-        # Standard and costandard objects at one label have one character,
-        # so the standard reuses the costandard's character and content.
-        co = formal(COSTANDARD, n, sign)
-        return FormalPerv(kind, n, sign, co.character, co.jh, ((n, sign),))
     filtration: tuple | None = None
     if kind == SIMPLE:
         character = simple_char(n, sign)
-    elif kind == COSTANDARD:
-        character = standard_char(n, sign)
-    else:
+    elif kind == PROJECTIVE:
         character, filtration = _projective_char(n, sign)
+    else:
+        character = standard_char(n, sign)
+        if kind == STANDARD:
+            filtration = ((n, sign),)
     return FormalPerv(kind, n, sign, character, jh_decompose(character), filtration)
 
 
@@ -128,27 +120,27 @@ def verify_odd_ses(n: int) -> list[dict]:
     """Character additivity of the odd short exact sequences at weight 2n+1.
 
     0 -> L(2n-1) -> standard(2n+1) -> L(2n+1) -> 0 and its costandard mirror,
-    for both signs, with L(-1) = 0.  Equal characters print the same, so a
-    passing item formats one side, and the character that a standard shares
-    with its costandard is formatted once.
+    for both signs, with L(-1) = 0.  A standard and its costandard have one
+    character, ``standard_char(2n+1, sign)`` (see ``formal``), which is read
+    and formatted once per sign; equal characters print the same, so a
+    passing item formats one side.
     """
     if n < 1:
         raise DomainError(f"verify_odd_ses requires n >= 1, got {n}")
     items = []
     for sign in SIGNS:
         pieces = simple_char(2 * n - 1, sign) + simple_char(2 * n + 1, sign)
-        shown = None  # (character, its text) of the kind before
+        character = standard_char(2 * n + 1, sign)
+        ok = character == pieces
+        lhs = str(character)
+        rhs = lhs if ok else str(pieces)
         for kind in (STANDARD, COSTANDARD):
-            character = formal(kind, 2 * n + 1, sign).character
-            if shown is None or shown[0] is not character:
-                shown = character, str(character)
-            ok = character == pieces
             items.append(
                 {
                     "relation": f"ch {kind}({2 * n + 1}){sign} == "
                     f"ch L({2 * n - 1}){sign} + ch L({2 * n + 1}){sign}",
-                    "lhs": shown[1],
-                    "rhs": shown[1] if ok else str(pieces),
+                    "lhs": lhs,
+                    "rhs": rhs,
                     "pass": ok,
                 }
             )

@@ -665,6 +665,28 @@ class TestReportBytes:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "command, fmt, digest",
+        [
+            ("char", "text", "2f12de71fd50f2f0556b70792b5dba1c968e0e9e75e52bf1d183929e9d372560"),
+            ("char", "json", "09a30dcfd36096399d6ea1a36b39644c5d14329e1f7e7f5b5aa0b9abef680b5d"),
+            ("jh", "text", "c7eef4aa380d73b963c7d3565ec2031e284cc1a540bb38f0c9aecd8c40df8a5f"),
+            ("jh", "json", "e0439fe9ac7ca4cb953b121bd257788583b7db44d4d5577d3bd52f3d7466b995"),
+        ],
+    )
+    def test_object_report_digest(self, capsys, command, fmt, digest):
+        # Every kind, both signs and labels 0..40, one output after another;
+        # recorded from the ``formal`` that cached its objects by value and
+        # copied a standard from its costandard.
+        out = []
+        for kind in satake.KINDS:
+            for sign in "+-":
+                for n in range(41):
+                    code, text, _ = run(capsys, command, kind, str(n), sign, "--format", fmt)
+                    assert code == 0
+                    out.append(text)
+        assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == digest
+
 
 GOLDEN = json.loads(
     (REPO_ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8")

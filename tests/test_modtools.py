@@ -58,6 +58,25 @@ class TestHom:
                 got = len(hom(projective(2 * n), simple(2 * m)))
                 assert got == (1 if n == m else 0)
 
+    def test_odd_weyl_modules_lie_outside_the_principal_block(self):
+        # The zigzag comparison reads only even labels: no map joins P(2a)
+        # and weyl(2b+1) either way, and weyl(2b+1) has no even factor.
+        odd = [weyl(2 * b + 1) for b in range(14)]
+        for w in odd:
+            assert all(label % 2 == 1 for label in jh(w))
+        for a in range(13):
+            p = projective(2 * a)
+            for w in odd:
+                assert hom(p, w) == () and hom(w, p) == ()
+
+    def test_weyl_and_dual_weyl_are_orthogonal_off_the_diagonal(self):
+        duals = [dual_weyl(mu) for mu in range(16)]
+        for lam in range(16):
+            w = weyl(lam)
+            for mu, d in enumerate(duals):
+                if mu != lam:
+                    assert hom(w, d) == ()
+
     @pytest.mark.parametrize(
         "a, b, digest",
         [

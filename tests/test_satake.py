@@ -62,10 +62,7 @@ def reference_bgg(n: int) -> list[dict]:
 @pytest.fixture
 def twist_at(monkeypatch):
     """A function that makes ``satake.<name>(n, sign)`` return the sign twist
-    of the true character at one label n, for the rest of the test.  The
-    ``formal`` cache is emptied on both sides of the test, so no object built
-    before reads the true character and none built with the twist outlives
-    it."""
+    of the true character at one label n, for the rest of the test."""
 
     def install(name: str, n: int) -> None:
         true = getattr(satake, name)
@@ -75,9 +72,7 @@ def twist_at(monkeypatch):
             lambda m, sign: sign_twist(true(m, sign)) if m == n else true(m, sign),
         )
 
-    formal.cache_clear()
-    yield install
-    formal.cache_clear()
+    return install
 
 
 class TestFormal:
@@ -157,10 +152,8 @@ class TestFormal:
             assert content[(2 * n + 4, "+")] == 1
             assert max(k for k, _ in content) == 2 * n + 4
 
-    def test_cache_shares_one_read_only_object(self):
-        assert formal.cache_info().maxsize == 512
+    def test_content_is_a_read_only_copy(self):
         obj = formal("costandard", 5, "+")
-        assert formal("costandard", 5, "+") is obj
         with pytest.raises(TypeError):
             obj.jh[(5, "+")] = 2
         assert obj.jh == Counter({(5, "+"): 1, (3, "+"): 1})
@@ -259,8 +252,9 @@ class TestVerifiers:
         assert costandards == {(m, s): 1 for m in range(2 * 8 + 6) for s in "+-"}
 
     def test_bgg_suite_builds_each_label_once(self, monkeypatch):
-        # verify_odd_ses and verify_bgg share the costandards at odd labels:
-        # the bgg suite at --max M builds 7M + 13 labels, each once.
+        # verify_odd_ses reads the standard characters and builds no object,
+        # so the bgg suite at --max M builds 5M + 13 labels, each once: the
+        # 4M + 12 costandards and M + 1 odd projectives of verify_bgg.
         built = Counter()
         true = satake.FormalPerv
 
@@ -269,11 +263,10 @@ class TestVerifiers:
             return true(kind, n, sign, *rest)
 
         monkeypatch.setattr(satake, "FormalPerv", counting)
-        formal.cache_clear()
         for n in range(1, 9):
             assert all_pass(verify_odd_ses(n))
         assert all_pass(verify_bgg(8))
-        assert len(built) == 7 * 8 + 13 and set(built.values()) == {1}
+        assert len(built) == 5 * 8 + 13 and set(built.values()) == {1}
 
     def test_bgg_rejects_negative_bound(self):
         with pytest.raises(DomainError):
@@ -317,6 +310,18 @@ class TestVerifierCorruptions:
         twist_at("simple_char", 1)
         items = verify_odd_ses(1)
         assert all(it["lhs"] != it["rhs"] for it in items if not it["pass"])
+        assert failed(items) == [
+            f"ch {kind}(3){s} == ch L(1){s} + ch L(3){s}"
+            for s in ("+", "-")
+            for kind in ("standard", "costandard")
+        ]
+        assert all_pass(verify_odd_ses(2))
+
+    def test_odd_ses_with_wrong_standard(self, twist_at):
+        # A standard and its costandard read one character, so both fail.
+        twist_at("standard_char", 3)
+        items = verify_odd_ses(1)
+        assert all(it["lhs"] != it["rhs"] for it in items)
         assert failed(items) == [
             f"ch {kind}(3){s} == ch L(1){s} + ch L(3){s}"
             for s in ("+", "-")

@@ -11,7 +11,9 @@ its name only, so it shares those with every same-named attribute.
 re-exports nothing, so library code imports from the modules themselves, as
 the README's library example does, which runs here as written.  The package
 also imports nothing outside the standard library, and its caches are
-bounded and are the three of the character suites that a sweep rereads.
+bounded and are the two character caches that a sweep rereads.  Every name
+that only the acceptance suite or the span table calls is listed in the
+README's library surface.
 The installed command is ``cli.run``, as for ``python -m qsatake.cli``, and
 since ``run`` ends the process with ``os._exit``, nothing registers
 ``atexit`` work.
@@ -86,10 +88,10 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
-def _unreferenced() -> list[str]:
+def _unreferenced(callers=CALLERS) -> list[str]:
     trees = _package_trees()
     found = {module: _referenced_names(tree) for module, tree in trees.items()}
-    for path in CALLERS:
+    for path in callers:
         found[path.name] = _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
     out = []
     for qualified, node, home, keys in _public_definitions(trees):
@@ -109,6 +111,15 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_names_only_uncalled_definitions():
     # An entry that is gone, or that gained a caller, no longer needs to be here.
     assert sorted(set(_unreferenced()) & ALLOWED) == sorted(ALLOWED)
+
+
+def test_readme_lists_every_name_without_a_package_caller():
+    # A name that only the acceptance suite or the span table calls is kept
+    # for that caller, which the README's library surface says.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Library surface\n", 1)[1].split("\n#", 1)[0]
+    missing = [name for name in _unreferenced(callers=()) if f"`{name}`" not in section]
+    assert missing == [], f"kept for a caller outside the package, not in README: {missing}"
 
 
 def test_package_imports_only_the_standard_library():
@@ -152,11 +163,7 @@ def test_every_cache_is_bounded():
 def test_caches_are_the_ones_a_sweep_rereads():
     # Each serves a sweep that reads its keys again, named in its comment; a
     # value derived from an immutable object is kept on the object instead.
-    assert sorted(_caches()) == [
-        "characters.simple_char",
-        "characters.standard_char",
-        "satake.formal",
-    ]
+    assert sorted(_caches()) == ["characters.simple_char", "characters.standard_char"]
 
 
 def test_installed_command_is_the_process_entry_point():
