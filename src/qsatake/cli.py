@@ -31,10 +31,11 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
 from . import satake
-from .characters import display_order
+from .characters import SIGNS, display_order
 from .errors import DomainError, VerificationError
 
 MAX_GUARD = 24
+_DEFAULT_MAX = 6
 
 
 def build_parser():
@@ -69,9 +70,9 @@ def build_parser():
             p.add_argument(
                 "--max",
                 type=int,
-                default=6,
+                default=_DEFAULT_MAX,
                 dest="max_n",
-                help=f"truncation bound (default 6, capped at {MAX_GUARD})",
+                help=f"truncation bound (default %(default)s, capped at {MAX_GUARD})",
             )
             p.add_argument(
                 "--force",
@@ -405,13 +406,12 @@ _COMMANDS = {
 
 
 _FORMATS = ("text", "json")
-_SIGNS = ("+", "-")
 # Each command's positionals in order, as (dest, choices), with ``int`` in
 # place of choices for an integer: the grammar ``build_parser`` and
 # ``_plain_args`` share.
 _POSITIONALS = {
-    "char": (("kind", satake.KINDS), ("n", int), ("sign", _SIGNS)),
-    "jh": (("kind", satake.KINDS), ("n", int), ("sign", _SIGNS)),
+    "char": (("kind", satake.KINDS), ("n", int), ("sign", SIGNS)),
+    "jh": (("kind", satake.KINDS), ("n", int), ("sign", SIGNS)),
     "verify": (("suite", SUITES),),
     "homdim": (("a", int), ("b", int)),
 }
@@ -441,7 +441,7 @@ def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     options = _VERIFY_OPTIONS if verify else _OPTIONS
     values = {"command": argv[0], "fmt": "text", "output": None}
     if verify:
-        values.update(max_n=6, force=False)
+        values.update(max_n=_DEFAULT_MAX, force=False)
     positionals, settings = [], []
     tokens = iter(argv[1:])
     for token in tokens:

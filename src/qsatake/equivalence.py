@@ -3,9 +3,10 @@ P(0), P(2), ..., P(2N) and the presented zigzag algebra on vertices 0..N.
 
 ``hom_quiver`` solves every pairwise Hom space exactly, extending the
 quiver of N - 1 by the 2N + 1 pairs that involve P(2N) when it is given, and
-checks the 2/1/0 dimension pattern.  ``gauge_fix`` rescales generators so the
-two-step composites through neighbouring vertices agree, extending the gauge
-of N - 1 when it is given and its quiver is unchanged, and
+checks each dimension against the zigzag algebra's basis labels of that Hom
+space (``_hom_labels``).  ``gauge_fix`` rescales generators so the two-step
+composites through neighbouring vertices agree, extending the gauge of N - 1
+when it is given and its quiver is unchanged, and
 ``compare_zigzag`` then demands exact equality of every product of
 gauge-fixed generators with the zigzag algebra's nonzero products (0 for a
 pair that has none).  Each product is computed once per value of the
@@ -17,8 +18,8 @@ a stretch of passing pairs.  ``frobenius_action_check``
 is the frobenius sweep: for every pair n, m <= max_n it compares convolution
 with a Satake image against tensoring with a Frobenius pullback, as
 characters, building each label's inputs once.  Everything is exact
-arithmetic over Q(i); a failed relation is report content, while a wrong
-Hom dimension pattern is a hard verification error.
+arithmetic over Q(i); a failed relation is report content, while a Hom
+dimension other than its label count is a hard verification error.
 """
 
 from __future__ import annotations
@@ -66,12 +67,14 @@ class HomQuiver(Record):
         ]
 
 
-def _expected_dim(a: int, b: int) -> int:
-    if a == b:
-        return 2
-    if abs(a - b) == 1:
-        return 1
-    return 0
+def _hom_labels(basis: tuple[Label, ...]) -> dict[tuple[int, int], list[Label]]:
+    """The zigzag algebra's ``basis`` by Hom space: (a, b) maps to the labels
+    from vertex a to vertex b in basis order (e_a, z_a for a = b).  A pair
+    with no entry has no label."""
+    labels: dict[tuple[int, int], list[Label]] = {}
+    for u in basis:
+        labels.setdefault((zigzag.source(u), zigzag.target(u)), []).append(u)
+    return labels
 
 
 def hom_quiver(n: int, prev: HomQuiver | None = None) -> HomQuiver:
@@ -80,9 +83,9 @@ def hom_quiver(n: int, prev: HomQuiver | None = None) -> HomQuiver:
     Without ``prev`` all (N+1)^2 intertwiner systems are solved.  ``prev``
     may be the quiver of N - 1: its modules and Hom bases are kept, the same
     objects, and only the 2N + 1 pairs that involve P(2N) are solved.
-    Raises VerificationError unless dim Hom(P(2a), P(2b)) is 2 for a = b, 1
-    for |a - b| = 1 and 0 otherwise, and DomainError when ``prev`` is not of
-    N - 1.
+    Raises VerificationError unless dim Hom(P(2a), P(2b)) is the number of
+    zigzag basis labels from vertex a to vertex b, and DomainError when
+    ``prev`` is not of N - 1.
     """
     if n < 0:
         raise DomainError(f"hom_quiver requires N >= 0, got {n}")
@@ -94,10 +97,11 @@ def hom_quiver(n: int, prev: HomQuiver | None = None) -> HomQuiver:
         top = modules[c]
         homs = [row + (modtools.hom(m, top),) for row, m in zip(homs, modules)]
         homs.append(tuple(modtools.hom(top, m) for m in modules))
+    labels = _hom_labels(zigzag.make(n).basis)
     for a in range(n + 1):
         for b in range(n + 1):
             got = len(homs[a][b])
-            want = _expected_dim(a, b)
+            want = len(labels.get((a, b), ()))
             if got != want:
                 raise VerificationError(
                     f"dim Hom(P({2 * a}), P({2 * b})) = {got}, expected {want}"
@@ -141,15 +145,13 @@ def gauge_fix(
     every N <= 1, since z_0 at N = 0 is the radical, not y_1 x_0.
     """
     n = hq.n
-    if n == 0:
-        return {
-            ("e", 0): QMatrix.identity(hq.modules[0].dim),
-            ("z", 0): modtools.radical_element(hq.hom(0, 0)),
-        }
     if _extends(hq, prev):
         gauge, start = dict(prev[1]), n
     else:
         gauge, start = {("e", 0): QMatrix.identity(hq.modules[0].dim)}, 1
+    if n == 0:
+        gauge[("z", 0)] = modtools.radical_element(hq.hom(0, 0))
+        return gauge
     for a in range(start, n + 1):  # add vertex a
         gauge[("e", a)] = QMatrix.identity(hq.modules[a].dim)
         x = gauge[("x", a - 1)] = hq.hom(a - 1, a)[0]
@@ -180,19 +182,6 @@ def gauge_fix(
     return gauge
 
 
-def _gauge_basis(gauge: dict[Label, QMatrix], src: int, tgt: int):
-    """The gauge-fixed basis (labels and matrices) of Hom(P(2 src), P(2 tgt))."""
-    if src == tgt:
-        labels = [("e", src), ("z", src)]
-    elif tgt == src + 1:
-        labels = [("x", src)]
-    elif tgt == src - 1:
-        labels = [("y", src)]
-    else:
-        labels = []
-    return labels, tuple(gauge[lab] for lab in labels)
-
-
 def _product_matches(u: QMatrix, v: QMatrix, terms: tuple) -> bool:
     """Whether u @ v equals the sum of c * m over the (m, c) in ``terms``.
 
@@ -210,12 +199,13 @@ def _product_matches(u: QMatrix, v: QMatrix, terms: tuple) -> bool:
     return prod == want
 
 
-def _solved_lhs(prod: QMatrix, labels: list, mats: tuple) -> str:
-    """``prod`` written in the gauge basis, by solving for its coordinates."""
-    if not mats:
+def _solved_lhs(prod: QMatrix, labels: list[Label], gauge: dict) -> str:
+    """``prod`` written in the gauge basis ``labels``, by solving for its
+    coordinates in their gauge matrices."""
+    if not labels:
         return "0" if prod.is_zero() else "<outside hom space>"
     try:
-        coords = coords_in_basis(list(mats), prod)
+        coords = coords_in_basis([gauge[lab] for lab in labels], prod)
     except NoSolutionError:
         return "<not in gauge span>"
     return zigzag.element_str({lab: c for lab, c in zip(labels, coords) if c})
@@ -297,8 +287,8 @@ def compare_zigzag(
             if ok:
                 lhs = rhs
             else:
-                labels, mats = _gauge_basis(gauge, zigzag.source(v), u_target)
-                lhs = _solved_lhs(gauge[u] @ gauge[v], labels, mats)
+                labels = _hom_labels(basis).get((zigzag.source(v), u_target), [])
+                lhs = _solved_lhs(gauge[u] @ gauge[v], labels, gauge)
             items.append({"relation": relation, "lhs": lhs, "rhs": rhs, "pass": ok})
         if start < len(basis):
             items.append(_zero_run(u_name, names[start:]))

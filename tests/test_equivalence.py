@@ -96,9 +96,13 @@ def reference_compare_zigzag(hq: HomQuiver, gauge: dict | None = None) -> list[d
                 )
                 continue
             prod = gauge[u] @ gauge[v]
-            labels, mats = equivalence._gauge_basis(
-                gauge, zigzag.source(v), zigzag.target(u)
-            )
+            labels = [
+                w
+                for w in algebra.basis
+                if zigzag.source(w) == zigzag.source(v)
+                and zigzag.target(w) == zigzag.target(u)
+            ]
+            mats = [gauge[w] for w in labels]
             want = QMatrix.zeros(prod.rows, prod.cols)
             for w, c in expected.items():
                 want = want + gauge[w].scale(c)
@@ -107,7 +111,7 @@ def reference_compare_zigzag(hq: HomQuiver, gauge: dict | None = None) -> list[d
                 lhs = "0" if prod.is_zero() else "<outside hom space>"
             else:
                 try:
-                    coords = coords_in_basis(list(mats), prod)
+                    coords = coords_in_basis(mats, prod)
                     lhs = zigzag.element_str(
                         {lab: c for lab, c in zip(labels, coords) if c}
                     )
@@ -184,6 +188,15 @@ class TestHomQuiver:
     def test_prev_of_another_truncation_is_an_error(self):
         with pytest.raises(DomainError, match="cannot extend the quiver of N = 1"):
             hom_quiver(3, hom_quiver(1))
+
+    def test_checked_label_counts_are_the_zigzag_pattern(self):
+        # The count hom_quiver checks: 2 for a = b, 1 for |a - b| = 1, else 0.
+        for n in range(25):
+            labels = equivalence._hom_labels(zigzag.make(n).basis)
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    want = 2 if a == b else (1 if abs(a - b) == 1 else 0)
+                    assert len(labels.get((a, b), ())) == want, (n, a, b)
 
     def test_extension_checks_the_kept_pairs(self):
         # A kept Hom basis with the wrong dimension still fails the pattern.

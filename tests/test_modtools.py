@@ -26,6 +26,7 @@ from qsatake.qsl2 import (
     tensor,
     weyl,
 )
+from qsatake.satake import expected_clebsch_gordan
 from qsatake.scalars import ONE, GaussianRational
 
 
@@ -76,6 +77,25 @@ class TestHom:
             for mu, d in enumerate(duals):
                 if mu != lam:
                     assert hom(w, d) == ()
+
+    def test_weyl_maps_onto_its_simple_and_the_simple_into_its_dual(self):
+        for n in range(50):
+            assert len(hom(weyl(n), simple(n))) == 1
+            assert len(hom(simple(n), dual_weyl(n))) == 1
+
+    def test_frobenius_pullback_tensor_simple_is_semisimple(self):
+        # Hom(L(k), T) counts the simple summands of T = frobenius_simple(n)
+        # (x) L(2m); they fill T only if T is their direct sum.
+        for n in range(5):
+            for m in range(5):
+                t = tensor(frobenius_simple(n), simple(2 * m))
+                want = expected_clebsch_gordan(n, m)
+                filled = 0
+                for k in range(2 * (n + m) + 1):
+                    got = len(hom(simple(k), t))
+                    assert got == want[k], (n, m, k)
+                    filled += got * simple(k).dim
+                assert filled == t.dim, (n, m)
 
     @pytest.mark.parametrize(
         "a, b, digest",

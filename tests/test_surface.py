@@ -10,7 +10,8 @@ its name only, so it shares those with every same-named attribute.
 ``__init__.py`` holds only the package docstring and ``__version__``; it
 re-exports nothing, so library code imports from the modules themselves, as
 the README's library example does, which runs here as written.  The package
-also imports nothing outside the standard library, and its caches are
+also imports nothing outside the standard library, parses as Python 3.10,
+the floor ``pyproject.toml`` declares, and its caches are
 bounded and are the two character caches that a sweep rereads.  Every name
 that only the acceptance suite or the span table calls is listed in the
 README's library surface.
@@ -139,6 +140,15 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == [], f"imports outside the standard library: {foreign}"
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # pyproject.toml declares Python 3.10; a newer syntax (``except*``, say)
+    # would parse under the interpreter that runs the tests and break there.
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
 
 
 def _caches() -> dict:
