@@ -195,7 +195,9 @@ def cmd_homdim(args) -> int:
             )
     from . import modtools
 
-    dim = len(modtools.hom(modtools.projective(args.a), modtools.projective(args.b)))
+    source = modtools.projective(args.a)
+    target = source if args.b == args.a else modtools.projective(args.b)
+    dim = len(modtools.hom(source, target))
     return _emit_one(args, {"a": args.a, "b": args.b, "dim": dim}, str(dim))
 
 

@@ -5,7 +5,8 @@ alone; module operators shift weight, so almost all of their entries are 0.
 Products, sums, scalings and elimination steps all accumulate a row at a time
 through the one update loop ``scalars.axpy``.  There is no dense form and no
 transpose: module operators are stored once, row j the image of basis vector
-j, and every product and check reads those rows.
+j, and every product and check reads those rows.  A product with a factor
+equal to the identity is the other factor itself, with no arithmetic.
 
 Everything is deterministic: pivoting always takes the first nonzero entry,
 so reduced row echelon form (and therefore every reported basis) is canonical.
@@ -133,8 +134,16 @@ class QMatrix:
         return QMatrix._wrap(self.rows, self.cols, data)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        """The product; when one factor equals the identity it is the other
+        factor itself, as matrices are immutable.  That is decided from the
+        stored entries, so a matrix that differs from the identity anywhere
+        is multiplied in full."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         data: dict[int, dict] = {}
         for i, row in self._data.items():
             acc = vecmat(row, other)
@@ -158,6 +167,17 @@ def _init(m: QMatrix, rows: int, cols: int, data: dict) -> None:
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "_data", data)
     object.__setattr__(m, "_hash", None)
+
+
+def _is_identity(m: QMatrix) -> bool:
+    """Whether m is square with every row exactly {i: 1}."""
+    data = m._data
+    if m.rows != m.cols or len(data) != m.rows:
+        return False
+    for i, row in data.items():
+        if len(row) != 1 or row.get(i) != ONE:
+            return False
+    return True
 
 
 def vecmat(vec: Mapping, m: QMatrix) -> dict:

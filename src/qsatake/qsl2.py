@@ -15,9 +15,9 @@ from collections import Counter
 
 from .characters import WeightCharacter
 from .errors import DomainError, InternalInconsistencyError
-from .linalg import QMatrix, insert_row, kronecker, reduce_rows, vecmat
+from .linalg import QMatrix, insert_row, reduce_rows, vecmat
 from .record import Record
-from .scalars import GaussianRational, I, ONE, ZERO, axpy, gauss_binomial, i_power, qint
+from .scalars import GaussianRational, ONE, ZERO, axpy, gauss_binomial, i_power, qint
 
 
 class QMod(Record):
@@ -39,10 +39,6 @@ class QMod(Record):
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-    def k_matrix(self, power: int = 1) -> QMatrix:
-        """The matrix of K**power: diagonal i^(power * weight)."""
-        return QMatrix.diagonal([i_power(power * w) for w in self.weights])
 
     def operators(self):
         return (("E", self.e), ("F", self.f), ("E2", self.e2), ("F2", self.f2))
@@ -202,12 +198,29 @@ def _generating_spin(m: QMod) -> Spin:
     Greedy in index order: a basis vector joins when it lies outside the span
     spun up from those before it.  Then each chosen vector, in order, is
     dropped if the remaining ones still span m.
+
+    That rule keeps a single vector exactly when one of the chosen ones spans
+    m alone, and then the first such.  So each vector is first spun alone as
+    it is chosen, and the first single spin that covers m is the result; the
+    first failed one is the greedy spin to which the later vectors are
+    added.  A projective is spun from its first basis vector, which spans a
+    proper submodule, and from its second, which is kept, and never again.
     """
     spin = Spin(m)
     for i in range(m.dim):
         if len(spin.pivots) == m.dim:
             break
-        spin.add([{i: ONE}])
+        seed = {i: ONE}
+        if insert_row(dict(spin.pivots), seed) is None:
+            continue  # inside the span so far
+        single = Spin(m)
+        single.add([seed])
+        if len(single.pivots) == m.dim:
+            return single
+        if spin.seeds:
+            spin.add([seed])
+        else:
+            spin = single
     for seed in list(spin.seeds):
         rest = [s for s in spin.seeds if s is not seed]
         if not rest:
@@ -410,27 +423,67 @@ def tensor(m: QMod, n: QMod) -> QMod:
     E -> E(x)1 + K(x)E,  F -> F(x)K^-1 + 1(x)F,
     E2 -> E2(x)1 + q EK(x)E + K^2(x)E2,
     F2 -> F2(x)K^-2 + q F(x)FK^-1 + 1(x)F2,  with q = i.
-    Basis index (a, b) maps to a * n.dim + b; weights add.  The Kronecker
-    products act on rows, so EK and FK^-1 appear as K E and K^-1 F.
+    Basis index (a, b) maps to a * n.dim + b; weights add.  Each operator's
+    rows are written straight from its coproduct terms (``_coproduct``), K
+    acting as i^w on the stored weights; no Kronecker product, identity or K
+    matrix is built, and the result is the Kronecker form for any operators.
     """
-    id_m = QMatrix.identity(m.dim)
-    id_n = QMatrix.identity(n.dim)
-    k_m = m.k_matrix()
-    kinv_n = n.k_matrix(-1)
-    e = kronecker(m.e, id_n) + kronecker(k_m, n.e)
-    f = kronecker(m.f, kinv_n) + kronecker(id_m, n.f)
-    e2 = (
-        kronecker(m.e2, id_n)
-        + kronecker((k_m @ m.e).scale(I), n.e)
-        + kronecker(m.k_matrix(2), n.e2)
-    )
-    f2 = (
-        kronecker(m.f2, n.k_matrix(-2))
-        + kronecker(m.f.scale(I), kinv_n @ n.f)
-        + kronecker(id_m, n.f2)
+    ops = (
+        ((m.e, None, lambda wa, wb: 0), (None, n.e, lambda wa, wb: wa)),
+        ((m.f, None, lambda wa, wb: -wb), (None, n.f, lambda wa, wb: 0)),
+        (
+            (m.e2, None, lambda wa, wb: 0),
+            (m.e, n.e, lambda wa, wb: 1 + wa),
+            (None, n.e2, lambda wa, wb: 2 * wa),
+        ),
+        (
+            (m.f2, None, lambda wa, wb: -2 * wb),
+            (m.f, n.f, lambda wa, wb: 1 - wb),
+            (None, n.f2, lambda wa, wb: 0),
+        ),
     )
     weights = tuple(wm + wn for wm in m.weights for wn in n.weights)
-    return QMod(weights, e, f, e2, f2)
+    return QMod(weights, *(_coproduct(m, n, terms) for terms in ops))
+
+
+def _coproduct(m: QMod, n: QMod, terms) -> QMatrix:
+    """The sum over ``terms`` (x, y, power) of x(x)y with row (a, b) scaled
+    by i^power(weight of a, weight of b), x or y None standing for the
+    identity.  In the row convention a K factor scales the row of the basis
+    vector it acts on, so EK and FK^-1 are E and F with their rows scaled.
+    Only the stored rows of x and y are read; terms that meet at a position
+    add, and a row that cancels is dropped."""
+    dn, mw, nw = n.dim, m.weights, n.weights
+    data: dict[int, dict] = {}
+
+    def add(p: int, exponent: int, vec: dict) -> None:
+        """Row p += i^exponent * vec; a new row at a factor of 1 is vec."""
+        row = data.get(p)
+        if row is None and not exponent % 4:
+            data[p] = vec
+        else:
+            axpy(data.setdefault(p, {}), i_power(exponent), vec)
+
+    for x, y, power in terms:
+        if y is None:
+            for a, xrow in x._data.items():
+                for b, wb in enumerate(nw):
+                    vec = {k * dn + b: v for k, v in xrow.items()}
+                    add(a * dn + b, power(mw[a], wb), vec)
+        elif x is None:
+            for b, yrow in y._data.items():
+                for a, wa in enumerate(mw):
+                    vec = {a * dn + l: v for l, v in yrow.items()}
+                    add(a * dn + b, power(wa, nw[b]), vec)
+        else:
+            for a, xrow in x._data.items():
+                for b, yrow in y._data.items():
+                    vec = {
+                        k * dn + l: u * v for k, u in xrow.items() for l, v in yrow.items()
+                    }
+                    add(a * dn + b, power(mw[a], nw[b]), vec)
+    d = m.dim * dn
+    return QMatrix._wrap(d, d, {p: row for p, row in data.items() if row})
 
 
 def char(m: QMod) -> WeightCharacter:

@@ -1,8 +1,10 @@
 """Module helpers for the tests: direct sums, operators in the column
 convention, the JSON dump of a module, the dense matrix forms (builder,
 transpose, text) that only the tests use, the reference construction of
-the even simples as the image of the canonical map, and the general inverse
-of a spin's columns.
+the even simples as the image of the canonical map, the general inverse
+of a spin's columns, and the earlier forms of ``qsl2.tensor`` (Kronecker
+products of the operators with identities and K diagonals) and of
+``qsl2._generating_spin`` (the greedy pass and prune alone).
 
 A ``QMod`` stores each operator with row j the image of basis vector j.  The
 column convention is its transpose: entry [i, j] is the coefficient of v_i in
@@ -14,9 +16,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from qsatake.errors import NoSolutionError
-from qsatake.linalg import QMatrix, reduce_rows
-from qsatake.qsl2 import QMod
-from qsatake.scalars import ONE
+from qsatake.linalg import QMatrix, kronecker, reduce_rows
+from qsatake.qsl2 import QMod, Spin
+from qsatake.scalars import I, ONE, i_power
 
 
 def dense_matrix(rows: int, cols: int, entries: Sequence) -> QMatrix:
@@ -154,3 +156,53 @@ def reference_back(pivots: dict, dim: int) -> tuple:
     return tuple(
         {j - dim: v for j, v in reduced[c].items() if j >= dim} for c in range(dim)
     )
+
+
+def k_matrix(m: QMod, power: int = 1) -> QMatrix:
+    """The matrix of K**power on m: diagonal i^(power * weight)."""
+    return QMatrix.diagonal([i_power(power * w) for w in m.weights])
+
+
+def reference_tensor(m: QMod, n: QMod) -> QMod:
+    """``qsl2.tensor`` as Kronecker products of the operators, identities and
+    K diagonals, summed term by term.  The Kronecker products act on rows, so
+    EK and FK^-1 appear as K E and K^-1 F."""
+    id_m = QMatrix.identity(m.dim)
+    id_n = QMatrix.identity(n.dim)
+    k_m = k_matrix(m)
+    kinv_n = k_matrix(n, -1)
+    e = kronecker(m.e, id_n) + kronecker(k_m, n.e)
+    f = kronecker(m.f, kinv_n) + kronecker(id_m, n.f)
+    e2 = (
+        kronecker(m.e2, id_n)
+        + kronecker((k_m @ m.e).scale(I), n.e)
+        + kronecker(k_matrix(m, 2), n.e2)
+    )
+    f2 = (
+        kronecker(m.f2, k_matrix(n, -2))
+        + kronecker(m.f.scale(I), kinv_n @ n.f)
+        + kronecker(id_m, n.f2)
+    )
+    weights = tuple(wm + wn for wm in m.weights for wn in n.weights)
+    return QMod(weights, e, f, e2, f2)
+
+
+def reference_generating_spin(m: QMod) -> Spin:
+    """``qsl2._generating_spin`` by its rule alone: greedy in index order, a
+    basis vector joining when it lies outside the span spun up from those
+    before it, then each chosen vector, in order, dropped if the remaining
+    ones still span m, each trial spun from scratch."""
+    spin = Spin(m)
+    for i in range(m.dim):
+        if len(spin.pivots) == m.dim:
+            break
+        spin.add([{i: ONE}])
+    for seed in list(spin.seeds):
+        rest = [s for s in spin.seeds if s is not seed]
+        if not rest:
+            break
+        trial = Spin(m)
+        trial.add(rest)
+        if len(trial.pivots) == m.dim:
+            spin = trial
+    return spin

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from modules import direct_sum
 from qsatake import cli, equivalence, modtools, qsl2, satake
 from qsatake.errors import DomainError
+from qsatake.linalg import QMatrix
 from qsatake.modtools import hom
 from qsatake.qsl2 import simple
 from reports import expand_runs, render_items
@@ -520,6 +521,33 @@ class TestSweepReuse:
         for sweeps in (1, 2):
             assert all(item["pass"] for item in expand_runs(cli._suite_zigzag(6)))
             assert len(calls) == sweeps * (16 * 6 + 5)
+
+    def test_zigzag_multiplies_no_identity_factor(self, monkeypatch):
+        # A product with a factor equal to the identity, such as the e_a
+        # products, returns the other factor; the rest do arithmetic.
+        products = []
+        real = QMatrix.__matmul__
+
+        def counted(a, b):
+            out = real(a, b)
+            products.append(out is not a and out is not b)
+            return out
+
+        monkeypatch.setattr(QMatrix, "__matmul__", counted)
+        assert all(item["pass"] for item in expand_runs(cli._suite_zigzag(8)))
+        assert (sum(products), len(products)) == (92, 153)
+
+    def test_homdim_builds_one_projective_for_an_endomorphism_space(
+        self, monkeypatch, capsys
+    ):
+        built = []
+        real = modtools.projective
+        monkeypatch.setattr(
+            modtools, "projective", lambda n: built.append(n) or real(n)
+        )
+        assert run(capsys, "homdim", "4", "4")[1] == "2\n"
+        assert run(capsys, "homdim", "2", "4")[1] == "1\n"
+        assert built == [4, 2, 4]
 
     def test_frobenius_solves_each_canonical_map_once_at_max_64(self, monkeypatch):
         # Each label's image and pullback are built once for the whole sweep.

@@ -305,6 +305,21 @@ class TestCompareZigzag:
             {"relation": "y2*x1", "lhs": "2*z1", "rhs": "z1", "pass": False},
         ]
 
+    def test_corrupted_identity_fails_only_its_products(self):
+        # e1 with one diagonal entry 2 is no identity, so every product with
+        # it is multiplied in full, also after a clean run filled the memo.
+        hq = hom_quiver(2)
+        memo: dict = {}
+        assert all(it["pass"] for it in compare_zigzag(hq, memo=memo))
+        gauge = gauge_fix(hq)
+        e1 = gauge[("e", 1)]
+        diagonal = {i: {i: 2 if i == 1 else 1} for i in range(e1.rows)}
+        gauge[("e", 1)] = QMatrix(e1.rows, e1.cols, diagonal)
+        items = compare_zigzag(hq, gauge, memo)
+        assert [it["relation"] for it in items if not it["pass"]] == [
+            "e1*e1", "e1*z1", "e1*x0", "e1*y2", "z1*e1", "x1*e1", "y1*e1"
+        ]
+
     def test_failure_prints_solved_coordinates(self):
         # y2 scaled by 1 + i: a failing lhs is the solved coordinate, not rhs.
         hq = hom_quiver(3)

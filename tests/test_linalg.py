@@ -88,6 +88,20 @@ def small_matrices(draw, max_dim=4, rows=None, cols=None, entries=small_entries)
     return dense_matrix(r, c, values)
 
 
+def reference_product(a, b):
+    """a @ b summed entry by entry from the dense forms."""
+    da, db = dense(a), dense(b)
+    return mat(
+        [
+            [
+                sum((da[i][t] * db[t][j] for t in range(a.cols)), ZERO)
+                for j in range(b.cols)
+            ]
+            for i in range(a.rows)
+        ]
+    )
+
+
 def dense(m):
     """Row lists of m, read entry by entry."""
     return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
@@ -111,6 +125,27 @@ class TestQMatrix:
         a = mat([[1, I], [2, 0]])
         assert QMatrix.identity(2) @ a == a
         assert a @ QMatrix.identity(2) == a
+
+    def test_identity_factor_is_the_other_factor_itself(self):
+        a = mat([[1, I, 0], [2, 0, 3]])
+        assert QMatrix.identity(2) @ a is a
+        assert a @ QMatrix.identity(3) is a
+        with pytest.raises(ValueError):
+            QMatrix.identity(3) @ a
+        with pytest.raises(ValueError):
+            a @ QMatrix.identity(2)
+
+    def test_a_near_identity_is_multiplied_in_full(self):
+        a = mat([[1, I, 0], [2, 0, 3], [0, 5, 7]])
+        near = [
+            mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),  # a diagonal entry
+            mat([[1, 0, 0], [0, 1, I], [0, 0, 1]]),  # an entry off it
+            mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),  # an empty row
+        ]
+        for d in near:
+            assert d @ a is not a and d @ a == reference_product(d, a)
+            assert a @ d is not a and a @ d == reference_product(a, d)
+        assert near[0] @ a == mat([[2, 2 * I, 0], [2, 0, 3], [0, 5, 7]])
 
     def test_transpose_involution(self):
         a = mat([[1, I, 0], [2, 0, 3]])

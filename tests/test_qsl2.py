@@ -9,8 +9,10 @@ from modules import (
     dense_matrix,
     direct_sum,
     reference_back,
+    reference_generating_spin,
     reference_image,
     reference_restrict_to_span,
+    reference_tensor,
     rows_of,
     to_json_dict,
     transpose,
@@ -375,6 +377,36 @@ class TestTensor:
     def test_integrity_of_projectives(self):
         for a in range(13):
             assert_module(projective(2 * a))
+
+    def test_matches_the_kronecker_form(self):
+        kinds = (weyl, dual_weyl, simple, frobenius_simple)
+        mods = [f(n) for f in kinds for n in (0, 1, 2, 3, 12)]
+        mods += [projective(n) for n in (0, 2, 12)]
+        for a in mods:
+            for b in mods:
+                assert tensor(a, b) == reference_tensor(a, b)
+
+    @staticmethod
+    def one_dim(weight: int, e: int) -> QMod:
+        """A weight-`weight` line with E = e; not a module unless e = 0,
+        which the coproduct does not need."""
+        z = QMatrix.zeros(1, 1)
+        return QMod((weight,), QMatrix(1, 1, {0: {0: e}}), z, z, z)
+
+    def test_coproduct_terms_that_meet_add(self):
+        # E(x)1 and K(x)E both land on (0, 0); at weight 0, K = 1, so 1 + 2.
+        t = tensor(self.one_dim(0, 1), self.one_dim(0, 2))
+        assert t == reference_tensor(self.one_dim(0, 1), self.one_dim(0, 2))
+        assert t.e == QMatrix(1, 1, {0: {0: 3}})
+
+    def test_coproduct_terms_that_cancel_leave_no_entry(self):
+        # At weight 2, K = -1, so E(x)1 + K(x)E = 1 - 1 at (0, 0).
+        m = self.one_dim(2, 1)
+        t = tensor(m, m)
+        assert t == reference_tensor(m, m)
+        assert t.e.is_zero() and t.e._data == {}
+        for _, op in t.operators():
+            assert all(row and all(row.values()) for row in op._data.values())
 
 
 class TestDirectSum:
@@ -809,6 +841,52 @@ class TestSpunIntertwiners:
         assert rebuilt is not p2 and rebuilt == p2
         assert qsl2._spun_source(rebuilt) == first
         assert spins == [1]
+
+
+class TestGeneratingSpin:
+    """The first single spin that covers m, else the greedy pass and prune,
+    give the seeds and words of the rule run as written."""
+
+    @staticmethod
+    def same(got: Spin, want: Spin) -> bool:
+        return (got.seeds, got.words, got.pivots) == (
+            want.seeds,
+            want.words,
+            want.pivots,
+        )
+
+    def test_corpus_matches_the_reference_rule(self):
+        for m in CORPUS:
+            assert self.same(qsl2._generating_spin(m), reference_generating_spin(m))
+
+    def test_projectives_match_the_reference_rule(self):
+        for a in range(25):
+            p = projective(2 * a)
+            assert self.same(qsl2._generating_spin(p), reference_generating_spin(p))
+
+    def test_a_projective_is_spun_from_each_vector_once(self, monkeypatch):
+        # The kept spin from vector 1, plus the rejected one from vector 0.
+        inserts = []
+        real = Spin._insert
+        monkeypatch.setattr(
+            Spin, "_insert", lambda self, *args: inserts.append(1) or real(self, *args)
+        )
+        for a in range(9):
+            p = projective(2 * a)
+            rejected = Spin(p)
+            rejected.add([{0: ONE}])
+            assert len(rejected.pivots) < p.dim
+            del inserts[:]
+            kept = qsl2._generating_spin(p)
+            assert kept.seeds == [{1: ONE}]
+            assert len(inserts) <= len(kept.words) + len(rejected.words)
+
+    def test_no_single_generator_keeps_the_greedy_spin(self):
+        # Two summands need two seeds, so the greedy pass and prune decide.
+        m = direct_sum(projective(0), simple(2))
+        spin = qsl2._generating_spin(m)
+        assert len(spin.seeds) == 2
+        assert self.same(spin, reference_generating_spin(m))
 
 
 class TestSpin:
